@@ -4,10 +4,12 @@
 For each level the script finds the smallest extension field carrying the
 full torsion of the level map and of the composite map down to the base,
 prints both deck groups, and checks the composite one against the matching
-factorial lattice quotient.
+factorial lattice quotient.  A level whose torsion field lies beyond the
+caps stops the survey with exit code 3 and the reason on stderr.
 """
 
 import argparse
+import sys
 import time
 
 from ectower import (
@@ -21,6 +23,7 @@ from ectower import (
     match_deck,
     quotient,
 )
+from ectower.errors import BoundExceeded, IncompleteTorsion
 
 
 def main():
@@ -44,12 +47,16 @@ def main():
     print("-" * len(header))
     for i in range(1, args.levels + 1):
         start = time.perf_counter()
-        step_field = full_torsion_field(curve, i)
-        step = deck_group(tower.level_map(i), field=step_field)
-        composite = tower.compose_to_base(i)
-        comp_field = full_torsion_field(curve, composite.m)
-        comp = deck_group(composite, field=comp_field)
-        agrees = match_deck(tower, i, field=comp_field)
+        try:
+            step_field = full_torsion_field(curve, i)
+            step = deck_group(tower.level_map(i), field=step_field)
+            composite = tower.compose_to_base(i)
+            comp_field = full_torsion_field(curve, composite.m)
+            comp = deck_group(composite, field=comp_field)
+            agrees = match_deck(tower, i, field=comp_field)
+        except (BoundExceeded, IncompleteTorsion) as exc:
+            print("level %d refused: %s" % (i, exc), file=sys.stderr)
+            sys.exit(3)
         elapsed = time.perf_counter() - start
         print(
             "%-6d %-14s %-12r %-14s %-12r %-8s (%.2fs)"

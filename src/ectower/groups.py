@@ -59,14 +59,16 @@ class FiniteAbelianGroup:
     """Z/d1 x ... x Z/dr with d1 | d2 | ... | dr, all di > 1.
 
     The trivial group has an empty factor tuple.  Generators, when present,
-    are parallel to the factors and are witnesses in whatever ambient group
-    the object describes (curve points, product points, ...).
+    must be parallel to the given factors (ValueError otherwise); those of
+    unit factors are dropped with them.  They are witnesses in whatever
+    ambient group the object describes (curve points, product points, ...).
     """
 
     __slots__ = ("invariant_factors", "generators")
 
     def __init__(self, invariant_factors, generators=None):
-        factors = tuple(int(d) for d in invariant_factors if int(d) != 1)
+        raw = tuple(int(d) for d in invariant_factors)
+        factors = tuple(d for d in raw if d != 1)
         for d in factors:
             if d < 1:
                 raise ValueError("invariant factors must be positive")
@@ -75,8 +77,9 @@ class FiniteAbelianGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
         if generators is not None:
             generators = tuple(generators)
-            if len(generators) != len(factors):
-                generators = None
+            if len(generators) != len(raw):
+                raise ValueError("generators must be parallel to the invariant factors")
+            generators = tuple(g for d, g in zip(raw, generators) if d != 1)
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "generators", generators)
 
@@ -146,12 +149,31 @@ def scale(n, x, add, neg, identity):
     return acc
 
 
-def element_order(x, add, neg, identity, group_order):
-    """Exact order of x in a group of known order, via the divisor lattice."""
-    for d in divisors(group_order):
-        if scale(d, x, add, neg, identity) == identity:
-            return d
-    raise ArithmeticError("element order does not divide the group order")
+def element_orders(elements, add, identity):
+    """Exact order of every element of a finite group, as {element: order}.
+
+    The input must be the complete element list.  For the first element x
+    whose order is still unknown, the walk x, 2x, ... up to the identity
+    gives d = ord(x) and ord(k*x) = d / gcd(k, d) for every multiple walked.
+    Each walk reaches the generators of a cyclic subgroup no earlier walk
+    reached, so the total number of additions is O(|G| log log |G|).
+    """
+    n = len(elements)
+    orders = {}
+    for x in elements:
+        if x in orders:
+            continue
+        multiples = [x]
+        while multiples[-1] != identity:
+            if len(multiples) >= n:
+                raise ArithmeticError("element order does not divide the group order")
+            multiples.append(add(multiples[-1], x))
+        d = len(multiples)
+        if n % d != 0:
+            raise ArithmeticError("element order does not divide the group order")
+        for k, y in enumerate(multiples, 1):
+            orders[y] = d // math.gcd(k, d)
+    return orders
 
 
 def structure_rank2(elements, add, neg, identity):
@@ -167,7 +189,7 @@ def structure_rank2(elements, add, neg, identity):
     n = len(elements)
     if n == 1:
         return FiniteAbelianGroup.trivial()
-    orders = {x: element_order(x, add, neg, identity, n) for x in elements}
+    orders = element_orders(elements, add, identity)
     g2 = max(elements, key=lambda x: (orders[x], _stable_key(x)))
     d2 = orders[g2]
     if d2 == n:

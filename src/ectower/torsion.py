@@ -21,6 +21,9 @@ from .groups import FiniteAbelianGroup, divisors, factorize, structure_rank2
 from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
 
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+# MAZUR_ORDERS is closed under divisors, so the orders of rational torsion
+# points on products (lcms of Mazur orders) are exactly the divisors of 2520
+MAZUR_EXPONENT = math.lcm(*MAZUR_ORDERS)
 
 
 @dataclass(frozen=True)
@@ -37,12 +40,25 @@ class TorsionCertificate:
             return False
         if self.order < 1:
             return False
+        if V.field == QQ and not _admissible_over_Q(V, self.order):
+            return False
         if not V.scalar_mul(self.order, self.point).is_infinity:
             return False
         for q in factorize(self.order):
             if V.scalar_mul(self.order // q, self.point).is_infinity:
                 return False
         return True
+
+
+def _admissible_over_Q(V, order):
+    """Whether a rational point of V can have this order, before any arithmetic.
+
+    Multiplying a non-torsion point by a large order grows heights without
+    bound, so inadmissible orders are refused up front.
+    """
+    if isinstance(V, ProductVariety):
+        return MAZUR_EXPONENT % order == 0
+    return order in MAZUR_ORDERS
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,12 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import ExtField, PrimeField, QQ, find_irreducible
-from .groups import FiniteAbelianGroup, combine_structures, structure_rank2
+from .groups import (
+    FiniteAbelianGroup,
+    combine_structures,
+    element_orders,
+    structure_rank2,
+)
 from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from .torsion import rational_torsion_points
 
@@ -234,9 +239,12 @@ def _require_finite_prime_base(V):
 def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     """Smallest-degree extension of the prime field carrying all of V[n].
 
-    Searches degrees 1, 2, ... up to the configured caps, counting the
-    kernel of multiplication by n over each candidate field; the kernel is
-    full once it has n^2 points on every curve factor.
+    Searches degrees 1, 2, ... up to the configured caps.  A degree k is
+    skipped unless n | p^k - 1 and n^2 | #E(F_{p^k}) on every curve factor,
+    two necessary conditions (Weil pairing; Silverman, AEC III.8) read off
+    the point counts without building the field.  A degree that passes is
+    confirmed by counting the kernel of multiplication by n over it; the
+    kernel is full once it has n^2 points on every curve factor.
     """
     base = _require_finite_prime_base(V)
     if not isinstance(V.field, PrimeField):
@@ -246,27 +254,52 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
         raise ValueError("n must be >= 1")
     if n % p == 0:
         raise RamifiedCharacteristic("characteristic %d divides n = %d" % (p, n))
+    factors = V.factors if isinstance(V, ProductVariety) else (V,)
+    counts = [_point_counts(curve, caps.extension_degree) for curve in factors]
     for k in range(1, caps.extension_degree + 1):
         if p**k > caps.field_size:
             break
+        if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
+            continue
         K = extension_field(base, k, caps)
-        if _kernel_is_full(V, n, K, caps):
+        if all(len(_kernel(realize_variety(c, K), n, caps)) == n * n for c in factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)
 
 
-def _kernel_is_full(V, n, K, caps):
-    factors = V.factors if isinstance(V, ProductVariety) else (V,)
-    for curve in factors:
-        realized = realize_variety(curve, K)
-        count = sum(
-            1
-            for P in realized.enumerate_points(caps)
-            if realized.scalar_mul(n, P).is_infinity
-        )
-        if count != n * n:
-            return False
-    return True
+def _point_counts(curve, degrees):
+    """[#E(F_{p^1}), ..., #E(F_{p^degrees})] for a curve over F_p.
+
+    a_p = -(sum over x in F_p of the Legendre symbol of x^3 + a*x + b), by
+    Euler's criterion on plain ints; then #E(F_{p^k}) = p^k + 1 - s_k with
+    s_0 = 2, s_1 = a_p, s_k = a_p*s_{k-1} - p*s_{k-2} (Washington,
+    Elliptic Curves, Thm 4.12).
+    """
+    p, a, b = curve.field.p, curve.a.value, curve.b.value
+    half = (p - 1) // 2
+    a_p = 0
+    for x in range(p):
+        symbol = pow((x * x * x + a * x + b) % p, half, p)
+        a_p -= 1 if symbol == 1 else -1 if symbol == p - 1 else 0
+    s_prev, s = 2, a_p
+    counts = []
+    for k in range(1, degrees + 1):
+        counts.append(p**k + 1 - s)
+        s_prev, s = s, a_p * s - p * s_prev
+    return counts
+
+
+def _kernel(curve, n, caps):
+    """The points of E[n] over the curve's own field, in enumeration order.
+
+    Enumerates once, checks every point's membership, and keeps P when
+    ord(P) divides n.
+    """
+    points = curve.enumerate_points(caps)
+    for P in points:
+        curve.require_on_curve(P)
+    orders = element_orders(points, curve._add_unchecked, Point.infinity())
+    return [P for P in points if n % orders[P] == 0]
 
 
 def fiber(f, z, field=None, caps=DEFAULT_CAPS):
@@ -353,11 +386,7 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     factors = V.factors if isinstance(V, ProductVariety) else (V,)
     parts = []
     for j, curve in enumerate(factors):
-        kernel = [
-            P
-            for P in curve.enumerate_points(caps)
-            if curve.scalar_mul(m, P).is_infinity
-        ]
+        kernel = _kernel(curve, m, caps)
         if len(kernel) != m * m:
             raise IncompleteTorsion(
                 "factor %d has %d of %d torsion points over %r"

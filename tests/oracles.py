@@ -126,3 +126,32 @@ def brute_force_witness_exists(torsion_points, diffs, add, neg, scalar):
         if ok:
             return True
     return False
+
+
+def fp_point_count(p, a, b):
+    """#E(F_p) for y^2 = x^3 + ax + b, by a double loop over all (x, y)."""
+    return 1 + sum(
+        1 for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0
+    )
+
+
+def divisor_scan_order(x, add, identity, group_order):
+    """Order of x as the least divisor d of the group order with d*x = identity.
+
+    Each candidate multiple is formed by double-and-add with the supplied
+    addition, so this shares no logic with a walk along x, 2x, 3x, ...
+    """
+    for d in range(1, group_order + 1):
+        if group_order % d == 0 and _double_and_add(d, x, add, identity) == identity:
+            return d
+    raise ArithmeticError("element order does not divide the group order")
+
+
+def _double_and_add(n, x, add, identity):
+    acc = identity
+    while n:
+        if n & 1:
+            acc = add(acc, x)
+        x = add(x, x)
+        n >>= 1
+    return acc

@@ -1,8 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ectower.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 Q = {"field": "Q"}
 F5 = {"field": "Fp", "p": "5"}
 
@@ -271,6 +276,26 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     assert code == 1
     assert vreport["ok"] is False
     assert any(not r["ok"] for r in vreport["results"])
+
+
+def test_verify_refuses_inadmissible_order_promptly(tmp_path):
+    # (-2, 3) on y^2 = x^3 + 17 has infinite order; 2^20 is no Mazur order
+    cert = {
+        "certificate": "torsion",
+        "variety": curve(Q, "0", "17"),
+        "point": pt("-2", "3"),
+        "order": 1048576,
+    }
+    job = tmp_path / "cert.json"
+    job.write_text(json.dumps(cert))
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ectower", "verify", "--input", str(job), "--json"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["ok"] is False
 
 
 def test_verify_without_certificates(tmp_path):

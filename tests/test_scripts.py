@@ -1,0 +1,25 @@
+"""The experiment scripts and the benchmark's own self-test, run as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(args, timeout):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+def test_deck_survey_refusal_exits_3():
+    # over F_7 the composite level-4 map needs E[24], which no field within the caps holds
+    done = _run(["scripts/deck_survey.py", "--p", "7", "--levels", "5"], timeout=60)
+    assert done.returncode == 3
+    assert "24-torsion" in done.stderr
+    assert "Traceback" not in done.stderr

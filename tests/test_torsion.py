@@ -73,6 +73,32 @@ def test_certificates_reject_tampering():
     assert not tampered.verify()
 
 
+def test_inadmissible_order_refused_before_any_multiplication(monkeypatch):
+    calls = []
+
+    def counted(original):
+        def scalar_mul(self, n, P):
+            calls.append(n)
+            return original(self, n, P)
+
+        return scalar_mul
+
+    for cls in (EllipticCurve, ProductVariety):
+        monkeypatch.setattr(cls, "scalar_mul", counted(cls.scalar_mul))
+    # (-2, 3) has infinite order: repeated doubling would never finish
+    assert not TorsionCertificate(E17, qpt(-2, 3), 1048576).verify()
+    assert not TorsionCertificate(E1, qpt(2, 3), 11).verify()
+    X = ProductVariety([E1, E17])
+    # 5040 is outside the lcm-closure of the Mazur orders (the divisors of 2520)
+    assert not TorsionCertificate(X, ProductPoint([qpt(2, 3), qpt(-2, 3)]), 5040).verify()
+    assert calls == []
+    # an order that is an lcm of Mazur orders but not one itself is admissible on a product
+    X = ProductVariety([EMX, E1])
+    assert TorsionCertificate(X, ProductPoint([qpt(0, 0), qpt(0, 1)]), 6).verify()
+    assert not TorsionCertificate(EMX, qpt(0, 0), 6).verify()
+    assert calls
+
+
 def test_requires_q():
     with pytest.raises(UnsupportedField):
         torsion_test_Q(E5, Point(PrimeField(5).element(0), PrimeField(5).element(1)))

@@ -11,8 +11,10 @@ from ectower.errors import (
     UnsupportedField,
 )
 from ectower.fields import QQ, ExtField, PrimeField
+from ectower import towers
 from ectower.towers import (
     Tower,
+    _point_counts,
     TwistedMulMap,
     deck_group,
     extension_field,
@@ -22,6 +24,8 @@ from ectower.towers import (
     realize_variety,
     twisted_eval,
 )
+
+from oracles import fp_point_count
 
 F5 = PrimeField(5)
 E_Q = EllipticCurve(QQ, 0, 1)
@@ -133,6 +137,58 @@ def test_full_torsion_field_degrees():
     assert full_torsion_field(E5, 3).degree == 2
     K4 = full_torsion_field(E5, 4)
     assert K4.degree == 4
+
+
+# (p, (a, b) curves, largest degree k): several curves per prime; over
+# F_{11^4} and F_{13^4} one curve each keeps the enumeration short
+POINT_COUNT_CASES = [
+    (5, [(0, 1), (1, 1), (3, 2), (-1, 0)], 4),
+    (7, [(0, 1), (1, 1), (3, 2), (-1, 0)], 4),
+    (11, [(0, 1), (1, 1), (3, 2)], 3),
+    (13, [(0, 1), (1, 1), (3, 2)], 3),
+    (11, [(1, 1)], 4),
+    (13, [(0, 1)], 4),
+]
+
+
+@pytest.mark.parametrize("p, curves, degrees", POINT_COUNT_CASES)
+def test_point_counts_match_enumeration(p, curves, degrees):
+    F = PrimeField(p)
+    fields = [extension_field(F, k) for k in range(2, degrees + 1)]
+    for a, b in curves:
+        E = EllipticCurve(F, a, b)
+        counts = _point_counts(E, degrees)
+        assert counts[0] == fp_point_count(p, a, b)
+        for k, K in enumerate(fields, 2):
+            assert counts[k - 1] == len(realize_variety(E, K).enumerate_points())
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_full_torsion_field_filter_refuses_without_enumerating(monkeypatch):
+    # 24 | 7^k - 1 and 576 | #E(F_{7^k}) hold for no k <= 8, and 7^9 is over the cap
+    enumerated = _count_calls(monkeypatch, EllipticCurve, "enumerate_points")
+    with pytest.raises(BoundExceeded) as info:
+        full_torsion_field(EllipticCurve(PrimeField(7), 0, 1), 24)
+    assert str(info.value) == "no full 24-torsion field within the configured caps"
+    assert enumerated == []
+
+
+def test_full_torsion_field_builds_only_passing_degree(monkeypatch):
+    built = _count_calls(monkeypatch, towers, "extension_field")
+    K = full_torsion_field(E5, 4)
+    assert [args[1] for args in built] == [4]
+    assert K.degree == 4 and K.modulus == (2, 0, 0, 0, 1)
 
 
 def test_full_torsion_field_ramified():
