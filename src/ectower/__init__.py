@@ -26,7 +26,6 @@ from .towers import (
     fiber,
     full_torsion_field,
     rational_fiber,
-    twisted_eval,
 )
 from .iso import (
     NonIsoCertificate,
@@ -67,7 +66,6 @@ __all__ = [
     "fiber",
     "full_torsion_field",
     "rational_fiber",
-    "twisted_eval",
     "NonIsoCertificate",
     "TowerIsoWitness",
     "classify_family",

@@ -27,7 +27,6 @@ from .errors import (
     ZeroVector,
 )
 from .fields import QQ
-from .curves import ProductVariety
 from .chain import LatticeGroup, quotient, refine, separates, match_deck
 from .iso import classify_family, necessity_test, verify_witness, witness_search
 from .torsion import TorsionCertificate, torsion_subgroup_Q, torsion_test_Q
@@ -358,7 +357,7 @@ def _cmd_torsion(payload, opts, caps):
             "certificate": serialize.certificate_to_json(cert),
         }
         return report, 0 if isinstance(cert, TorsionCertificate) else 1
-    if isinstance(V, ProductVariety):
+    if V.factors != (V,):  # a product, even of one curve
         raise SchemaError("subgroup enumeration expects a single curve")
     sub = torsion_subgroup_Q(V, caps)
     report = {

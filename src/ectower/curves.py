@@ -5,6 +5,10 @@ carries the chord-tangent group law in affine coordinates with exact
 inversion.  Products act componentwise and realize higher-dimensional group
 varieties: the n-torsion of a g-fold product is (Z/n)^(2g) over a field
 containing it all.
+
+A curve is the one-factor case of a product: both expose factors, split,
+assemble, from_factors and group_from_parts, so only this module tells them
+apart.  The public group law checks membership; _unchecked methods do not.
 """
 
 import itertools
@@ -13,7 +17,7 @@ import math
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, MixedFields, PointNotOnCurve, UnsupportedField
 from .fields import FieldElement
-from .groups import FiniteAbelianGroup, combine_structures, structure_rank2
+from .groups import FiniteAbelianGroup, combine_structures, scale, structure_rank2
 
 
 class Point:
@@ -109,9 +113,31 @@ class EllipticCurve:
     def dimension(self):
         return 1
 
-    def discriminant(self):
-        a, b = self.a, self.b
-        return -16 * (4 * a * a * a + 27 * b * b)
+    @property
+    def factors(self):
+        """A curve is the one-factor case of a product: its only factor is itself."""
+        return (self,)
+
+    def split(self, P):
+        """The per-factor coordinates of a point of this variety's shape: (P,)."""
+        if not isinstance(P, Point):
+            raise PointNotOnCurve("%r is not on %r" % (P, self))
+        return (P,)
+
+    def assemble(self, coords):
+        """The point with the given per-factor coordinates; inverse of split."""
+        (P,) = coords
+        return P
+
+    def from_factors(self, curves):
+        """The variety of this shape over the given curves."""
+        (curve,) = curves
+        return curve
+
+    def group_from_parts(self, parts):
+        """The group structure of this variety from its per-factor structures."""
+        (part,) = parts
+        return part
 
     def identity(self):
         return Point.infinity()
@@ -156,25 +182,19 @@ class EllipticCurve:
 
     def negate(self, P):
         self.require_on_curve(P)
-        if P.is_infinity:
-            return P
-        return Point(P.x, -P.y)
+        return self._negate_unchecked(P)
 
     def sub(self, P, Q):
-        return self.add(P, self.negate(Q))
+        self.require_on_curve(Q)
+        self.require_on_curve(P)
+        return self._add_unchecked(P, self._negate_unchecked(Q))
 
     def scalar_mul(self, n, P):
         self.require_on_curve(P)
-        if n < 0:
-            n, P = -n, self._negate_unchecked(P)
-        acc = Point.infinity()
-        base = P
-        while n:
-            if n & 1:
-                acc = self._add_unchecked(acc, base)
-            base = self._add_unchecked(base, base)
-            n >>= 1
-        return acc
+        return self._scalar_mul_unchecked(n, P)
+
+    def _scalar_mul_unchecked(self, n, P):
+        return scale(n, P, self._add_unchecked, self._negate_unchecked, Point.infinity())
 
     def _negate_unchecked(self, P):
         if P.is_infinity:
@@ -270,13 +290,32 @@ class ProductVariety:
         )
 
     def sub(self, P, Q):
-        return self.add(P, self.negate(Q))
+        self.require_on_curve(Q)
+        self.require_on_curve(P)
+        return self._add_unchecked(P, self._negate_unchecked(Q))
 
     def scalar_mul(self, n, P):
         self.require_on_curve(P)
+        return self._scalar_mul_unchecked(n, P)
+
+    def _scalar_mul_unchecked(self, n, P):
         return ProductPoint(
-            [c.scalar_mul(n, q) for c, q in zip(self.factors, P.coords)]
+            [c._scalar_mul_unchecked(n, q) for c, q in zip(self.factors, P.coords)]
         )
+
+    def split(self, P):
+        """The per-factor coordinates of a point of this variety's shape."""
+        if not isinstance(P, ProductPoint) or len(P.coords) != len(self.factors):
+            raise PointNotOnCurve("%r is not on %r" % (P, self))
+        return P.coords
+
+    def assemble(self, coords):
+        """The point with the given per-factor coordinates; inverse of split."""
+        return ProductPoint(coords)
+
+    def from_factors(self, curves):
+        """The variety of this shape over the given curves."""
+        return ProductVariety(curves)
 
     def embed(self, index, point):
         """Place a factor point at the given index, identity elsewhere."""
@@ -292,13 +331,16 @@ class ProductVariety:
         return [ProductPoint(t) for t in itertools.product(*per_factor)]
 
     def group_structure(self, caps=DEFAULT_CAPS):
-        parts = []
-        for j, c in enumerate(self.factors):
-            s = c.group_structure(caps)
+        return self.group_from_parts([c.group_structure(caps) for c in self.factors])
+
+    def group_from_parts(self, parts):
+        """The group structure of the product from one structure per factor."""
+        embedded = []
+        for j, s in enumerate(parts):
             gens = tuple(self.embed(j, g) for g in (s.generators or ()))
-            parts.append(FiniteAbelianGroup(s.invariant_factors, gens))
+            embedded.append(FiniteAbelianGroup(s.invariant_factors, gens))
         return combine_structures(
-            parts, self._add_unchecked, self._negate_unchecked, self.identity()
+            embedded, self._add_unchecked, self._negate_unchecked, self.identity()
         )
 
     def __eq__(self, other):

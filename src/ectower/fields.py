@@ -448,9 +448,11 @@ class ExtField(Field):
             raise ValueError("base must be a prime field")
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        if base.p**degree > caps.field_size:
+        # p >= 2, so a degree of the cap's bit length or more exceeds the cap
+        # for every p; testing that first keeps p**degree small
+        if degree >= caps.field_size.bit_length() or base.p**degree > caps.field_size:
             raise BoundExceeded(
-                "p^k = %d exceeds cap %d" % (base.p**degree, caps.field_size)
+                "p^k = %d^%d exceeds cap %d" % (base.p, degree, caps.field_size)
             )
         if modulus is None:
             modulus = find_irreducible(base.p, degree, caps)
@@ -624,6 +626,13 @@ class FieldElement:
         return self.value == raw
 
     def __hash__(self):
+        """Over Q, the hash of the Rational, so agreeing with == on plain ints.
+
+        Over F_p and F_{p^k}, == with a plain int compares modulo p (F_5's 1
+        equals 6), which no hash can follow; those hash with their field.
+        """
+        if isinstance(self.value, Rational):
+            return hash(self.value)
         return hash((self.field, self.value))
 
     def __bool__(self):
@@ -634,22 +643,3 @@ class FieldElement:
 
     def __repr__(self):
         return "%r(%s)" % (self.field, self.value)
-
-
-# module-level operation names, thin wrappers over the element operators
-
-
-def field_add(a, b):
-    return a + b
-
-
-def field_mul(a, b):
-    return a * b
-
-
-def field_neg(a):
-    return -a
-
-
-def field_inv(a):
-    return a.inverse()

@@ -22,11 +22,16 @@ def divisors(n):
     return small + large[::-1]
 
 
-def factorize(n):
-    """Trial-division factorization as {prime: exponent}."""
+def factorize(n, limit=None):
+    """Trial-division factorization as {prime: exponent}.
+
+    With a limit, trial division stops above it: a cofactor with no prime
+    factor up to the limit is then returned as one key, prime or not, and
+    exceeds the limit.
+    """
     out = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and (limit is None or d <= limit):
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -34,25 +39,6 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def invariant_factors_from_orders(orders):
-    """Regroup a list of cyclic orders into the canonical invariant-factor chain."""
-    by_prime = {}
-    for d in orders:
-        for p, e in factorize(d).items():
-            by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    depth = max((len(e) for e in by_prime.values()), default=0)
-    factors = []
-    for level in range(depth):
-        f = 1
-        for p, exps in by_prime.items():
-            if level < len(exps):
-                f *= p ** exps[level]
-        factors.append(f)
-    return tuple(sorted(factors))
 
 
 class FiniteAbelianGroup:
@@ -89,10 +75,6 @@ class FiniteAbelianGroup:
     @classmethod
     def trivial(cls):
         return cls(())
-
-    @classmethod
-    def from_cyclic_orders(cls, orders):
-        return cls(invariant_factors_from_orders(orders))
 
     @property
     def order(self):

@@ -98,15 +98,6 @@ def necessity_test(A, B):
     return None
 
 
-def unrolled_t0(V, diffs, t_last):
-    """t_0 from the closed form N!*t_N + sum (i-1)!*(i-1)*d_i."""
-    N = len(diffs)
-    acc = V.scalar_mul(math.factorial(N), t_last)
-    for i in range(1, N + 1):
-        acc = V.add(acc, V.scalar_mul(math.factorial(i - 1) * (i - 1), diffs[i - 1]))
-    return acc
-
-
 def back_substitute(V, diffs, t_last):
     """The full translation sequence t_0..t_N determined by t_N."""
     N = len(diffs)

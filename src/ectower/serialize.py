@@ -74,7 +74,7 @@ def parse_field(obj, caps=DEFAULT_CAPS):
         _require_keys(obj, "field", ("field", "p", "k"), optional=("modulus",))
         p = _int_field(obj, "field", "p")
         k = obj["k"]
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise SchemaError("field: 'k' must be a positive integer")
         modulus = obj.get("modulus")
         if modulus is not None and (
@@ -164,10 +164,12 @@ def point_to_json(P):
 
 
 def parse_point(V, obj, where="point"):
+    if not isinstance(obj, dict):
+        raise SchemaError("%s: expected an object" % where)
+    if obj.get("inf") is True:
+        _require_keys(obj, where, ("inf",))
+        return V.identity()
     if isinstance(V, ProductVariety):
-        if isinstance(obj, dict) and obj.get("inf") is True:
-            _require_keys(obj, where, ("inf",))
-            return V.identity()
         _require_keys(obj, where, ("coords",))
         coords = obj["coords"]
         if not isinstance(coords, list) or len(coords) != len(V.factors):
@@ -178,11 +180,6 @@ def parse_point(V, obj, where="point"):
                 for j, (c, q) in enumerate(zip(V.factors, coords))
             ]
         )
-    if not isinstance(obj, dict):
-        raise SchemaError("%s: expected an object" % where)
-    if obj.get("inf") is True:
-        _require_keys(obj, where, ("inf",))
-        return Point.infinity()
     _require_keys(obj, where, ("x", "y"))
     return Point(
         parse_element(V.field, obj["x"], where + ".x"),
@@ -253,7 +250,8 @@ def non_torsion_certificate_to_json(cert):
             {"m": m, "multiple": point_to_json(mult)} for m, mult in cert.evidence
         ],
     }
-    if cert.factor is not None:
+    # the wire format names the tracked factor of products only
+    if cert.factor is not None and isinstance(cert.variety, ProductVariety):
         out["factor"] = cert.factor
     return out
 

@@ -15,15 +15,12 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
-from .errors import BoundExceeded, NonIntegralModel, UnsupportedField
+from .errors import BoundExceeded, NonIntegralModel, PointNotOnCurve, UnsupportedField
 from .fields import QQ, Rational
 from .groups import FiniteAbelianGroup, divisors, factorize, structure_rank2
-from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
+from .curves import EllipticCurve, Point
 
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
-# MAZUR_ORDERS is closed under divisors, so the orders of rational torsion
-# points on products (lcms of Mazur orders) are exactly the divisors of 2520
-MAZUR_EXPONENT = math.lcm(*MAZUR_ORDERS)
 
 
 @dataclass(frozen=True)
@@ -36,38 +33,52 @@ class TorsionCertificate:
 
     def verify(self):
         V = self.variety
-        if not V.contains(self.point):
+        if not _admissible(V, self.order):
             return False
-        if self.order < 1:
-            return False
-        if V.field == QQ and not _admissible_over_Q(V, self.order):
-            return False
-        if not V.scalar_mul(self.order, self.point).is_infinity:
+        try:
+            if not V.scalar_mul(self.order, self.point).is_infinity:
+                return False
+        except PointNotOnCurve:
             return False
         for q in factorize(self.order):
-            if V.scalar_mul(self.order // q, self.point).is_infinity:
+            if V._scalar_mul_unchecked(self.order // q, self.point).is_infinity:
                 return False
         return True
 
 
-def _admissible_over_Q(V, order):
-    """Whether a rational point of V can have this order, before any arithmetic.
+def _admissible(V, order):
+    """Whether a point of V can have this order, decided before any arithmetic.
 
-    Multiplying a non-torsion point by a large order grows heights without
-    bound, so inadmissible orders are refused up front.
+    Over Q a point's order is the lcm of one Mazur order per factor; larger
+    orders are refused up front, since multiplying a non-torsion point by
+    them grows heights without bound.  Over F_q each factor has at most
+    q + 1 + 2*sqrt(q) points (Hasse), so no prime above that bound divides
+    a point order, and trial division stops there.
     """
-    if isinstance(V, ProductVariety):
-        return MAZUR_EXPONENT % order == 0
-    return order in MAZUR_ORDERS
+    if order < 1:
+        return False
+    if V.field == QQ:
+        orders = {1}
+        for _ in V.factors:
+            orders = {math.lcm(d, e) for d in orders for e in MAZUR_ORDERS}
+        return order in orders
+    hasse = _hasse_bound(V.field.size)
+    return max(factorize(order, hasse), default=1) <= hasse
+
+
+def _hasse_bound(q):
+    """The most points a curve over F_q can have: q + 1 + floor(2*sqrt(q))."""
+    return q + 1 + math.isqrt(4 * q)
 
 
 @dataclass(frozen=True)
 class NonTorsionCertificate:
     """Evidence that no Mazur-admissible multiple of the point vanishes.
 
-    For a product variety the evidence tracks a single non-torsion
-    coordinate, recorded by factor index; one coordinate of infinite order
-    makes the whole point non-torsion.
+    The evidence tracks a single non-torsion coordinate, recorded by factor
+    index (0 on a single curve); one coordinate of infinite order makes the
+    whole point non-torsion.  With no index the evidence tracks the whole
+    point.
     """
 
     variety: object
@@ -78,7 +89,8 @@ class NonTorsionCertificate:
     def _tracked(self):
         if self.factor is None:
             return self.variety, self.point
-        return self.variety.factors[self.factor], self.point.coords[self.factor]
+        V = self.variety
+        return V.factors[self.factor], V.split(self.point)[self.factor]
 
     def verify(self):
         if not self.variety.contains(self.point):
@@ -91,38 +103,35 @@ class NonTorsionCertificate:
         for m, multiple in self.evidence:
             if multiple.is_infinity:
                 return False
-            if curve.scalar_mul(m, point) != multiple:
+            if curve._scalar_mul_unchecked(m, point) != multiple:
                 return False
         return True
 
 
-def torsion_test_Q(curve, P):
-    """Decide torsion over Q: TorsionCertificate or NonTorsionCertificate."""
-    if curve.field != QQ:
+def torsion_test_Q(V, P):
+    """Decide torsion over Q: TorsionCertificate or NonTorsionCertificate.
+
+    Each factor's coordinate is added to itself up to twelve times; the
+    first coordinate with no vanishing Mazur multiple is the evidence.
+    """
+    if V.field != QQ:
         raise UnsupportedField("torsion decision by admissible orders needs Q")
-    curve.require_on_curve(P)
-    if isinstance(curve, ProductVariety):
-        return _torsion_test_product(curve, P)
-    evidence = []
-    acc = Point.infinity()
-    for m in range(1, 13):
-        acc = curve.add(acc, P)
-        if m == 11:
-            continue
-        if acc.is_infinity:
-            return TorsionCertificate(curve, P, m)
-        evidence.append((m, acc))
-    return NonTorsionCertificate(curve, P, tuple(evidence))
-
-
-def _torsion_test_product(variety, P):
+    V.require_on_curve(P)
     orders = []
-    for j, (curve, coord) in enumerate(zip(variety.factors, P.coords)):
-        cert = torsion_test_Q(curve, coord)
-        if isinstance(cert, NonTorsionCertificate):
-            return NonTorsionCertificate(variety, P, cert.evidence, factor=j)
-        orders.append(cert.order)
-    return TorsionCertificate(variety, P, math.lcm(*orders))
+    for j, (curve, coord) in enumerate(zip(V.factors, V.split(P))):
+        evidence = []
+        acc = Point.infinity()
+        for m in range(1, 13):
+            acc = curve._add_unchecked(acc, coord)
+            if m == 11:
+                continue
+            if acc.is_infinity:
+                orders.append(m)
+                break
+            evidence.append((m, acc))
+        else:
+            return NonTorsionCertificate(V, P, tuple(evidence), factor=j)
+    return TorsionCertificate(V, P, math.lcm(*orders))
 
 
 def order_ff(curve, P):
@@ -133,8 +142,7 @@ def order_ff(curve, P):
     if not curve.field.is_finite:
         raise UnsupportedField("order_ff needs a finite field")
     curve.require_on_curve(P)
-    q = curve.field.size
-    bound = (q + 1 + 2 * math.isqrt(q)) ** curve.dimension
+    bound = _hasse_bound(curve.field.size) ** curve.dimension
     acc = P
     for n in range(1, bound + 1):
         if acc.is_infinity:
@@ -162,8 +170,6 @@ def torsion_subgroup_Q(curve, caps=DEFAULT_CAPS):
     found = {Point.infinity()}
     for x, y in _nagell_lutz_candidates(a_int, b_int, caps):
         cand = Point(QQ.element(x), QQ.element(y))
-        if not model.contains(cand):
-            continue
         if isinstance(torsion_test_Q(model, cand), TorsionCertificate):
             found.add(cand)
     # map back through (x, y) -> (x/u^2, y/u^3) to the original curve
@@ -246,11 +252,9 @@ def _integer_cubic_roots(a, c):
     return sorted(roots)
 
 
-def rational_torsion_points(variety, caps=DEFAULT_CAPS):
+def rational_torsion_points(V, caps=DEFAULT_CAPS):
     """Sorted rational torsion points of a curve or a product of curves."""
-    if isinstance(variety, ProductVariety):
-        per_factor = [torsion_subgroup_Q(c, caps).points for c in variety.factors]
-        pts = [ProductPoint(t) for t in itertools.product(*per_factor)]
-        pts.sort(key=ProductPoint.sort_key)
-        return pts
-    return torsion_subgroup_Q(variety, caps).points
+    per_factor = [torsion_subgroup_Q(c, caps).points for c in V.factors]
+    pts = [V.assemble(t) for t in itertools.product(*per_factor)]
+    pts.sort(key=lambda P: P.sort_key())
+    return pts

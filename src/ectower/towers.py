@@ -12,6 +12,7 @@ realization containing the full m-torsion, never over Q.  Fibers over Q can
 only be sampled through a known rational preimage and are flagged as such.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
@@ -23,60 +24,46 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import ExtField, PrimeField, QQ, find_irreducible
-from .groups import (
-    FiniteAbelianGroup,
-    combine_structures,
-    element_orders,
-    structure_rank2,
-)
-from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
+from .groups import element_orders, structure_rank2
+from .curves import EllipticCurve, Point
 from .torsion import rational_torsion_points
 
 
+def _affine(V, m, y, c):
+    """m*y + c on V, for points already known to lie on V."""
+    return V._add_unchecked(V._scalar_mul_unchecked(m, y), c)
+
+
+@dataclass(frozen=True)
 class TwistedMulMap:
-    """The cover y -> n*y - (n-1)*e of a variety by itself, n >= 1."""
+    """The cover y -> n*y - (n-1)*e of a variety by itself, n >= 1.
 
-    __slots__ = ("n", "center", "variety")
+    The constant c = -(n-1)*e is computed once, so the map is y -> n*y + c.
+    """
 
-    def __init__(self, n, center, variety):
-        if n < 1:
+    n: int
+    center: object
+    variety: object
+    c: object = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("multiplier must be >= 1")
-        variety.require_on_curve(center)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "variety", variety)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedMulMap is immutable")
+        self.variety.require_on_curve(self.center)
+        object.__setattr__(
+            self, "c", self.variety._scalar_mul_unchecked(1 - self.n, self.center)
+        )
 
     @property
     def multiplier(self):
         return self.n
 
-    @property
-    def shift(self):
-        return self.variety.scalar_mul(-(self.n - 1), self.center)
-
     def __call__(self, y):
         self.variety.require_on_curve(y)
-        V = self.variety
-        return V.add(V.scalar_mul(self.n, y), V.scalar_mul(-(self.n - 1), self.center))
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedMulMap):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.center == other.center
-            and self.variety == other.variety
-        )
+        return _affine(self.variety, self.n, y, self.c)
 
     def __repr__(self):
         return "[%d]_%r" % (self.n, self.center)
-
-
-def twisted_eval(f, y):
-    return f(y)
 
 
 @dataclass(frozen=True)
@@ -87,38 +74,33 @@ class CompositeMap:
     c: object
     variety: object
 
+    def __post_init__(self):
+        self.variety.require_on_curve(self.c)
+
     @property
     def multiplier(self):
         return self.m
 
-    @property
-    def shift(self):
-        return self.c
-
     def __call__(self, y):
-        V = self.variety
-        V.require_on_curve(y)
-        return V.add(V.scalar_mul(self.m, y), self.c)
+        self.variety.require_on_curve(y)
+        return _affine(self.variety, self.m, y, self.c)
 
 
+@dataclass(frozen=True)
 class Tower:
     """A base variety with points e_0 = o, ..., e_N and level maps twist(i, e_i)."""
 
-    __slots__ = ("variety", "o", "points")
+    variety: object
+    o: object
+    points: tuple
 
-    def __init__(self, variety, o, points):
-        points = tuple(points)
-        if not points or points[0] != o:
+    def __post_init__(self):
+        points = tuple(self.points)
+        if not points or points[0] != self.o:
             raise ValueError("the point sequence must begin with the base point o")
-        variety.require_on_curve(o)
         for P in points:
-            variety.require_on_curve(P)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "o", o)
+            self.variety.require_on_curve(P)
         object.__setattr__(self, "points", points)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tower is immutable")
 
     @property
     def N(self):
@@ -128,9 +110,6 @@ class Tower:
         if not 1 <= i <= self.N:
             raise LevelOutOfRange("level %d outside 1..%d" % (i, self.N))
         return TwistedMulMap(i, self.points[i], self.variety)
-
-    def maps(self):
-        return [self.level_map(i) for i in range(1, self.N + 1)]
 
     def compose_to_base(self, i):
         """The composition of the level maps 1..i as a single y -> i!*y + c.
@@ -142,19 +121,19 @@ class Tower:
         if not 1 <= i <= self.N:
             raise LevelOutOfRange("level %d outside 1..%d" % (i, self.N))
         V = self.variety
+        steps = [self.level_map(level) for level in range(1, i + 1)]
         m = 1
         c = V.identity()
-        for level in range(1, i + 1):
+        for f in steps:
             # compose the accumulated map after twist(level, e_level)
-            step_shift = V.scalar_mul(-(level - 1), self.points[level])
-            c = V.add(V.scalar_mul(m, step_shift), c)
-            m *= level
+            c = V._add_unchecked(V._scalar_mul_unchecked(m, f.c), c)
+            m *= f.n
         composite = CompositeMap(m, c, V)
         for sample in self._sample_points(i):
             stepwise = sample
-            for level in range(i, 0, -1):
-                stepwise = self.level_map(level)(stepwise)
-            if composite(sample) != stepwise:
+            for f in reversed(steps):
+                stepwise = _affine(V, f.n, stepwise, f.c)
+            if _affine(V, m, sample, c) != stepwise:
                 raise ArithmeticError("composite map disagrees with stepwise evaluation")
         return composite
 
@@ -169,15 +148,6 @@ class Tower:
         if not 0 <= n <= self.N:
             raise LevelOutOfRange("cannot truncate to level %d" % n)
         return Tower(self.variety, self.o, self.points[: n + 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, Tower):
-            return NotImplemented
-        return (
-            self.variety == other.variety
-            and self.o == other.o
-            and self.points == other.points
-        )
 
     def __repr__(self):
         return "Tower(%r, N=%d)" % (self.variety, self.N)
@@ -204,27 +174,28 @@ def _embed_element(x, K):
     raise UnsupportedField("cannot embed %r into %r" % (x.field, K))
 
 
-def _embed_point(P, K):
-    if isinstance(P, ProductPoint):
-        return ProductPoint([_embed_point(q, K) for q in P.coords])
-    if P.is_infinity:
-        return P
-    return Point(_embed_element(P.x, K), _embed_element(P.y, K))
+def _embed_point(V, P, K):
+    """A point of V's shape with every coordinate embedded into K."""
+    return V.assemble(
+        [
+            q if q.is_infinity else Point(_embed_element(q.x, K), _embed_element(q.y, K))
+            for q in V.split(P)
+        ]
+    )
 
 
 def realize_variety(V, K):
     """The same curve(s) with coefficients embedded into the realization field K."""
-    if isinstance(V, ProductVariety):
-        return ProductVariety([realize_variety(c, K) for c in V.factors])
-    return EllipticCurve(K, _embed_element(V.a, K), _embed_element(V.b, K))
+    return V.from_factors(
+        [EllipticCurve(K, _embed_element(c.a, K), _embed_element(c.b, K)) for c in V.factors]
+    )
 
 
 def realize_map(f, K):
-    if isinstance(f, TwistedMulMap):
-        V = realize_variety(f.variety, K)
-        return TwistedMulMap(f.n, _embed_point(f.center, K), V)
     V = realize_variety(f.variety, K)
-    return CompositeMap(f.m, _embed_point(f.c, K), V)
+    if isinstance(f, TwistedMulMap):
+        return TwistedMulMap(f.n, _embed_point(f.variety, f.center, K), V)
+    return CompositeMap(f.m, _embed_point(f.variety, f.c, K), V)
 
 
 def _require_finite_prime_base(V):
@@ -254,15 +225,14 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
         raise ValueError("n must be >= 1")
     if n % p == 0:
         raise RamifiedCharacteristic("characteristic %d divides n = %d" % (p, n))
-    factors = V.factors if isinstance(V, ProductVariety) else (V,)
-    counts = [_point_counts(curve, caps.extension_degree) for curve in factors]
+    counts = [_point_counts(curve, caps.extension_degree) for curve in V.factors]
     for k in range(1, caps.extension_degree + 1):
         if p**k > caps.field_size:
             break
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
         K = extension_field(base, k, caps)
-        if all(len(_kernel(realize_variety(c, K), n, caps)) == n * n for c in factors):
+        if all(len(_kernel(realize_variety(c, K), n, caps)) == n * n for c in V.factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)
 
@@ -292,12 +262,9 @@ def _point_counts(curve, degrees):
 def _kernel(curve, n, caps):
     """The points of E[n] over the curve's own field, in enumeration order.
 
-    Enumerates once, checks every point's membership, and keeps P when
-    ord(P) divides n.
+    Enumerates once and keeps P when ord(P) divides n.
     """
     points = curve.enumerate_points(caps)
-    for P in points:
-        curve.require_on_curve(P)
     orders = element_orders(points, curve._add_unchecked, Point.infinity())
     return [P for P in points if n % orders[P] == 0]
 
@@ -310,26 +277,20 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     field is a coset of the m-torsion and has exactly m^(2g) elements.
     """
     m = f.multiplier
-    base = _require_finite_prime_base(f.variety)
+    _require_finite_prime_base(f.variety)
     K = field if field is not None else f.variety.field
     if m % K.characteristic == 0:
         raise RamifiedCharacteristic(
             "characteristic %d divides the degree %d" % (K.characteristic, m)
         )
     realized = realize_map(f, K)
-    z = _embed_point(z, K) if _needs_embedding(z, K) else z
-    realized.variety.require_on_curve(z)
-    hits = [
-        y for y in realized.variety.enumerate_points(caps) if realized(y) == z
-    ]
+    V = realized.variety
+    z = _embed_point(f.variety, z, K)
+    V.require_on_curve(z)
+    # enumerated points lie on V by construction
+    hits = [y for y in V.enumerate_points(caps) if _affine(V, m, y, realized.c) == z]
     hits.sort(key=lambda P: P.sort_key())
     return hits
-
-
-def _needs_embedding(z, K):
-    if isinstance(z, ProductPoint):
-        return any(_needs_embedding(c, K) for c in z.coords)
-    return not z.is_infinity and z.x.field != K
 
 
 @dataclass(frozen=True)
@@ -352,17 +313,13 @@ def rational_fiber(f, through, caps=DEFAULT_CAPS):
     if V.field != QQ:
         raise UnsupportedField("rational fibers are only reported over Q")
     V.require_on_curve(through)
-    pts = [V.add(through, t) for t in rational_torsion_if_order_divides(V, f.multiplier, caps)]
+    pts = [
+        V._add_unchecked(through, t)
+        for t in rational_torsion_points(V, caps)
+        if V._scalar_mul_unchecked(f.multiplier, t).is_infinity
+    ]
     pts.sort(key=lambda P: P.sort_key())
     return RationalFiber(tuple(pts), False, f.multiplier)
-
-
-def rational_torsion_if_order_divides(V, m, caps):
-    return [
-        t
-        for t in rational_torsion_points(V, caps)
-        if V.scalar_mul(m, t).is_infinity
-    ]
 
 
 def deck_group(f, field=None, caps=DEFAULT_CAPS):
@@ -381,26 +338,18 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
             "characteristic %d divides the degree %d; the full kernel is never rational"
             % (K.characteristic, m)
         )
-    realized = realize_map(f, K)
-    V = realized.variety
-    factors = V.factors if isinstance(V, ProductVariety) else (V,)
+    V = realize_variety(f.variety, K)
     parts = []
-    for j, curve in enumerate(factors):
+    for j, curve in enumerate(V.factors):
         kernel = _kernel(curve, m, caps)
         if len(kernel) != m * m:
             raise IncompleteTorsion(
                 "factor %d has %d of %d torsion points over %r"
                 % (j, len(kernel), m * m, K)
             )
-        part = structure_rank2(
-            kernel, curve._add_unchecked, curve._negate_unchecked, Point.infinity()
+        parts.append(
+            structure_rank2(
+                kernel, curve._add_unchecked, curve._negate_unchecked, Point.infinity()
+            )
         )
-        if isinstance(V, ProductVariety):
-            gens = tuple(V.embed(j, g) for g in (part.generators or ()))
-            part = FiniteAbelianGroup(part.invariant_factors, gens)
-        parts.append(part)
-    if isinstance(V, ProductVariety):
-        return combine_structures(
-            parts, V._add_unchecked, V._negate_unchecked, V.identity()
-        )
-    return parts[0]
+    return V.group_from_parts(parts)

@@ -9,6 +9,7 @@ Points are None (infinity) or (Fraction x, Fraction y) on y^2 = x^3 + ax + b.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -154,4 +155,17 @@ def _double_and_add(n, x, add, identity):
             acc = add(acc, x)
         x = add(x, x)
         n >>= 1
+    return acc
+
+
+def unrolled_t0(V, diffs, t_last):
+    """t_0 from the closed form N!*t_N + sum (i-1)!*(i-1)*d_i.
+
+    The closed form of the level recurrence, evaluated with the variety's
+    own scalar_mul and add, so it shares no loop with back substitution.
+    """
+    N = len(diffs)
+    acc = V.scalar_mul(math.factorial(N), t_last)
+    for i in range(1, N + 1):
+        acc = V.add(acc, V.scalar_mul(math.factorial(i - 1) * (i - 1), diffs[i - 1]))
     return acc

@@ -351,3 +351,46 @@ def test_text_output_runs(tmp_path, capsys):
     assert main(["chain-check", "--input", str(job), "--json"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["g"] == 1
+
+def _verify_in_subprocess(tmp_path, cert, timeout=5):
+    job = tmp_path / "cert.json"
+    job.write_text(json.dumps(cert))
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ectower", "verify", "--input", str(job), "--json"],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    return done.returncode, json.loads(done.stdout)
+
+
+def test_verify_refuses_orders_beyond_the_hasse_bound_promptly(tmp_path):
+    # (4, 0) on y^2 = x^3 + 1 over F_5 has order 2; no point over F_5 has an
+    # order with a prime factor above 5 + 1 + 4, so neither claim is factored
+    for big_prime in (10**16 + 61, 10**29 + 319):
+        cert = {
+            "certificate": "torsion",
+            "variety": curve(F5, "0", "1"),
+            "point": pt("4", "0"),
+            "order": 2 * big_prime,
+        }
+        code, report = _verify_in_subprocess(tmp_path, cert)
+        assert code == 1
+        assert report["results"][0]["reason"] == "torsion replay failed"
+
+
+def test_verify_refuses_extension_degrees_before_exponentiating(tmp_path):
+    for k in (10**7, 10**9):
+        field = {"field": "Fpk", "p": "5", "k": k}
+        cert = {"certificate": "torsion", "variety": curve(field, [0], [1]),
+                "point": inf(), "order": 1}
+        code, report = _verify_in_subprocess(tmp_path, cert)
+        assert code == 1
+        assert report["results"][0]["reason"].startswith("BoundExceeded")
+    # a JSON true is no degree, though Python counts it as the integer 1
+    field = {"field": "Fpk", "p": "5", "k": True}
+    cert = {"certificate": "torsion", "variety": curve(field, [0], [1]),
+            "point": inf(), "order": 1}
+    code, report = _verify_in_subprocess(tmp_path, cert)
+    assert code == 1
+    assert report["results"][0]["reason"] == "schema: field: 'k' must be a positive integer"

@@ -12,14 +12,13 @@ from ectower.iso import (
     back_substitute,
     classify_family,
     necessity_test,
-    unrolled_t0,
     verify_witness,
     witness_search,
 )
 from ectower.torsion import torsion_subgroup_Q, torsion_test_Q
 from ectower.towers import Tower
 
-from oracles import brute_force_witness_exists
+from oracles import brute_force_witness_exists, unrolled_t0
 
 E1 = EllipticCurve(QQ, 0, 1)  # torsion Z/6
 EMX = EllipticCurve(QQ, -1, 0)  # torsion (Z/2)^2

@@ -205,3 +205,23 @@ def test_torsion_points_of_e1_have_small_order(m):
     cert = torsion_test_Q(E1, P)
     assert isinstance(cert, TorsionCertificate)
     assert 6 % cert.order == 0
+
+
+def test_order_ff_reaches_the_hasse_bound():
+    # y^2 = x^3 + 3 over F_7 has 7 + 1 + 5 = 13 points, the most Hasse allows
+    E = EllipticCurve(PrimeField(7), 0, 3)
+    points = E.enumerate_points()
+    assert len(points) == 13
+    assert {order_ff(E, P) for P in points} == {1, 13}
+
+
+def test_product_order_beyond_lcms_of_its_factors_refused(monkeypatch):
+    # 2520 needs four factors (8, 9, 5, 7); on two factors it is no point order,
+    # and multiplying the non-torsion coordinate by it would not finish
+    def refuse(self, n, P):
+        raise AssertionError("multiplied by an inadmissible order")
+
+    monkeypatch.setattr(ProductVariety, "scalar_mul", refuse)
+    X = ProductVariety([E1, E17])
+    assert not TorsionCertificate(X, ProductPoint([qpt(2, 3), qpt(-2, 3)]), 2520).verify()
+    assert not TorsionCertificate(ProductVariety([E1]), ProductPoint([qpt(2, 3)]), 14).verify()
