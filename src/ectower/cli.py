@@ -7,9 +7,12 @@ reports; all sampling is driven by the mandatory seed, which defaults to 0.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import random
+import secrets
 import sys
 
 from .config import DEFAULT_CAPS
@@ -417,12 +420,28 @@ _HANDLERS = {
 def _emit(report, args):
     blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(blob)
+        _write_atomically(args.output, blob)
     if getattr(args, "json", False):
         sys.stdout.write(blob)
     else:
         sys.stdout.write(_render_text(report) + "\n")
+
+
+def _write_atomically(path, text):
+    """Write text to a new file beside path, then rename it onto path.
+
+    A failed write leaves any earlier report at path untouched, and the
+    rename never exposes a half-written one.
+    """
+    tmp = "%s.%s.tmp" % (path, secrets.token_hex(8))
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _render_text(report):

@@ -218,6 +218,10 @@ class EllipticCurve:
         points.sort(key=Point.sort_key)
         return points
 
+    def enumerate_factors(self, caps=DEFAULT_CAPS):
+        """Each factor's points, enumerated once: [the curve's own points]."""
+        return [self.enumerate_points(caps)]
+
     def group_structure(self, caps=DEFAULT_CAPS):
         points = self.enumerate_points(caps)
         return structure_rank2(
@@ -323,12 +327,16 @@ class ProductVariety:
         coords[index] = point
         return ProductPoint(coords)
 
-    def enumerate_points(self, caps=DEFAULT_CAPS):
+    def enumerate_factors(self, caps=DEFAULT_CAPS):
+        """Each factor's sorted points, refused when the product has more than the cap."""
         per_factor = [c.enumerate_points(caps) for c in self.factors]
         total = math.prod(len(pts) for pts in per_factor)
         if total > caps.field_size:
             raise BoundExceeded("product has %d points, over the cap" % total)
-        return [ProductPoint(t) for t in itertools.product(*per_factor)]
+        return per_factor
+
+    def enumerate_points(self, caps=DEFAULT_CAPS):
+        return [ProductPoint(t) for t in itertools.product(*self.enumerate_factors(caps))]
 
     def group_structure(self, caps=DEFAULT_CAPS):
         return self.group_from_parts([c.group_structure(caps) for c in self.factors])

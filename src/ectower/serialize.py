@@ -29,9 +29,14 @@ def _require_keys(obj, where, required, optional=()):
         raise SchemaError("%s: unknown keys %s" % (where, sorted(unknown)))
 
 
+def _is_int(v):
+    """Whether v is a JSON integer: JSON true and false parse to bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(obj, where, key):
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    if not (_is_int(v) or isinstance(v, str)):
         raise SchemaError("%s: %r must be an integer or decimal string" % (where, key))
     try:
         return int(v)
@@ -74,12 +79,12 @@ def parse_field(obj, caps=DEFAULT_CAPS):
         _require_keys(obj, "field", ("field", "p", "k"), optional=("modulus",))
         p = _int_field(obj, "field", "p")
         k = obj["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not _is_int(k) or k < 1:
             raise SchemaError("field: 'k' must be a positive integer")
         modulus = obj.get("modulus")
         if modulus is not None and (
             not isinstance(modulus, list)
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in modulus)
+            or not all(_is_int(c) for c in modulus)
         ):
             raise SchemaError("field: 'modulus' must be a list of integers")
         try:
@@ -102,7 +107,7 @@ def parse_element(field, obj, where="element"):
         if field == QQ:
             if isinstance(obj, str):
                 return field.element(Rational.parse(obj))
-            if isinstance(obj, int) and not isinstance(obj, bool):
+            if _is_int(obj):
                 return field.element(obj)
             raise SchemaError("%s: rationals are strings like '2/3'" % where)
         if isinstance(field, PrimeField):
@@ -207,7 +212,7 @@ def parse_tower(obj, caps=DEFAULT_CAPS):
     if not isinstance(e_list, list) or not e_list:
         raise SchemaError("tower: 'e' must be a nonempty list of points")
     points = [parse_point(V, p, "e[%d]" % i) for i, p in enumerate(e_list)]
-    if not isinstance(obj["N"], int) or obj["N"] != len(points) - 1:
+    if not _is_int(obj["N"]) or obj["N"] != len(points) - 1:
         raise SchemaError("tower: 'N' must equal len(e) - 1")
     try:
         return Tower(V, o, points)
@@ -293,7 +298,7 @@ def parse_torsion_certificate(obj, caps=DEFAULT_CAPS):
     _require_keys(obj, "torsion certificate", ("certificate", "variety", "point", "order"))
     V = parse_variety(obj["variety"], caps)
     P = parse_point(V, obj["point"])
-    if not isinstance(obj["order"], int) or obj["order"] < 1:
+    if not _is_int(obj["order"]) or obj["order"] < 1:
         raise SchemaError("torsion certificate: order must be a positive integer")
     return TorsionCertificate(V, P, obj["order"])
 
@@ -309,7 +314,7 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
     P = parse_point(V, obj["point"])
     factor = obj.get("factor")
     if factor is not None and (
-        not isinstance(factor, int)
+        not _is_int(factor)
         or not isinstance(V, ProductVariety)
         or not 0 <= factor < len(V.factors)
     ):
@@ -320,7 +325,7 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
     evidence = []
     for entry in obj["evidence"]:
         _require_keys(entry, "evidence entry", ("m", "multiple"))
-        if not isinstance(entry["m"], int):
+        if not _is_int(entry["m"]):
             raise SchemaError("evidence entry: m must be an integer")
         evidence.append((entry["m"], parse_point(tracked, entry["multiple"])))
     return NonTorsionCertificate(V, P, tuple(evidence), factor=factor)
@@ -336,7 +341,7 @@ def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS):
         raise SchemaError("non-iso certificate: 'towers' must hold two towers")
     A = parse_tower(obj["towers"][0], caps)
     B = parse_tower(obj["towers"][1], caps)
-    if not isinstance(obj["level"], int):
+    if not _is_int(obj["level"]):
         raise SchemaError("non-iso certificate: level must be an integer")
     diff = parse_point(A.variety, obj["difference"], "difference")
     inner = parse_non_torsion_certificate(obj["non_torsion"], caps)
@@ -355,7 +360,7 @@ def parse_witness(obj, caps=DEFAULT_CAPS):
     for entry in obj["translations"]:
         _require_keys(entry, "translation", ("point", "order"))
         t = parse_point(A.variety, entry["point"], "translation")
-        if not isinstance(entry["order"], int) or entry["order"] < 1:
+        if not _is_int(entry["order"]) or entry["order"] < 1:
             raise SchemaError("translation: order must be a positive integer")
         points.append(t)
         certs.append(TorsionCertificate(A.variety, t, entry["order"]))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
-from .errors import BoundExceeded, NonIntegralModel, PointNotOnCurve, UnsupportedField
+from .errors import BoundExceeded, NonIntegralModel, UnsupportedField
 from .fields import QQ, Rational
 from .groups import FiniteAbelianGroup, divisors, factorize, structure_rank2
 from .curves import EllipticCurve, Point
@@ -33,12 +33,9 @@ class TorsionCertificate:
 
     def verify(self):
         V = self.variety
-        if not _admissible(V, self.order):
+        if not V.contains(self.point) or not _admissible(V, self.point, self.order):
             return False
-        try:
-            if not V.scalar_mul(self.order, self.point).is_infinity:
-                return False
-        except PointNotOnCurve:
+        if not V.scalar_mul(self.order, self.point).is_infinity:
             return False
         for q in factorize(self.order):
             if V._scalar_mul_unchecked(self.order // q, self.point).is_infinity:
@@ -46,22 +43,21 @@ class TorsionCertificate:
         return True
 
 
-def _admissible(V, order):
-    """Whether a point of V can have this order, decided before any arithmetic.
+def _admissible(V, P, order):
+    """Whether P can have this order, decided with bounded work before the replay.
 
-    Over Q a point's order is the lcm of one Mazur order per factor; larger
-    orders are refused up front, since multiplying a non-torsion point by
-    them grows heights without bound.  Over F_q each factor has at most
+    Over Q each coordinate shows its order within twelve additions (Mazur)
+    and P's order is their lcm, so only that order is admitted; a coordinate
+    of infinite order is refused here, before multiplying it by the claimed
+    order grows heights without bound.  Over F_q each factor has at most
     q + 1 + 2*sqrt(q) points (Hasse), so no prime above that bound divides
     a point order, and trial division stops there.
     """
     if order < 1:
         return False
     if V.field == QQ:
-        orders = {1}
-        for _ in V.factors:
-            orders = {math.lcm(d, e) for d in orders for e in MAZUR_ORDERS}
-        return order in orders
+        orders = [_mazur_walk(c, q)[0] for c, q in zip(V.factors, V.split(P))]
+        return None not in orders and math.lcm(*orders) == order
     hasse = _hasse_bound(V.field.size)
     return max(factorize(order, hasse), default=1) <= hasse
 
@@ -119,19 +115,29 @@ def torsion_test_Q(V, P):
     V.require_on_curve(P)
     orders = []
     for j, (curve, coord) in enumerate(zip(V.factors, V.split(P))):
-        evidence = []
-        acc = Point.infinity()
-        for m in range(1, 13):
-            acc = curve._add_unchecked(acc, coord)
-            if m == 11:
-                continue
-            if acc.is_infinity:
-                orders.append(m)
-                break
-            evidence.append((m, acc))
-        else:
+        order, evidence = _mazur_walk(curve, coord)
+        if order is None:
             return NonTorsionCertificate(V, P, tuple(evidence), factor=j)
+        orders.append(order)
     return TorsionCertificate(V, P, math.lcm(*orders))
+
+
+def _mazur_walk(curve, P):
+    """(order, evidence) for a point of a curve over Q, by adding P to itself.
+
+    The order is the first m <= 12 with m*P = O, or None when no Mazur order
+    vanishes; evidence lists (m, m*P) for the Mazur orders m passed before.
+    """
+    evidence = []
+    acc = Point.infinity()
+    for m in range(1, 13):
+        acc = curve._add_unchecked(acc, P)
+        if m == 11:
+            continue
+        if acc.is_infinity:
+            return m, evidence
+        evidence.append((m, acc))
+    return None, evidence
 
 
 def order_ff(curve, P):

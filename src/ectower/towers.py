@@ -13,6 +13,7 @@ only be sampled through a known rational preimage and are flagged as such.
 """
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
@@ -272,9 +273,13 @@ def _kernel(curve, n, caps):
 def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     """All preimages of z under f over a finite-field realization, sorted.
 
-    Exhaustive: enumerates the realized variety and keeps the points that
-    map to z.  A nonempty fiber of a degree-m map over a full-m-torsion
-    field is a coset of the m-torsion and has exactly m^(2g) elements.
+    A nonempty fiber of y -> m*y + c is a coset of the m-torsion, which is
+    the product of the factors' m-torsion, so the fiber is the product of
+    the per-factor fibers of y_j -> m*y_j + c_j over z_j.  Each factor is
+    enumerated once: sum |E_j(K)| map evaluations, not prod |E_j(K)|.  The
+    factor enumerations are sorted and a product point sorts by its factor
+    keys in order, so the product of the per-factor fibers comes out sorted.
+    Over a full-m-torsion field a nonempty fiber has exactly m^(2g) points.
     """
     m = f.multiplier
     _require_finite_prime_base(f.variety)
@@ -287,10 +292,14 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     V = realized.variety
     z = _embed_point(f.variety, z, K)
     V.require_on_curve(z)
-    # enumerated points lie on V by construction
-    hits = [y for y in V.enumerate_points(caps) if _affine(V, m, y, realized.c) == z]
-    hits.sort(key=lambda P: P.sort_key())
-    return hits
+    # enumerated points lie on their factor by construction
+    hits = [
+        [y for y in points if _affine(curve, m, y, c) == target]
+        for curve, points, c, target in zip(
+            V.factors, V.enumerate_factors(caps), V.split(realized.c), V.split(z)
+        )
+    ]
+    return [V.assemble(t) for t in itertools.product(*hits)]
 
 
 @dataclass(frozen=True)

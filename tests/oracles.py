@@ -169,3 +169,32 @@ def unrolled_t0(V, diffs, t_last):
     for i in range(1, N + 1):
         acc = V.add(acc, V.scalar_mul(math.factorial(i - 1) * (i - 1), diffs[i - 1]))
     return acc
+
+
+def exhaustive_fiber(f, z, K):
+    """Preimages of z under f: y -> m*y + c over the field K, sorted.
+
+    A whole-variety scan: the map's variety, constant and target are
+    realized over K through the objects' own constructors and embeddings,
+    every point of the realized variety (a product's full enumeration, not
+    factor by factor) goes through the checked group law, and the hits are
+    sorted.
+    """
+
+    def element(x):
+        return x if x.field == K else K.embed(x)
+
+    def point(V, P):
+        return V.assemble(
+            [q if q.is_infinity else type(q)(element(q.x), element(q.y)) for q in V.split(P)]
+        )
+
+    V = f.variety
+    VK = V.from_factors([type(c)(K, element(c.a), element(c.b)) for c in V.factors])
+    c, target = point(V, f.c), point(V, z)
+    hits = [
+        y
+        for y in VK.enumerate_points()
+        if VK.add(VK.scalar_mul(f.multiplier, y), c) == target
+    ]
+    return sorted(hits, key=lambda P: P.sort_key())

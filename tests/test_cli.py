@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ectower.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -394,3 +396,68 @@ def test_verify_refuses_extension_degrees_before_exponentiating(tmp_path):
     code, report = _verify_in_subprocess(tmp_path, cert)
     assert code == 1
     assert report["results"][0]["reason"] == "schema: field: 'k' must be a positive integer"
+
+
+def test_output_is_written_whole_with_no_temporary_file_left(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tower": E5_TOWER}))
+    out = tmp_path / "out.json"
+    out.write_text("an earlier report\n")
+    assert main(["tower-build", "--input", str(job), "--output", str(out), "--json"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "out.json"]
+
+
+def test_failed_output_write_leaves_the_earlier_report(tmp_path, monkeypatch, capsys):
+    from ectower import cli
+
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"tower": E5_TOWER}))
+    out = tmp_path / "out.json"
+    out.write_text("an earlier report\n")
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def open_for_writing_fails(path, mode="r", **kwargs):
+        handle = open(path, mode, **kwargs)
+        return handle if mode == "r" else FullDisk(handle)
+
+    monkeypatch.setattr(cli, "open", open_for_writing_fails, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        main(["tower-build", "--input", str(job), "--output", str(out), "--json"])
+    monkeypatch.undo()
+
+    def refuse_rename(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(cli.os, "replace", refuse_rename)
+    with pytest.raises(OSError, match="cross-device"):
+        main(["tower-build", "--input", str(job), "--output", str(out), "--json"])
+    assert out.read_text() == "an earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "out.json"]
+
+
+def test_verify_reads_no_json_true_as_an_order(tmp_path):
+    # O has order 1, and Python counts true as the integer 1
+    cert = {"certificate": "torsion", "variety": curve(Q, "0", "17"),
+            "point": inf(), "order": True}
+    code, report = _verify_in_subprocess(tmp_path, cert)
+    assert code == 1
+    assert report["results"][0]["ok"] is False
+    assert report["results"][0]["reason"] == (
+        "schema: torsion certificate: order must be a positive integer")
+    cert["order"] = 1
+    code, report = _verify_in_subprocess(tmp_path, cert)
+    assert code == 0

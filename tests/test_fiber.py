@@ -1,0 +1,123 @@
+"""Fibers factor by factor, cross-checked against a whole-variety scan.
+
+towers.fiber enumerates each curve factor once and takes the product of the
+per-factor fibers; oracles.exhaustive_fiber scans every point of the
+realized variety.  Both must return the same points in the same order, on
+complete fibers (over the full-torsion field) and incomplete ones (over F_5).
+"""
+
+import itertools
+
+import pytest
+
+from ectower.config import Caps
+from ectower.curves import EllipticCurve, Point, ProductVariety
+from ectower.errors import BoundExceeded
+from ectower.fields import PrimeField
+from ectower.towers import (
+    TwistedMulMap,
+    fiber,
+    full_torsion_field,
+    realize_map,
+    realize_variety,
+)
+
+from oracles import exhaustive_fiber
+
+F5 = PrimeField(5)
+E5 = EllipticCurve(F5, 0, 1)
+E5B = EllipticCurve(F5, 0, 2)
+X = ProductVariety([E5, E5B])
+
+
+def _targets(f, K, count):
+    """z = f(y) for a spread of y (nonempty fibers) and a spread of plain z."""
+    points = realize_variety(f.variety, K).enumerate_points()
+    realized = realize_map(f, K)
+    step = max(1, len(points) // count)
+    return [realized(y) for y in points[1::step][:count]] + points[::step][:count]
+
+
+def _agree(f, K, count):
+    sizes = set()
+    for z in _targets(f, K, count):
+        points = fiber(f, z, field=K)
+        assert points == exhaustive_fiber(f, z, K)
+        sizes.add(len(points))
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_curve_fiber_matches_scan_for_every_centre(n):
+    for centre in E5.enumerate_points():
+        f = TwistedMulMap(n, centre, E5)
+        # over F_5 fibers are incomplete; some are empty
+        assert 0 in _agree(f, F5, 6)
+        assert _agree(f, full_torsion_field(E5, n), 4) == {0, n * n}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_fiber_matches_scan_over_f5_for_every_centre(n):
+    sizes = set()
+    for centre in X.enumerate_points():
+        sizes |= _agree(TwistedMulMap(n, centre, X), F5, 3)
+    assert 0 in sizes and len(sizes) > 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_product_fiber_matches_scan_over_full_torsion_field(n):
+    K = full_torsion_field(X, n)
+    centres = X.enumerate_points()
+    for centre in (centres[0], centres[len(centres) // 2 + 1]):
+        sizes = _agree(TwistedMulMap(n, centre, X), K, 1)
+        assert n**4 in sizes and sizes <= {0, n**4}
+
+
+def test_three_factor_and_one_factor_products_match_scan():
+    triple = ProductVariety([E5, E5B, E5])
+    centre = triple.enumerate_points()[100]
+    assert len(_agree(TwistedMulMap(2, centre, triple), F5, 4)) > 1
+    single = ProductVariety([E5B])
+    K = full_torsion_field(single, 3)
+    for centre in single.enumerate_points():
+        assert _agree(TwistedMulMap(3, centre, single), K, 2) == {0, 9}
+
+
+def test_product_fiber_evaluates_each_factor_point_once(monkeypatch):
+    K = full_torsion_field(X, 3)
+    f = TwistedMulMap(3, X.enumerate_points()[9], X)
+    z = realize_map(f, K)(realize_variety(X, K).enumerate_points()[500])
+    factor_points = sum(len(c.enumerate_points()) for c in realize_variety(X, K).factors)
+    calls = []
+    original = EllipticCurve._scalar_mul_unchecked
+
+    def counted(self, n, P):
+        calls.append(n)
+        return original(self, n, P)
+
+    monkeypatch.setattr(EllipticCurve, "_scalar_mul_unchecked", counted)
+    assert len(fiber(f, z, field=K)) == 81
+    # one multiplication per factor point, plus the realized centre's constant
+    # on each factor; a scan of the product would make 36 * 36 of them
+    assert len(calls) <= factor_points + len(X.factors)
+
+
+def test_product_over_the_cap_is_refused_with_the_same_message():
+    caps = Caps(field_size=30)
+    f = TwistedMulMap(2, X.identity(), X)
+    with pytest.raises(BoundExceeded, match="^product has 36 points, over the cap$"):
+        fiber(f, X.identity(), caps=caps)
+    with pytest.raises(BoundExceeded, match="^product has 36 points, over the cap$"):
+        X.enumerate_points(caps)
+    # a single curve is bounded by its field size alone, as before
+    assert fiber(TwistedMulMap(2, Point.infinity(), E5), Point.infinity(), caps=caps)
+
+
+def test_fiber_is_sorted_product_of_factor_fibers():
+    K = full_torsion_field(X, 2)
+    f = TwistedMulMap(2, X.enumerate_points()[13], X)
+    z = realize_map(f, K)(realize_variety(X, K).enumerate_points()[77])
+    points = fiber(f, z, field=K)
+    assert points == sorted(points, key=lambda P: P.sort_key())
+    per_factor = [sorted({P.coords[j] for P in points}, key=Point.sort_key) for j in (0, 1)]
+    assert [P.coords for P in points] == list(itertools.product(*per_factor))

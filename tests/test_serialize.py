@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from ectower.curves import EllipticCurve, Point, ProductVariety
@@ -7,6 +10,7 @@ from ectower.iso import necessity_test, witness_search
 from ectower.serialize import (
     certificate_to_json,
     field_to_json,
+    find_certificates,
     parse_field,
     parse_non_iso_certificate,
     parse_point,
@@ -110,3 +114,36 @@ def test_verify_rejects_nonsense():
     assert not ok
     ok, kind, reason = verify_certificate({"certificate": "torsion", "order": 1})
     assert not ok and "schema" in reason
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INT_KEYS = ("order", "m", "factor", "level", "N")
+
+
+def _ones_as_true(obj):
+    """Copies of obj, each with one integer 1 under an INT_KEYS key turned into true."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key in INT_KEYS and value == 1 and not isinstance(value, bool):
+                yield {**obj, key: True}
+            for variant in _ones_as_true(value):
+                yield {**obj, key: variant}
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            for variant in _ones_as_true(item):
+                yield obj[:i] + [variant] + obj[i + 1 :]
+
+
+def test_json_true_is_no_integer_in_any_certificate():
+    # Python counts true as the integer 1; every certificate kind in the
+    # golden reports must refuse it where it reads an integer
+    kinds = set()
+    for path in sorted(GOLDEN.glob("*.report.json")):
+        for _, cert in find_certificates(json.loads(path.read_text())):
+            if not verify_certificate(cert)[0]:
+                continue
+            for variant in _ones_as_true(cert):
+                ok, kind, reason = verify_certificate(variant)
+                assert not ok and reason.startswith("schema: "), (path.name, reason)
+                kinds.add(kind)
+    assert kinds == {"torsion", "non_torsion", "non_iso", "tower_iso"}

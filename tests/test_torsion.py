@@ -1,5 +1,8 @@
-import pytest
+import math
+import time
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +19,7 @@ from ectower.torsion import (
     torsion_test_Q,
 )
 
-from oracles import nagell_lutz_torsion
+from oracles import nagell_lutz_torsion, o_order
 
 E1 = EllipticCurve(QQ, 0, 1)
 EMX = EllipticCurve(QQ, -1, 0)
@@ -225,3 +228,36 @@ def test_product_order_beyond_lcms_of_its_factors_refused(monkeypatch):
     X = ProductVariety([E1, E17])
     assert not TorsionCertificate(X, ProductPoint([qpt(2, 3), qpt(-2, 3)]), 2520).verify()
     assert not TorsionCertificate(ProductVariety([E1]), ProductPoint([qpt(2, 3)]), 14).verify()
+
+
+def test_non_torsion_coordinate_refused_within_a_time_budget():
+    # 630 = lcm(6, 2, ...) is admissible as an lcm of Mazur orders on three
+    # factors, but (-2, 3) has infinite order; multiplying it by 630 took
+    # seconds as heights grew, walking it twelve steps does not
+    X = ProductVariety([E1, EMX, E17])
+    P = ProductPoint([qpt(2, 3), qpt(0, 0), qpt(-2, 3)])
+    start = time.perf_counter()
+    assert not TorsionCertificate(X, P, 630).verify()
+    assert time.perf_counter() - start < 5
+
+
+def test_order_six_on_product_of_two_and_three_torsion_verifies():
+    X = ProductVariety([EMX, E1])
+    P = ProductPoint([qpt(0, 0), qpt(0, 1)])
+    assert TorsionCertificate(X, P, 6).verify()
+    assert not TorsionCertificate(X, P, 2).verify()
+    assert not TorsionCertificate(X, P, 12).verify()
+
+
+def test_replay_over_q_accepts_exactly_the_oracle_order():
+    # the order of a product point is the lcm of its coordinates' orders,
+    # each found by the oracle's plain repeated addition
+    X = ProductVariety([EMX, E1])
+    for P in rational_torsion_points(X):
+        coords = [
+            None if q.is_infinity else tuple(Fraction(c.value.num, c.value.den) for c in (q.x, q.y))
+            for q in P.coords
+        ]
+        exact = math.lcm(o_order(-1, 0, coords[0]), o_order(0, 1, coords[1]))
+        for order in range(1, 13):
+            assert TorsionCertificate(X, P, order).verify() == (order == exact)
