@@ -129,10 +129,10 @@ def _job_options(args, payload):
             % (payload["command"], args.command)
         )
     seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    if not isinstance(seed, int):
+    if not serialize._is_int(seed):
         raise SchemaError("'seed' must be an integer")
     N = args.N if args.N is not None else payload.get("N")
-    if N is not None and (not isinstance(N, int) or N < 0):
+    if N is not None and (not serialize._is_int(N) or N < 0):
         raise SchemaError("'N' must be a non-negative integer")
     return {"seed": seed, "N": N}
 
@@ -242,7 +242,7 @@ def _cmd_corollary_demo(payload, opts, caps):
         )
     P = serialize.parse_point(V, payload["point"])
     count = payload["count"]
-    if not isinstance(count, int) or count < 1:
+    if not serialize._is_int(count) or count < 1:
         raise SchemaError("'count' must be a positive integer")
     N = opts["N"] if opts["N"] is not None else 6
     base_cert = torsion_test_Q(V, P)
@@ -282,12 +282,12 @@ def _cmd_chain_check(payload, opts, caps):
     _check_keys(payload, ("g", "max_level", "tower", "field", "bound"))
     g = payload.get("g")
     max_level = payload.get("max_level")
-    if not isinstance(g, int) or g < 1:
+    if not serialize._is_int(g) or g < 1:
         raise SchemaError("'g' must be a positive integer")
-    if not isinstance(max_level, int) or max_level < 0:
+    if not serialize._is_int(max_level) or max_level < 0:
         raise SchemaError("'max_level' must be a non-negative integer")
     bound = payload.get("bound", 20)
-    if not isinstance(bound, int) or bound < 1:
+    if not serialize._is_int(bound) or bound < 1:
         raise SchemaError("'bound' must be a positive integer")
     lattice = LatticeGroup(2 * g)
     tower = None

@@ -21,6 +21,11 @@ class Rational:
     """Fraction of arbitrary-precision integers, always normalized.
 
     Invariants: gcd(|num|, den) == 1, den > 0, zero is 0/1.
+
+    The public constructor normalizes its arguments.  The operators take
+    the gcd of operand parts, never of the full-size result (Knuth, TAOCP
+    vol. 2, 4.5.1, as CPython's fractions does), and build their already
+    reduced results with _reduced, which skips normalizing again.
     """
 
     __slots__ = ("num", "den")
@@ -37,6 +42,14 @@ class Rational:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """The rational num/den, trusted to be in lowest terms with den > 0."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
+
     def __setattr__(self, name, value):
         raise AttributeError("Rational is immutable")
 
@@ -45,14 +58,14 @@ class Rational:
         if isinstance(other, Rational):
             return other
         if isinstance(other, int):
-            return cls(other)
+            return cls._reduced(other, 1)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Rational(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _add(self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -60,7 +73,7 @@ class Rational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Rational(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _add(self.num, self.den, -o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -69,10 +82,12 @@ class Rational:
         return o - self
 
     def __mul__(self, other):
+        if other is self:  # a square of a reduced fraction is reduced
+            return Rational._reduced(self.num * self.num, self.den * self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Rational(self.num * o.num, self.den * o.den)
+        return _mul(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -82,7 +97,9 @@ class Rational:
             return NotImplemented
         if o.num == 0:
             raise DivisionByZero("division by zero rational")
-        return Rational(self.num * o.den, self.den * o.num)
+        if o.num < 0:
+            return _mul(self.num, self.den, -o.den, -o.num)
+        return _mul(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -91,7 +108,7 @@ class Rational:
         return o / self
 
     def __neg__(self):
-        return Rational(-self.num, self.den)
+        return Rational._reduced(-self.num, self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -134,6 +151,35 @@ class Rational:
         if len(parts) == 2:
             return cls(int(parts[0]), int(parts[1]))
         raise ValueError("not a rational: %r" % text)
+
+
+def _add(na, da, nb, db):
+    """na/da + nb/db for reduced operands, reduced by gcds of the denominators."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return Rational._reduced(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return Rational._reduced(t, s * db)
+    return Rational._reduced(t // g2, s * (db // g2))
+
+
+def _mul(na, da, nb, db):
+    """na/da * nb/db for reduced operands with positive denominators.
+
+    Only the cross pairs (na, db) and (nb, da) can share a factor.
+    """
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return Rational._reduced(na * nb, da * db)
 
 
 def is_prime(n):
@@ -350,7 +396,10 @@ class RationalField(Field):
     def _inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero in Q")
-        return Rational(a.den, a.num)
+        # the parts of a reduced fraction stay coprime when swapped: no gcd
+        if a.num < 0:
+            return Rational._reduced(-a.den, -a.num)
+        return Rational._reduced(a.den, a.num)
 
     def _sort_key(self, a):
         return (a.num, a.den)

@@ -118,7 +118,12 @@ class FiniteAbelianGroup:
 
 
 def scale(n, x, add, neg, identity):
-    """n*x by double-and-add using the supplied group operations."""
+    """n*x by double-and-add using the supplied group operations.
+
+    For n >= 1 this makes popcount(n) + bit_length(n) - 1 calls to add: base
+    is not doubled past the top bit of n, where 2^bit_length(n)*x would be
+    the largest multiple formed (over Q, the one of greatest height).
+    """
     if n < 0:
         return scale(-n, neg(x), add, neg, identity)
     acc = identity
@@ -126,8 +131,9 @@ def scale(n, x, add, neg, identity):
     while n:
         if n & 1:
             acc = add(acc, base)
-        base = add(base, base)
         n >>= 1
+        if n:
+            base = add(base, base)
     return acc
 
 

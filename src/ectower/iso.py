@@ -88,11 +88,16 @@ def _require_comparable(A, B):
 
 def necessity_test(A, B):
     """First non-torsion difference as a NonIsoCertificate, or None when all pass."""
+    return _first_non_torsion(A, B, torsion_test_Q)
+
+
+def _first_non_torsion(A, B, decide):
+    """necessity_test with the torsion decision decide(V, P) supplied."""
     _require_comparable(A, B)
     V = A.variety
     for i in range(1, A.N + 1):
         diff = V.sub(A.points[i], B.points[i])
-        cert = torsion_test_Q(V, diff)
+        cert = decide(V, diff)
         if isinstance(cert, NonTorsionCertificate):
             return NonIsoCertificate(A, B, i, diff, cert)
     return None
@@ -225,7 +230,12 @@ class FamilyClassification:
 
 
 def classify_family(towers, caps=DEFAULT_CAPS):
-    """Pairwise classification with certificates; classes from iso edges only."""
+    """Pairwise classification with certificates; classes from iso edges only.
+
+    Every tower has the same base, so torsion is decided once per distinct
+    difference point; in a family of multiples m*P the differences of all
+    pairs at all levels are the (m - m')*P.
+    """
     towers = list(towers)
     if not towers:
         return FamilyClassification({}, ())
@@ -233,6 +243,12 @@ def classify_family(towers, caps=DEFAULT_CAPS):
         _require_comparable(towers[0], t)
     verdicts = {}
     parent = list(range(len(towers)))
+    decided = {}
+
+    def decide(V, P):
+        if P not in decided:
+            decided[P] = torsion_test_Q(V, P)
+        return decided[P]
 
     def find(i):
         while parent[i] != i:
@@ -242,7 +258,7 @@ def classify_family(towers, caps=DEFAULT_CAPS):
 
     for i in range(len(towers)):
         for j in range(i + 1, len(towers)):
-            cert = necessity_test(towers[i], towers[j])
+            cert = _first_non_torsion(towers[i], towers[j], decide)
             if cert is not None:
                 verdicts[(i, j)] = PairVerdict("non_iso", cert)
                 continue

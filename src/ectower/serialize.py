@@ -394,8 +394,9 @@ def verify_certificate(obj, caps=DEFAULT_CAPS):
         return False, kind, "unknown certificate kind"
     except SchemaError as exc:
         return False, kind, "schema: %s" % exc
-    except (EctowerError, ValueError) as exc:
-        # tampered data may break curve membership or even curve construction
+    except (EctowerError, ValueError, TypeError, IndexError, ArithmeticError) as exc:
+        # tampered data may break curve membership, curve construction or
+        # the replay itself; every such failure is a refusal with a reason
         return False, kind, "%s: %s" % (type(exc).__name__, exc)
 
 

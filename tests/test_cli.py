@@ -461,3 +461,41 @@ def test_verify_reads_no_json_true_as_an_order(tmp_path):
     cert["order"] = 1
     code, report = _verify_in_subprocess(tmp_path, cert)
     assert code == 0
+
+
+def _run_module(tmp_path, command, payload):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(payload))
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ectower", command, "--input", str(job), "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, json.loads(done.stdout)
+
+
+CHAIN = {"g": 1, "max_level": 2, "bound": 5}
+
+
+@pytest.mark.parametrize(
+    "command, payload, knob",
+    [
+        ("tower-build", {"tower": E5_TOWER, "seed": True}, "seed"),
+        ("tower-build", {"tower": E5_TOWER, "N": True}, "N"),
+        ("corollary-demo", {**CORO, "count": True}, "count"),
+        ("chain-check", {**CHAIN, "g": True}, "g"),
+        ("chain-check", {**CHAIN, "max_level": True}, "max_level"),
+        ("chain-check", {**CHAIN, "bound": True}, "bound"),
+    ],
+    ids=["seed", "N", "count", "g", "max_level", "bound"],
+)
+def test_job_knobs_refuse_json_true(tmp_path, command, payload, knob):
+    # Python counts true as the integer 1: N = true truncated a tower to level 1
+    code, report = _run_module(tmp_path, command, payload)
+    assert code == 2
+    assert report["kind"] == "SchemaError"
+    assert repr(knob) in report["error"]
+    payload[knob] = 1
+    code, report = _run_module(tmp_path, command, payload)
+    assert code in (0, 1) and "error" not in report

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,3 +163,49 @@ def test_q_elements_hash_like_the_ints_they_equal():
     assert len({QQ.element(1), 1}) == 1
     assert hash(QQ.element(Rational(1, 2))) == hash(Rational(1, 2))
     assert {QQ.element(-3): "x"}[-3] == "x"
+
+
+# Rational against fractions.Fraction: zero, negatives and integers over 10^300
+_ints = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.integers(10**300, 10**310),
+    st.integers(-(10**310), -(10**300)),
+)
+_dens = st.one_of(st.integers(1, 50), st.integers(10**300, 10**310))
+
+
+def _normalized_like(r, f):
+    assert math.gcd(abs(r.num), r.den) == 1
+    assert r.den > 0
+    if r.num == 0:
+        assert r.den == 1
+    assert (r.num, r.den) == (f.numerator, f.denominator)
+
+
+@settings(max_examples=300)
+@given(_ints, _dens, _ints, _dens, st.integers(-(10**301), 10**301))
+def test_rational_agrees_with_fraction(an, ad, bn, bd, k):
+    a, b = Rational(an, ad), Rational(bn, bd)
+    fa, fb = Fraction(an, ad), Fraction(bn, bd)
+    _normalized_like(a, fa)
+    _normalized_like(b, fb)
+    _normalized_like(a + b, fa + fb)
+    _normalized_like(a - b, fa - fb)
+    _normalized_like(a * b, fa * fb)
+    _normalized_like(a * a, fa * fa)
+    _normalized_like(-a, -fa)
+    _normalized_like(a + k, fa + k)
+    _normalized_like(k - a, k - fa)
+    _normalized_like(a * k, fa * k)
+    if b:
+        _normalized_like(a / b, fa / fb)
+        _normalized_like(k / b, k / fb)
+        _normalized_like(QQ.element(b).inverse().value, 1 / fb)
+    else:
+        with pytest.raises(DivisionByZero):
+            a / b
+        with pytest.raises(DivisionByZero):
+            QQ.element(b).inverse()
+    if k:
+        _normalized_like(a / k, fa / k)

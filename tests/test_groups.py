@@ -1,8 +1,8 @@
 import pytest
 
 from ectower.curves import EllipticCurve, Point, ProductVariety
-from ectower.fields import PrimeField
-from ectower.groups import FiniteAbelianGroup, element_orders
+from ectower.fields import QQ, ExtField, PrimeField
+from ectower.groups import FiniteAbelianGroup, element_orders, scale
 from ectower.towers import extension_field, realize_variety
 
 from oracles import divisor_scan_order
@@ -56,3 +56,34 @@ def test_generators_must_be_parallel_to_factors():
     # a unit factor drops out together with its generator
     assert FiniteAbelianGroup((1, 4), ("o", "b")).generators == ("b",)
     assert FiniteAbelianGroup((2, 4)).generators is None
+
+
+def _scale_cases():
+    E25 = EllipticCurve(ExtField(PrimeField(5), 2, modulus=(3, 0, 1)), 0, 1)
+    orders = element_orders(E25.enumerate_points(), E25._add_unchecked, O)
+    P25 = max(orders, key=lambda P: (orders[P], P.sort_key()))
+    E17 = EllipticCurve(QQ, 0, 17)
+    return [(E25, P25), (E17, E17.point(-2, 3))]
+
+
+@pytest.mark.parametrize("curve, P", _scale_cases(), ids=["F25", "Q"])
+def test_scale_matches_repeated_addition(curve, P):
+    multiples = [O]
+    for _ in range(64):
+        multiples.append(curve._add_unchecked(multiples[-1], P))
+    calls = 0
+
+    def add(A, B):
+        nonlocal calls
+        calls += 1
+        return curve._add_unchecked(A, B)
+
+    for n in range(-20, 65):
+        calls = 0
+        got = scale(n, P, add, curve._negate_unchecked, O)
+        want = multiples[abs(n)]
+        assert got == (curve._negate_unchecked(want) if n < 0 else want), n
+        if n >= 1:
+            assert calls == bin(n).count("1") + n.bit_length() - 1, n
+        if n == 0:
+            assert calls == 0

@@ -6,6 +6,7 @@ import pytest
 from ectower.curves import EllipticCurve, Point
 from ectower.errors import BaseMismatch, NotNecessaryFirst
 from ectower.fields import QQ
+import ectower.iso as iso
 from ectower.iso import (
     NonIsoCertificate,
     TowerIsoWitness,
@@ -15,6 +16,7 @@ from ectower.iso import (
     verify_witness,
     witness_search,
 )
+from ectower.serialize import certificate_to_json
 from ectower.torsion import torsion_subgroup_Q, torsion_test_Q
 from ectower.towers import Tower
 
@@ -247,3 +249,26 @@ def test_classify_family_mixed():
     assert result.verdicts[(0, 2)].status == "non_iso"
     assert result.verdicts[(1, 2)].status == "non_iso"
     assert result.classes == ((0, 1), (2,))
+
+
+def test_classify_family_decides_each_distinct_difference_once(monkeypatch):
+    # the corollary family at count 11: 55 pairs, but every difference at
+    # every level is one of the 10 points (m - m')*P with m < m'
+    P = qpt(-2, 3)
+    towers = [make_tower(E17, [E17.scalar_mul(m, P)] * 6) for m in range(1, 12)]
+    decided = []
+
+    def counted(V, Q):
+        decided.append(Q)
+        return torsion_test_Q(V, Q)
+
+    monkeypatch.setattr(iso, "torsion_test_Q", counted)
+    result = classify_family(towers)
+    assert len(result.verdicts) == 55
+    assert len(decided) == len(set(decided)) == 10
+    # the same certificates, byte for byte, as deciding every pair afresh
+    decided.clear()
+    for (i, j), verdict in result.verdicts.items():
+        fresh = necessity_test(towers[i], towers[j])
+        assert certificate_to_json(verdict.certificate) == certificate_to_json(fresh)
+    assert len(decided) == 55

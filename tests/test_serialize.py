@@ -147,3 +147,42 @@ def test_json_true_is_no_integer_in_any_certificate():
                 assert not ok and reason.startswith("schema: "), (path.name, reason)
                 kinds.add(kind)
     assert kinds == {"torsion", "non_torsion", "non_iso", "tower_iso"}
+
+
+def _one_certificate_of_each_kind():
+    out = {}
+    for path in sorted(GOLDEN.glob("*.report.json")):
+        for _, cert in find_certificates(json.loads(path.read_text())):
+            if verify_certificate(cert)[0]:
+                out.setdefault(cert["certificate"], cert)
+    return out
+
+
+_REPLAYS = {
+    "torsion": "ectower.torsion.TorsionCertificate.verify",
+    "non_torsion": "ectower.torsion.NonTorsionCertificate.verify",
+    "non_iso": "ectower.iso.NonIsoCertificate.verify",
+    "tower_iso": "ectower.serialize.verify_witness",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPLAYS))
+@pytest.mark.parametrize("error", [TypeError, IndexError, ArithmeticError, ZeroDivisionError])
+def test_verify_certificate_fails_closed_when_a_replay_raises(monkeypatch, kind, error):
+    cert = _one_certificate_of_each_kind()[kind]
+
+    def boom(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(_REPLAYS[kind], boom)
+    assert verify_certificate(cert) == (False, kind, "%s: boom" % error.__name__)
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, ArithmeticError])
+def test_verify_certificate_fails_closed_when_parsing_raises(monkeypatch, error):
+    def boom(*args):
+        raise error("boom")
+
+    monkeypatch.setattr("ectower.serialize.parse_variety", boom)
+    for kind, cert in _one_certificate_of_each_kind().items():
+        assert verify_certificate(cert) == (False, kind, "%s: boom" % error.__name__)

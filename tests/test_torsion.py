@@ -1,6 +1,8 @@
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from ectower.errors import UnsupportedField
 from ectower.fields import QQ, PrimeField, Rational
+from ectower.serialize import find_certificates, parse_non_torsion_certificate
 from ectower.torsion import (
     MAZUR_ORDERS,
     NonTorsionCertificate,
@@ -19,7 +22,7 @@ from ectower.torsion import (
     torsion_test_Q,
 )
 
-from oracles import nagell_lutz_torsion, o_order
+from oracles import nagell_lutz_torsion, o_mul, o_order
 
 E1 = EllipticCurve(QQ, 0, 1)
 EMX = EllipticCurve(QQ, -1, 0)
@@ -261,3 +264,104 @@ def test_replay_over_q_accepts_exactly_the_oracle_order():
         exact = math.lcm(o_order(-1, 0, coords[0]), o_order(0, 1, coords[1]))
         for order in range(1, 13):
             assert TorsionCertificate(X, P, order).verify() == (order == exact)
+
+
+# --- non-torsion replay by one walk ---------------------------------------------
+
+E5T = EllipticCurve(QQ, -432, 8208)  # 11a3 in short form; (-12, 108) has order 5
+
+
+def _whole_point_certificate(V, P):
+    """Evidence on the whole point, as a product certificate without a factor."""
+    return NonTorsionCertificate(
+        V, P, tuple((m, V._scalar_mul_unchecked(m, P)) for m in MAZUR_ORDERS)
+    )
+
+
+def _replay_cases():
+    X = ProductVariety([E1, E17])
+    P = ProductPoint([qpt(2, 3), qpt(-2, 3)])
+    return [
+        torsion_test_Q(E17, qpt(-2, 3)),
+        torsion_test_Q(E17, E17.scalar_mul(-5, qpt(-2, 3))),
+        torsion_test_Q(X, P),  # factor 1
+        _whole_point_certificate(X, P),  # no factor: the walk tracks the whole point
+    ]
+
+
+def test_walk_evidence_matches_the_fraction_oracle():
+    cert = torsion_test_Q(E17, qpt(-2, 3))
+    for m, multiple in cert.evidence:
+        x, y = (Fraction(c.value.num, c.value.den) for c in (multiple.x, multiple.y))
+        assert o_mul(0, 17, m, (Fraction(-2), Fraction(3))) == (x, y)
+
+
+@pytest.mark.parametrize("cert", _replay_cases(), ids=["curve", "curve-5P", "factor", "whole"])
+def test_walk_replay_refuses_every_tampered_multiple(cert):
+    assert cert.verify()
+    curve, _ = cert._tracked()
+    ev = list(cert.evidence)
+    for k in range(len(ev)):
+        m, multiple = ev[k]
+        for fake in (curve._negate_unchecked(multiple), ev[(k + 1) % len(ev)][1],
+                     curve.identity()):
+            tampered = ev[:k] + [(m, fake)] + ev[k + 1:]
+            assert not NonTorsionCertificate(
+                cert.variety, cert.point, tuple(tampered), cert.factor).verify(), k
+
+
+@pytest.mark.parametrize("cert", _replay_cases(), ids=["curve", "curve-5P", "factor", "whole"])
+def test_walk_replay_refuses_reordered_or_missing_orders(cert):
+    ev = list(cert.evidence)
+    variants = [
+        ev[1:],  # m = 1 missing
+        ev[:-1],  # m = 12 missing
+        [ev[1], ev[0]] + ev[2:],  # two entries swapped
+        ev[::-1],
+        ev + [ev[-1]],  # m = 12 twice
+        [(11, ev[-1][1]) if m == 12 else (m, mp) for m, mp in ev],  # 11 for 12
+    ]
+    for variant in variants:
+        assert not NonTorsionCertificate(
+            cert.variety, cert.point, tuple(variant), cert.factor).verify()
+
+
+def test_walk_replay_refuses_fake_evidence_for_torsion_points():
+    # the true multiples of a torsion point include O at its order
+    for V, P in ((E1, qpt(2, 3)), (EMX, qpt(0, 0)), (E1, Point.infinity())):
+        assert not _whole_point_certificate(V, P).verify()
+        # and evidence copied from a non-torsion point does not fit either
+        other = torsion_test_Q(E17, qpt(-2, 3)).evidence
+        assert not NonTorsionCertificate(V, P, other).verify()
+
+
+def test_whole_point_replay_refuses_a_torsion_point_of_order_fifteen():
+    # orders 3 and 5 on the two factors: no Mazur multiple of the whole point
+    # vanishes, but the point has order 15
+    X = ProductVariety([E1, E5T])  # (0, 1) has order 3 on E1
+    P = ProductPoint([qpt(0, 1), qpt(-12, 108)])
+    assert torsion_test_Q(X, P) == TorsionCertificate(X, P, 15)
+    cert = _whole_point_certificate(X, P)
+    assert not any(mp.is_infinity for _, mp in cert.evidence)
+    assert not cert.verify()
+    # with a non-torsion factor, whole-point evidence proves non-torsion
+    X = ProductVariety([E1, E17])
+    assert _whole_point_certificate(X, ProductPoint([qpt(0, 1), qpt(-2, 3)])).verify()
+
+
+def test_every_golden_non_torsion_certificate_still_verifies():
+    golden = Path(__file__).resolve().parent / "golden"
+    files = sorted(golden.glob("*.report.json")) + [golden / "verify-handmade.job.json"]
+    seen = {"factor": 0, "whole": 0, "curve": 0}
+    for path in files:
+        for _, obj in find_certificates(json.loads(path.read_text())):
+            obj = obj.get("non_torsion", obj)
+            if obj["certificate"] != "non_torsion":
+                continue
+            cert = parse_non_torsion_certificate(obj)
+            assert cert.verify(), path.name
+            if isinstance(cert.variety, ProductVariety):
+                seen["whole" if cert.factor is None else "factor"] += 1
+            else:
+                seen["curve"] += 1
+    assert all(seen.values()), seen
