@@ -102,7 +102,10 @@ def _build_parser():
 
 def _load_input(args):
     with open(args.input, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise SchemaError("job input is nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("job input must be a JSON object")
     return data

@@ -17,7 +17,13 @@ import math
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, MixedFields, PointNotOnCurve, UnsupportedField
 from .fields import FieldElement
-from .groups import FiniteAbelianGroup, combine_structures, scale, structure_rank2
+from .groups import (
+    FiniteAbelianGroup,
+    combine_structures,
+    element_orders,
+    scale,
+    structure_rank2,
+)
 
 
 class Point:
@@ -224,9 +230,8 @@ class EllipticCurve:
 
     def group_structure(self, caps=DEFAULT_CAPS):
         points = self.enumerate_points(caps)
-        return structure_rank2(
-            points, self._add_unchecked, self._negate_unchecked, Point.infinity()
-        )
+        orders = element_orders(points, self._add_unchecked, Point.infinity())
+        return structure_rank2(orders, self._add_unchecked, Point.infinity())
 
     def __eq__(self, other):
         if not isinstance(other, EllipticCurve):

@@ -239,22 +239,21 @@ def poly_eval(f, x, p):
     return acc
 
 
-def poly_ext_gcd(a, b, p):
-    """Extended gcd over F_p[x]: returns (g, s, t) with s*a + t*b = g, g monic or zero."""
-    r0, r1 = poly_trim(a), poly_trim(b)
+def _poly_inverse(a, m, p):
+    """s with s*a = 1 mod m over F_p[x], or None when gcd(a, m) != 1.
+
+    The extended Euclidean algorithm, carrying only the cofactor of a.
+    """
+    r0, r1 = poly_trim(a), poly_trim(m)
     s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
     while r1:
         q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, poly_mul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = tuple(c * inv % p for c in r0)
-        s0 = tuple(c * inv % p for c in s0)
-        t0 = tuple(c * inv % p for c in t0)
-    return r0, s0, t0
+    if len(r0) != 1:
+        return None
+    inv = pow(r0[0], p - 2, p)
+    return tuple(c * inv % p for c in s0)
 
 
 def _poly_sub(f, g, p):
@@ -560,8 +559,8 @@ class ExtField(Field):
         p = self.base.p
         if not poly_trim(a):
             raise DivisionByZero("inverse of zero in %r" % self)
-        g, s, _ = poly_ext_gcd(a, self.modulus, p)
-        if g != (1,):
+        s = _poly_inverse(a, self.modulus, p)
+        if s is None:
             raise ArithmeticError("modulus not irreducible")  # ruled out at init
         return self._pad(poly_mod(s, self.modulus, p))
 

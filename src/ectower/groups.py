@@ -164,21 +164,20 @@ def element_orders(elements, add, identity):
     return orders
 
 
-def structure_rank2(elements, add, neg, identity):
+def structure_rank2(orders, add, identity):
     """Invariant factors and generators of an abelian group of rank <= 2.
 
-    The input must be the complete element list of the group.  Point groups
-    of elliptic curves over finite fields and their torsion kernels are
-    Z/d1 x Z/d2 with d1 | d2, which this exploits: the exponent is the
-    largest element order, and a complement generator is found by scanning
-    for an element of order d1 meeting the exponent's cyclic subgroup only
-    in the identity.
+    The input is the exact order of every element of the group, as
+    element_orders returns it.  Point groups of elliptic curves over finite
+    fields and their torsion kernels are Z/d1 x Z/d2 with d1 | d2, which
+    this exploits: the exponent is the largest element order, and a
+    complement generator is found by scanning for an element of order d1
+    meeting the exponent's cyclic subgroup only in the identity.
     """
-    n = len(elements)
+    n = len(orders)
     if n == 1:
         return FiniteAbelianGroup.trivial()
-    orders = element_orders(elements, add, identity)
-    g2 = max(elements, key=lambda x: (orders[x], _stable_key(x)))
+    g2 = max(orders, key=lambda x: (orders[x], _stable_key(x)))
     d2 = orders[g2]
     if d2 == n:
         return FiniteAbelianGroup((n,), (g2,))
@@ -192,7 +191,7 @@ def structure_rank2(elements, add, neg, identity):
     for _ in range(d2):
         cyclic.add(acc)
         acc = add(acc, g2)
-    for g1 in sorted(elements, key=_stable_key):
+    for g1 in sorted(orders, key=_stable_key):
         if orders[g1] != d1:
             continue
         acc = add(identity, g1)

@@ -18,7 +18,7 @@ from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, NonIntegralModel, UnsupportedField
 from .fields import QQ, Rational
 from .groups import FiniteAbelianGroup, divisors, factorize, structure_rank2
-from .curves import EllipticCurve, Point
+from .curves import Point
 
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 
@@ -32,9 +32,12 @@ class TorsionCertificate:
     order: int
 
     def verify(self):
+        """Over Q the walk in _admissible fixes the exact order; over F_q it is replayed."""
         V = self.variety
         if not V.contains(self.point) or not _admissible(V, self.point, self.order):
             return False
+        if V.field == QQ:
+            return True
         if not V.scalar_mul(self.order, self.point).is_infinity:
             return False
         for q in factorize(self.order):
@@ -173,37 +176,27 @@ class TorsionSubgroup:
 
 
 def torsion_subgroup_Q(curve, caps=DEFAULT_CAPS):
-    """Exhaustive Nagell-Lutz search for the torsion subgroup over Q."""
+    """Exhaustive Nagell-Lutz search for the torsion subgroup over Q.
+
+    Each candidate of the integral model is mapped back through
+    (x, y) -> (x/u^2, y/u^3) and decided once, on the curve itself.
+    """
     if curve.field != QQ:
         raise UnsupportedField("Nagell-Lutz search needs Q")
     a_int, b_int, u = _integral_model(curve, caps)
-    model = EllipticCurve(QQ, a_int, b_int)
-    found = {Point.infinity()}
-    for x, y in _nagell_lutz_candidates(a_int, b_int, caps):
-        cand = Point(QQ.element(x), QQ.element(y))
-        if isinstance(torsion_test_Q(model, cand), TorsionCertificate):
-            found.add(cand)
-    # map back through (x, y) -> (x/u^2, y/u^3) to the original curve
-    uu = Rational(1, u)
-    points = []
-    for P in found:
-        if P.is_infinity:
-            points.append(P)
-        else:
-            points.append(
-                Point(P.x * QQ.element(uu * uu), P.y * QQ.element(uu * uu * uu))
-            )
-    points.sort(key=Point.sort_key)
-    certs = []
-    for P in points:
-        cert = torsion_test_Q(curve, P)
-        if not isinstance(cert, TorsionCertificate):
-            raise ArithmeticError("rescaled candidate lost its torsion order")
-        certs.append(cert)
-    group = structure_rank2(
-        points, curve._add_unchecked, curve._negate_unchecked, Point.infinity()
+    sx, sy = QQ.element(Rational(1, u**2)), QQ.element(Rational(1, u**3))
+    candidates = [Point.infinity()] + [
+        Point(QQ.element(x) * sx, QQ.element(y) * sy)
+        for x, y in _nagell_lutz_candidates(a_int, b_int, caps)
+    ]
+    decided = [torsion_test_Q(curve, P) for P in candidates]
+    certs = sorted(
+        (c for c in decided if isinstance(c, TorsionCertificate)),
+        key=lambda c: c.point.sort_key(),
     )
-    return TorsionSubgroup(curve, tuple(points), tuple(certs), group)
+    orders = {c.point: c.order for c in certs}
+    group = structure_rank2(orders, curve._add_unchecked, Point.infinity())
+    return TorsionSubgroup(curve, tuple(c.point for c in certs), tuple(certs), group)
 
 
 def _integral_model(curve, caps):
@@ -231,6 +224,10 @@ def _nagell_lutz_candidates(a, b, caps):
     bound = 16 * abs(4 * a**3 + 27 * b**2)
     if bound > caps.integral_model:
         raise NonIntegralModel("discriminant exceeds the integral-model cap")
+    # y runs to sqrt(bound); each root search trial-divides |b - y^2| <= |b| + bound
+    reach = math.isqrt(bound + abs(b))
+    if reach > caps.field_size:
+        raise BoundExceeded("Nagell-Lutz search range %d exceeds the field-size cap" % reach)
     ys = [0]
     y = 1
     while y * y <= bound:

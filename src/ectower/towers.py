@@ -261,13 +261,13 @@ def _point_counts(curve, degrees):
 
 
 def _kernel(curve, n, caps):
-    """The points of E[n] over the curve's own field, in enumeration order.
+    """E[n] over the curve's own field as {point: order}, in enumeration order.
 
-    Enumerates once and keeps P when ord(P) divides n.
+    Enumerates once, walks the orders once, and keeps P when ord(P) divides n.
     """
     points = curve.enumerate_points(caps)
     orders = element_orders(points, curve._add_unchecked, Point.infinity())
-    return [P for P in points if n % orders[P] == 0]
+    return {P: orders[P] for P in points if n % orders[P] == 0}
 
 
 def fiber(f, z, field=None, caps=DEFAULT_CAPS):
@@ -356,9 +356,5 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
                 "factor %d has %d of %d torsion points over %r"
                 % (j, len(kernel), m * m, K)
             )
-        parts.append(
-            structure_rank2(
-                kernel, curve._add_unchecked, curve._negate_unchecked, Point.infinity()
-            )
-        )
+        parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
     return V.group_from_parts(parts)

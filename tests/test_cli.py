@@ -499,3 +499,30 @@ def test_job_knobs_refuse_json_true(tmp_path, command, payload, knob):
     payload[knob] = 1
     code, report = _run_module(tmp_path, command, payload)
     assert code in (0, 1) and "error" not in report
+
+
+def _run_text(tmp_path, command, text, timeout):
+    job = tmp_path / "job.json"
+    job.write_text(text)
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "ectower", command, "--input", str(job), "--json"],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("depth", [995, 1000])
+def test_deeply_nested_input_is_a_schema_error(tmp_path, depth):
+    done = _run_text(tmp_path, "verify", '{"a": ' + "[" * depth + "]" * depth + "}", 30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["kind"] == "SchemaError"
+    assert "Traceback" not in done.stderr
+
+
+def test_nagell_lutz_search_beyond_the_field_cap_exits_3(tmp_path):
+    job = json.dumps({"curve": curve(Q, str(10**12 + 7), "0")}, separators=(",", ":"))
+    done = _run_text(tmp_path, "torsion", job, 5)
+    assert done.returncode == 3
+    assert json.loads(done.stdout)["kind"] == "BoundExceeded"
+    assert "Traceback" not in done.stderr

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -209,3 +210,26 @@ def test_rational_agrees_with_fraction(an, ad, bn, bd, k):
             QQ.element(b).inverse()
     if k:
         _normalized_like(a / k, fa / k)
+
+
+@pytest.mark.parametrize("p, k", [(5, 4), (7, 3)])
+def test_every_nonzero_element_times_its_inverse_is_one(p, k):
+    K = ExtField(PrimeField(p), k)
+    one = K.one
+    for x in K.elements():
+        if x != K.zero:
+            assert x * x.inverse() == one
+    with pytest.raises(DivisionByZero):
+        K.zero.inverse()
+
+
+def test_inverse_on_a_seeded_sample_of_f_239_squared():
+    K = ExtField(PrimeField(239), 2)
+    rng = random.Random(0)
+    for _ in range(2000):
+        x = K.element([rng.randrange(239), rng.randrange(239)])
+        if x == K.zero:
+            continue
+        assert x * x.inverse() == K.one
+    with pytest.raises(DivisionByZero):
+        K.zero.inverse()

@@ -23,3 +23,11 @@ def test_deck_survey_refusal_exits_3():
     assert done.returncode == 3
     assert "24-torsion" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_deck_survey_levels_4_match_the_factorial_quotients():
+    done = _run(["scripts/deck_survey.py", "--levels", "4"], timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines() if line[:1].isdigit()]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+    assert all(row[5] == "True" for row in rows)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ectower import torsion
+from ectower.config import DEFAULT_CAPS
 from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
-from ectower.errors import UnsupportedField
+from ectower.errors import BoundExceeded, UnsupportedField
 from ectower.fields import QQ, PrimeField, Rational
 from ectower.serialize import find_certificates, parse_non_torsion_certificate
 from ectower.torsion import (
@@ -102,7 +104,8 @@ def test_inadmissible_order_refused_before_any_multiplication(monkeypatch):
     X = ProductVariety([EMX, E1])
     assert TorsionCertificate(X, ProductPoint([qpt(0, 0), qpt(0, 1)]), 6).verify()
     assert not TorsionCertificate(EMX, qpt(0, 0), 6).verify()
-    assert calls
+    # the admissibility walk fixes the exact order over Q: no replay multiplies
+    assert calls == []
 
 
 def test_requires_q():
@@ -110,15 +113,14 @@ def test_requires_q():
         torsion_test_Q(E5, Point(PrimeField(5).element(0), PrimeField(5).element(1)))
 
 
+def _pair(P):
+    if P.is_infinity:
+        return None
+    return (Fraction(P.x.value.num, P.x.value.den), Fraction(P.y.value.num, P.y.value.den))
+
+
 def _as_pairs(subgroup):
-    out = set()
-    for P in subgroup.points:
-        if P.is_infinity:
-            out.add(None)
-        else:
-            out.add((Fraction(P.x.value.num, P.x.value.den),
-                     Fraction(P.y.value.num, P.y.value.den)))
-    return out
+    return {_pair(P) for P in subgroup.points}
 
 
 def test_torsion_subgroup_klein_four():
@@ -127,6 +129,38 @@ def test_torsion_subgroup_klein_four():
     assert len(sub.points) == 4
     assert sub.group.invariant_factors == (2, 2)
     assert all(c.verify() for c in sub.certificates)
+
+
+def test_torsion_subgroup_decides_each_candidate_once(monkeypatch):
+    decided = []
+    original = torsion.torsion_test_Q
+
+    def counted(V, P):
+        decided.append(P)
+        return original(V, P)
+
+    monkeypatch.setattr(torsion, "torsion_test_Q", counted)
+    sub = torsion_subgroup_Q(EMX)
+    candidates = torsion._nagell_lutz_candidates(-1, 0, DEFAULT_CAPS)
+    assert len(decided) == 1 + len(candidates) == 4
+    assert len(set(decided)) == len(decided)
+    assert _as_pairs(sub) == nagell_lutz_torsion(-1, 0)
+    assert [c.point for c in sub.certificates] == list(sub.points)
+    for cert in sub.certificates:
+        assert cert.order == o_order(-1, 0, _pair(cert.point))
+        assert cert.verify()
+
+
+def test_nagell_lutz_search_refused_beyond_field_cap():
+    # y would run to isqrt(16*4*(10^12 + 7)^3), about 8*10^18
+    with pytest.raises(BoundExceeded):
+        torsion_subgroup_Q(EllipticCurve(QQ, 10**12 + 7, 0))
+    # a near-miss of x^3 = y^2 (Elkies): 4a^3 + 27b^2 = 108*1641843 is small, but
+    # the root search would trial-divide b, about 9*10^23, up to its square root
+    x, y = 5853886516781223, 447884928428402042307918
+    assert x**3 - y**2 == 1641843
+    with pytest.raises(BoundExceeded):
+        torsion_subgroup_Q(EllipticCurve(QQ, -3 * x, 2 * y))
 
 
 def test_torsion_subgroup_z6():

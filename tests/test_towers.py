@@ -11,7 +11,7 @@ from ectower.errors import (
     UnsupportedField,
 )
 from ectower.fields import QQ, ExtField, PrimeField
-from ectower import towers
+from ectower import groups, towers
 from ectower.towers import (
     Tower,
     _point_counts,
@@ -312,6 +312,36 @@ def test_deck_group_of_composite():
     comp = t.compose_to_base(2)
     K = full_torsion_field(E5, 2)
     assert deck_group(comp, field=K).invariant_factors == (2, 2)
+
+
+def _count_order_walks(monkeypatch):
+    calls = []
+    original = groups.element_orders
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    for module in (groups, towers):
+        monkeypatch.setattr(module, "element_orders", counted)
+    return calls
+
+
+def test_deck_group_walks_each_factor_once(monkeypatch):
+    K = full_torsion_field(E5, 24)
+    walks = _count_order_walks(monkeypatch)
+    g = deck_group(TwistedMulMap(24, O, E5), field=K)
+    assert g.invariant_factors == (24, 24)
+    assert walks == [576]  # one walk of E(F_{5^4}), none for the kernel's structure
+
+
+def test_deck_group_walks_each_product_factor_once(monkeypatch):
+    X = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
+    K = full_torsion_field(X, 6)
+    walks = _count_order_walks(monkeypatch)
+    g = deck_group(TwistedMulMap(6, X.identity(), X), field=K)
+    assert g.invariant_factors == (6, 6, 6, 6)
+    assert walks == [36, 36]
 
 
 def test_deck_group_never_over_Q():
