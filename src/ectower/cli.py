@@ -80,16 +80,9 @@ def _build_parser():
         description="towers of covers of elliptic curves, with certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("tower-build", True),
-        ("iso", True),
-        ("corollary-demo", True),
-        ("chain-check", True),
-        ("torsion", True),
-        ("verify", True),
-    ):
+    for name in _HANDLERS:
         p = sub.add_parser(name)
-        p.add_argument("--input", required=needs_input, help="job JSON file")
+        p.add_argument("--input", required=True, help="job JSON file")
         p.add_argument("--output", help="also write the JSON report here")
         p.add_argument("--N", type=int, default=None, help="truncation level")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
@@ -106,6 +99,11 @@ def _load_input(args):
             data = json.load(handle)
         except RecursionError:
             raise SchemaError("job input is nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            # not UTF-8, or an integer literal past the int-from-str digit limit
+            raise SchemaError("job input cannot be read: %s" % exc) from None
     if not isinstance(data, dict):
         raise SchemaError("job input must be a JSON object")
     return data
@@ -119,40 +117,50 @@ def _caps_from(args):
     return DEFAULT_CAPS
 
 
-_COMMON_KEYS = ("command", "seed", "N")
+# command: (required job keys, optional job keys); every job may also carry
+# "command", "seed" and "N"
+_JOB_KEYS = {
+    "tower-build": (("tower",), ("deck",)),
+    "iso": (("towers",), ()),
+    "corollary-demo": (("curve", "point", "count"), ()),
+    "chain-check": (("g", "max_level"), ("tower", "field", "bound")),
+    "torsion": (("curve",), ("point",)),
+}
+
+# integer knob: its least value, None for no bound
+_KNOB_MINIMUM = {"seed": None, "N": 0, "count": 1, "g": 1, "max_level": 0, "bound": 1}
+_KNOB_RANGE = {None: "an", 0: "a non-negative", 1: "a positive"}
 
 
 def _job_options(args, payload):
+    """The job's integer knobs, command-line flags first, each read once."""
     if args.command == "verify":
         # verify consumes arbitrary report files, not job specs
         return {"seed": args.seed if args.seed is not None else 0, "N": args.N}
-    if "command" in payload and payload["command"] != args.command:
+    if payload.get("command", args.command) != args.command:
         raise SchemaError(
             "job file says command %r but %r was invoked"
             % (payload["command"], args.command)
         )
-    seed = args.seed if args.seed is not None else payload.get("seed", 0)
-    if not serialize._is_int(seed):
-        raise SchemaError("'seed' must be an integer")
-    N = args.N if args.N is not None else payload.get("N")
-    if N is not None and (not serialize._is_int(N) or N < 0):
-        raise SchemaError("'N' must be a non-negative integer")
-    return {"seed": seed, "N": N}
-
-
-def _check_keys(payload, allowed):
-    unknown = set(payload) - set(allowed) - set(_COMMON_KEYS)
-    if unknown:
-        raise SchemaError("unknown job keys %s" % sorted(unknown))
+    required, optional = _JOB_KEYS[args.command]
+    serialize._require_keys(
+        payload, "%s job" % args.command, required, optional + ("command", "seed", "N")
+    )
+    opts = {key: payload[key] for key in _KNOB_MINIMUM if key in payload}
+    opts["seed"] = args.seed if args.seed is not None else opts.get("seed", 0)
+    opts["N"] = args.N if args.N is not None else opts.get("N")
+    for key, value in opts.items():
+        if key != "N" or value is not None:  # N null, like no N, truncates nothing
+            minimum = _KNOB_MINIMUM[key]
+            message = "%r must be %s integer" % (key, _KNOB_RANGE[minimum])
+            serialize._require_int(value, message, minimum)
+    return opts
 
 
 # --- tower-build ---------------------------------------------------------------
 
 
 def _cmd_tower_build(payload, opts, caps):
-    _check_keys(payload, ("tower", "deck"))
-    if "tower" not in payload:
-        raise SchemaError("tower-build needs a 'tower'")
     tower = serialize.parse_tower(payload["tower"], caps)
     if opts["N"] is not None:
         if opts["N"] > tower.N:
@@ -196,24 +204,12 @@ def _cmd_tower_build(payload, opts, caps):
 # --- iso -------------------------------------------------------------------------
 
 
-def _parse_two_towers(payload, opts, caps):
-    if "towers" not in payload:
-        raise SchemaError("this command needs a 'towers' pair")
-    pair = payload["towers"]
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise SchemaError("'towers' must be a list of exactly two towers")
-    A = serialize.parse_tower(pair[0], caps)
-    B = serialize.parse_tower(pair[1], caps)
+def _cmd_iso(payload, opts, caps):
+    A, B = serialize.parse_tower_pair(payload["towers"], "iso job", caps)
     if opts["N"] is not None:
         if opts["N"] > min(A.N, B.N):
             raise SchemaError("cannot truncate to N=%d" % opts["N"])
         A, B = A.truncate(opts["N"]), B.truncate(opts["N"])
-    return A, B
-
-
-def _cmd_iso(payload, opts, caps):
-    _check_keys(payload, ("towers",))
-    A, B = _parse_two_towers(payload, opts, caps)
     report = {"towers": [serialize.tower_to_json(A), serialize.tower_to_json(B)]}
     cert = necessity_test(A, B)
     if cert is not None:
@@ -234,19 +230,13 @@ def _cmd_iso(payload, opts, caps):
 
 
 def _cmd_corollary_demo(payload, opts, caps):
-    _check_keys(payload, ("curve", "point", "count"))
-    for key in ("curve", "point", "count"):
-        if key not in payload:
-            raise SchemaError("corollary-demo needs %r" % key)
     V = serialize.parse_variety(payload["curve"], caps)
     if V.field != QQ:
         raise SchemaError(
             "the non-torsion hypothesis is unsatisfiable over a finite field; use Q"
         )
     P = serialize.parse_point(V, payload["point"])
-    count = payload["count"]
-    if not serialize._is_int(count) or count < 1:
-        raise SchemaError("'count' must be a positive integer")
+    count = opts["count"]
     N = opts["N"] if opts["N"] is not None else 6
     base_cert = torsion_test_Q(V, P)
     if isinstance(base_cert, TorsionCertificate):
@@ -282,16 +272,8 @@ def _cmd_corollary_demo(payload, opts, caps):
 
 
 def _cmd_chain_check(payload, opts, caps):
-    _check_keys(payload, ("g", "max_level", "tower", "field", "bound"))
-    g = payload.get("g")
-    max_level = payload.get("max_level")
-    if not serialize._is_int(g) or g < 1:
-        raise SchemaError("'g' must be a positive integer")
-    if not serialize._is_int(max_level) or max_level < 0:
-        raise SchemaError("'max_level' must be a non-negative integer")
-    bound = payload.get("bound", 20)
-    if not serialize._is_int(bound) or bound < 1:
-        raise SchemaError("'bound' must be a positive integer")
+    g, max_level = opts["g"], opts["max_level"]
+    bound = opts.get("bound", 20)
     lattice = LatticeGroup(2 * g)
     tower = None
     explicit_field = None
@@ -347,9 +329,6 @@ def _cmd_chain_check(payload, opts, caps):
 
 
 def _cmd_torsion(payload, opts, caps):
-    _check_keys(payload, ("curve", "point"))
-    if "curve" not in payload:
-        raise SchemaError("torsion needs a 'curve'")
     V = serialize.parse_variety(payload["curve"], caps)
     if V.field != QQ:
         raise SchemaError("torsion certification is defined over Q")

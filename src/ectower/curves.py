@@ -352,9 +352,7 @@ class ProductVariety:
         for j, s in enumerate(parts):
             gens = tuple(self.embed(j, g) for g in (s.generators or ()))
             embedded.append(FiniteAbelianGroup(s.invariant_factors, gens))
-        return combine_structures(
-            embedded, self._add_unchecked, self._negate_unchecked, self.identity()
-        )
+        return combine_structures(embedded, self._add_unchecked, self.identity())
 
     def __eq__(self, other):
         if not isinstance(other, ProductVariety):

@@ -504,11 +504,12 @@ class ExtField(Field):
             )
         if modulus is None:
             modulus = find_irreducible(base.p, degree, caps)
-        modulus = tuple(int(c) % base.p for c in modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree %d" % degree)
-        if not is_irreducible(modulus, base.p):
-            raise ValueError("modulus %r is reducible over F_%d" % (modulus, base.p))
+        else:
+            modulus = tuple(int(c) % base.p for c in modulus)
+            if len(modulus) != degree + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree %d" % degree)
+            if not is_irreducible(modulus, base.p):
+                raise ValueError("modulus %r is reducible over F_%d" % (modulus, base.p))
         self.base = base
         self.degree = degree
         self.modulus = modulus

@@ -213,7 +213,7 @@ def _stable_key(x):
     return repr(x)
 
 
-def combine_structures(parts, add, neg, identity):
+def combine_structures(parts, add, identity):
     """Structure of a direct product from per-factor structures.
 
     Each part is a FiniteAbelianGroup whose generators (required unless the
@@ -229,7 +229,8 @@ def combine_structures(parts, add, neg, identity):
         for d, g in zip(part.invariant_factors, gens):
             for p, e in factorize(d).items():
                 q = p**e
-                primary.append((p, e, scale(d // q, g, add, neg, identity)))
+                # d // q >= 1, so scale never negates
+                primary.append((p, e, scale(d // q, g, add, None, identity)))
     by_prime = {}
     for p, e, g in primary:
         by_prime.setdefault(p, []).append((e, g))

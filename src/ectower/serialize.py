@@ -29,19 +29,30 @@ def _require_keys(obj, where, required, optional=()):
         raise SchemaError("%s: unknown keys %s" % (where, sorted(unknown)))
 
 
-def _is_int(v):
-    """Whether v is a JSON integer: JSON true and false parse to bools, which are ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _require_int(value, message, minimum=None):
+    """value if it is a JSON integer of at least minimum, else a SchemaError(message).
+
+    JSON integers parse to exact ints; true and false parse to bools, which
+    Python counts as integers but this refuses.
+    """
+    if type(value) is not int or (minimum is not None and value < minimum):
+        raise SchemaError(message)
+    return value
 
 
-def _int_field(obj, where, key):
-    v = obj[key]
-    if not (_is_int(v) or isinstance(v, str)):
-        raise SchemaError("%s: %r must be an integer or decimal string" % (where, key))
+def _int_or_decimal(value, where, key):
+    if not isinstance(value, str):
+        return _require_int(value, "%s: %r must be an integer or decimal string" % (where, key))
     try:
-        return int(v)
+        return int(value)
     except ValueError:
-        raise SchemaError("%s: %r is not an integer" % (where, v)) from None
+        raise SchemaError("%s: %r is not an integer" % (where, value)) from None
+
+
+def _int_list(obj, message):
+    if not isinstance(obj, list):
+        raise SchemaError(message)
+    return [_require_int(c, message) for c in obj]
 
 
 # --- fields ----------------------------------------------------------------
@@ -72,21 +83,16 @@ def parse_field(obj, caps=DEFAULT_CAPS):
     if tag == "Fp":
         _require_keys(obj, "field", ("field", "p"))
         try:
-            return PrimeField(_int_field(obj, "field", "p"), caps=caps)
+            return PrimeField(_int_or_decimal(obj["p"], "field", "p"), caps=caps)
         except ValueError as exc:
             raise SchemaError("field: %s" % exc) from None
     if tag == "Fpk":
         _require_keys(obj, "field", ("field", "p", "k"), optional=("modulus",))
-        p = _int_field(obj, "field", "p")
-        k = obj["k"]
-        if not _is_int(k) or k < 1:
-            raise SchemaError("field: 'k' must be a positive integer")
+        p = _int_or_decimal(obj["p"], "field", "p")
+        k = _require_int(obj["k"], "field: 'k' must be a positive integer", 1)
         modulus = obj.get("modulus")
-        if modulus is not None and (
-            not isinstance(modulus, list)
-            or not all(_is_int(c) for c in modulus)
-        ):
-            raise SchemaError("field: 'modulus' must be a list of integers")
+        if modulus is not None:
+            modulus = _int_list(modulus, "field: 'modulus' must be a list of integers")
         try:
             return ExtField(PrimeField(p, caps=caps), k, modulus, caps=caps)
         except ValueError as exc:
@@ -107,14 +113,14 @@ def parse_element(field, obj, where="element"):
         if field == QQ:
             if isinstance(obj, str):
                 return field.element(Rational.parse(obj))
-            if _is_int(obj):
-                return field.element(obj)
-            raise SchemaError("%s: rationals are strings like '2/3'" % where)
+            return field.element(
+                _require_int(obj, "%s: rationals are strings like '2/3'" % where)
+            )
         if isinstance(field, PrimeField):
-            return field.element(_int_field({"v": obj}, where, "v"))
-        if isinstance(obj, list):
-            return field.element(obj)
-        raise SchemaError("%s: extension elements are coefficient lists" % where)
+            return field.element(_int_or_decimal(obj, where, "v"))
+        return field.element(
+            _int_list(obj, "%s: extension elements are integer coefficient lists" % where)
+        )
     except (ValueError, TypeError) as exc:
         raise SchemaError("%s: %s" % (where, exc)) from None
 
@@ -212,12 +218,19 @@ def parse_tower(obj, caps=DEFAULT_CAPS):
     if not isinstance(e_list, list) or not e_list:
         raise SchemaError("tower: 'e' must be a nonempty list of points")
     points = [parse_point(V, p, "e[%d]" % i) for i, p in enumerate(e_list)]
-    if not _is_int(obj["N"]) or obj["N"] != len(points) - 1:
-        raise SchemaError("tower: 'N' must equal len(e) - 1")
+    message = "tower: 'N' must equal len(e) - 1"
+    if _require_int(obj["N"], message) != len(points) - 1:
+        raise SchemaError(message)
     try:
         return Tower(V, o, points)
     except ValueError as exc:
         raise SchemaError("tower: %s" % exc) from None
+
+
+def parse_tower_pair(obj, where, caps=DEFAULT_CAPS):
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise SchemaError("%s: 'towers' must hold two towers" % where)
+    return parse_tower(obj[0], caps), parse_tower(obj[1], caps)
 
 
 # --- groups -------------------------------------------------------------------
@@ -298,9 +311,10 @@ def parse_torsion_certificate(obj, caps=DEFAULT_CAPS):
     _require_keys(obj, "torsion certificate", ("certificate", "variety", "point", "order"))
     V = parse_variety(obj["variety"], caps)
     P = parse_point(V, obj["point"])
-    if not _is_int(obj["order"]) or obj["order"] < 1:
-        raise SchemaError("torsion certificate: order must be a positive integer")
-    return TorsionCertificate(V, P, obj["order"])
+    order = _require_int(
+        obj["order"], "torsion certificate: order must be a positive integer", 1
+    )
+    return TorsionCertificate(V, P, order)
 
 
 def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
@@ -313,21 +327,18 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
     V = parse_variety(obj["variety"], caps)
     P = parse_point(V, obj["point"])
     factor = obj.get("factor")
-    if factor is not None and (
-        not _is_int(factor)
-        or not isinstance(V, ProductVariety)
-        or not 0 <= factor < len(V.factors)
-    ):
-        raise SchemaError("non-torsion certificate: bad factor index")
+    if factor is not None:
+        bad = "non-torsion certificate: bad factor index"
+        if not isinstance(V, ProductVariety) or _require_int(factor, bad, 0) >= len(V.factors):
+            raise SchemaError(bad)
     tracked = V.factors[factor] if factor is not None else V
     if not isinstance(obj["evidence"], list):
         raise SchemaError("non-torsion certificate: evidence must be a list")
     evidence = []
     for entry in obj["evidence"]:
         _require_keys(entry, "evidence entry", ("m", "multiple"))
-        if not _is_int(entry["m"]):
-            raise SchemaError("evidence entry: m must be an integer")
-        evidence.append((entry["m"], parse_point(tracked, entry["multiple"])))
+        m = _require_int(entry["m"], "evidence entry: m must be an integer")
+        evidence.append((m, parse_point(tracked, entry["multiple"])))
     return NonTorsionCertificate(V, P, tuple(evidence), factor=factor)
 
 
@@ -337,33 +348,27 @@ def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS):
         "non-iso certificate",
         ("certificate", "towers", "level", "difference", "non_torsion"),
     )
-    if not isinstance(obj["towers"], list) or len(obj["towers"]) != 2:
-        raise SchemaError("non-iso certificate: 'towers' must hold two towers")
-    A = parse_tower(obj["towers"][0], caps)
-    B = parse_tower(obj["towers"][1], caps)
-    if not _is_int(obj["level"]):
-        raise SchemaError("non-iso certificate: level must be an integer")
+    A, B = parse_tower_pair(obj["towers"], "non-iso certificate", caps)
+    level = _require_int(obj["level"], "non-iso certificate: level must be an integer")
     diff = parse_point(A.variety, obj["difference"], "difference")
     inner = parse_non_torsion_certificate(obj["non_torsion"], caps)
-    return NonIsoCertificate(A, B, obj["level"], diff, inner)
+    return NonIsoCertificate(A, B, level, diff, inner)
 
 
 def parse_witness(obj, caps=DEFAULT_CAPS):
     _require_keys(obj, "tower-iso witness", ("certificate", "towers", "translations"))
-    if not isinstance(obj["towers"], list) or len(obj["towers"]) != 2:
-        raise SchemaError("tower-iso witness: 'towers' must hold two towers")
-    A = parse_tower(obj["towers"][0], caps)
-    B = parse_tower(obj["towers"][1], caps)
+    A, B = parse_tower_pair(obj["towers"], "tower-iso witness", caps)
     if not isinstance(obj["translations"], list):
         raise SchemaError("tower-iso witness: translations must be a list")
     points, certs = [], []
     for entry in obj["translations"]:
         _require_keys(entry, "translation", ("point", "order"))
         t = parse_point(A.variety, entry["point"], "translation")
-        if not _is_int(entry["order"]) or entry["order"] < 1:
-            raise SchemaError("translation: order must be a positive integer")
+        order = _require_int(
+            entry["order"], "translation: order must be a positive integer", 1
+        )
         points.append(t)
-        certs.append(TorsionCertificate(A.variety, t, entry["order"]))
+        certs.append(TorsionCertificate(A.variety, t, order))
     return TowerIsoWitness(A, B, tuple(points), tuple(certs))
 
 

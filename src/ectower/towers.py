@@ -24,7 +24,7 @@ from .errors import (
     RamifiedCharacteristic,
     UnsupportedField,
 )
-from .fields import ExtField, PrimeField, QQ, find_irreducible
+from .fields import ExtField, PrimeField, QQ
 from .groups import element_orders, structure_rank2
 from .curves import EllipticCurve, Point
 from .torsion import rational_torsion_points
@@ -162,9 +162,7 @@ def extension_field(prime_field, degree, caps=DEFAULT_CAPS):
     """The canonical degree-k extension, with the deterministic modulus choice."""
     if degree == 1:
         return prime_field
-    return ExtField(
-        prime_field, degree, find_irreducible(prime_field.p, degree, caps), caps=caps
-    )
+    return ExtField(prime_field, degree, caps=caps)
 
 
 def _embed_element(x, K):

@@ -10,6 +10,7 @@ import pytest
 from ectower.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 Q = {"field": "Q"}
 F5 = {"field": "Fp", "p": "5"}
 
@@ -503,7 +504,7 @@ def test_job_knobs_refuse_json_true(tmp_path, command, payload, knob):
 
 def _run_text(tmp_path, command, text, timeout):
     job = tmp_path / "job.json"
-    job.write_text(text)
+    job.write_bytes(text if isinstance(text, bytes) else text.encode())
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
@@ -525,4 +526,29 @@ def test_nagell_lutz_search_beyond_the_field_cap_exits_3(tmp_path):
     done = _run_text(tmp_path, "torsion", job, 5)
     assert done.returncode == 3
     assert json.loads(done.stdout)["kind"] == "BoundExceeded"
+    assert "Traceback" not in done.stderr
+
+
+def test_verify_refuses_float_extension_coefficients(tmp_path):
+    handmade = json.loads((GOLDEN / "verify-handmade.job.json").read_text())
+    cert = handmade["items"][0]  # torsion over F_{5^2}, "x": [2, 1]
+    cert["point"]["x"] = [2.9, 1.9]
+    code, report = _verify_in_subprocess(tmp_path, cert)
+    assert code == 1
+    assert report["results"][0]["reason"].startswith("schema: ")
+
+
+def _long_order_job():
+    """The handmade verify job with a 4,401-digit order on its F_{5^2} certificate."""
+    text = (GOLDEN / "verify-handmade.job.json").read_bytes()
+    assert text.count(b'"order": 3,') == 1
+    return text.replace(b'"order": 3,', b'"order": 1' + b"0" * 4400 + b",")
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "4401-digit-integer"])
+def test_input_that_fails_to_load_exits_2(tmp_path, case):
+    blob = b'{"note": "caf\xe9"}' if case == "not-utf8" else _long_order_job()
+    done = _run_text(tmp_path, "verify", blob, 30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["kind"] == "SchemaError"
     assert "Traceback" not in done.stderr

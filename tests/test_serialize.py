@@ -186,3 +186,23 @@ def test_verify_certificate_fails_closed_when_parsing_raises(monkeypatch, error)
     monkeypatch.setattr("ectower.serialize.parse_variety", boom)
     for kind, cert in _one_certificate_of_each_kind().items():
         assert verify_certificate(cert) == (False, kind, "%s: boom" % error.__name__)
+
+
+# torsion of order 3 on y^2 = x^3 + 1 over F_{5^2}; int() would read each
+# variant below as the recorded coefficients and let the certificate verify
+F25_TORSION = json.loads((GOLDEN / "verify-handmade.job.json").read_text())["items"][0]
+
+
+@pytest.mark.parametrize(
+    "x, b", [([2.9, 1.9], [1.0, 0]), ([2, True], [True, 0]), (["2", 1], ["1", 0])],
+    ids=["floats", "booleans", "strings"],
+)
+def test_extension_coefficients_are_json_integers(x, b):
+    cert = F25_TORSION
+    assert verify_certificate(cert) == (True, "torsion", None)
+    bad_point = {**cert, "point": {**cert["point"], "x": x}}
+    curve = cert["variety"]["curve"]
+    bad_curve = {**cert, "variety": {"curve": {**curve, "b": b}}}
+    for bad in (bad_point, bad_curve):
+        ok, kind, reason = verify_certificate(bad)
+        assert not ok and reason.startswith("schema: "), reason

@@ -190,6 +190,17 @@ def test_full_torsion_field_builds_only_passing_degree(monkeypatch):
     assert K.degree == 4 and K.modulus == (2, 0, 0, 0, 1)
 
 
+def test_extension_modulus_is_certified_once(monkeypatch):
+    from ectower import fields
+
+    searched = _count_calls(monkeypatch, fields, "find_irreducible")
+    certified = _count_calls(monkeypatch, fields, "is_irreducible")
+    K = extension_field(PrimeField(7), 3)
+    assert [args[:2] for args in searched] == [(7, 3)]
+    # the search certifies each candidate it tries, the chosen one included
+    assert [args[0] for args in certified].count(K.modulus) == 1
+
+
 def test_full_torsion_field_ramified():
     with pytest.raises(RamifiedCharacteristic):
         full_torsion_field(E5, 5)
