@@ -16,7 +16,6 @@ import math
 
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, MixedFields, PointNotOnCurve, UnsupportedField
-from .fields import FieldElement
 from .groups import (
     FiniteAbelianGroup,
     combine_structures,
@@ -106,8 +105,7 @@ class EllipticCurve:
     def __init__(self, field, a, b):
         if field.characteristic in (2, 3):
             raise UnsupportedField("short Weierstrass form needs char not in {2, 3}")
-        a = a if isinstance(a, FieldElement) and a.field == field else field.element(a)
-        b = b if isinstance(b, FieldElement) and b.field == field else field.element(b)
+        a, b = field.element(a), field.element(b)
         disc = -16 * (4 * a * a * a + 27 * b * b)
         if not disc:
             raise ValueError("singular curve: discriminant is zero")

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote input."""
+
+
+def quote(value, limit=40):
+    """repr(value); past limit characters, the repr of the first limit and the length.
+
+    A string is cut by its own characters, anything else by its repr, so a
+    refusal of a long input stays short.
+    """
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= limit:
+        return repr(value)
+    return "%r... (%d characters)" % (text[:limit], len(text))
 
 
 class EctowerError(Exception):

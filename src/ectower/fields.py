@@ -14,18 +14,18 @@ import itertools
 import math
 
 from .config import DEFAULT_CAPS
-from .errors import BoundExceeded, DivisionByZero, MixedFields, UnsupportedField
+from .errors import BoundExceeded, DivisionByZero, MixedFields, UnsupportedField, quote
 
 
 class Rational:
-    """Fraction of arbitrary-precision integers, always normalized.
+    """Q's value type: a fraction of arbitrary-precision integers, always normalized.
 
     Invariants: gcd(|num|, den) == 1, den > 0, zero is 0/1.
 
-    The public constructor normalizes its arguments.  The operators take
-    the gcd of operand parts, never of the full-size result (Knuth, TAOCP
-    vol. 2, 4.5.1, as CPython's fractions does), and build their already
-    reduced results with _reduced, which skips normalizing again.
+    The public constructor normalizes its arguments.  There are no
+    arithmetic operators: RationalField does Q's arithmetic, with the gcd
+    helpers below, and builds its already reduced results with _reduced,
+    which skips normalizing again.
     """
 
     __slots__ = ("num", "den")
@@ -53,77 +53,12 @@ class Rational:
     def __setattr__(self, name, value):
         raise AttributeError("Rational is immutable")
 
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, Rational):
-            return other
-        if isinstance(other, int):
-            return cls._reduced(other, 1)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _add(self.num, self.den, o.num, o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _add(self.num, self.den, -o.num, o.den)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        if other is self:  # a square of a reduced fraction is reduced
-            return Rational._reduced(self.num * self.num, self.den * self.den)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _mul(self.num, self.den, o.num, o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num == 0:
-            raise DivisionByZero("division by zero rational")
-        if o.num < 0:
-            return _mul(self.num, self.den, -o.den, -o.num)
-        return _mul(self.num, self.den, o.den, o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return Rational._reduced(-self.num, self.den)
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den < o.num * self.den
-
-    def __le__(self, other):
-        return self == other or self < other
+        if isinstance(other, Rational):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        return NotImplemented
 
     def __hash__(self):
         # consistent with __eq__ against plain integers
@@ -150,11 +85,15 @@ class Rational:
             return cls(int(parts[0]))
         if len(parts) == 2:
             return cls(int(parts[0]), int(parts[1]))
-        raise ValueError("not a rational: %r" % text)
+        raise ValueError("not a rational: %s" % quote(text))
 
 
 def _add(na, da, nb, db):
-    """na/da + nb/db for reduced operands, reduced by gcds of the denominators."""
+    """na/da + nb/db for reduced operands, reduced by gcds of the denominators.
+
+    Only gcds of operand parts are taken, never of the full-size result
+    (Knuth, TAOCP vol. 2, 4.5.1, as CPython's fractions does).
+    """
     g = math.gcd(da, db)
     if g == 1:
         return Rational._reduced(na * db + da * nb, da * db)
@@ -343,6 +282,11 @@ class Field:
     """Common surface of the three exact fields."""
 
     def element(self, value):
+        """value as an element of this field; the one place that takes a FieldElement."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise MixedFields("element of %r given to %r" % (value.field, self))
+            return value
         return FieldElement(self, self._coerce(value))
 
     @property
@@ -368,29 +312,25 @@ class RationalField(Field):
     size = None
 
     def _coerce(self, value):
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields("element of %r given to %r" % (value.field, self))
-            return value.value
         if isinstance(value, Rational):
             return value
         if isinstance(value, int):
-            return Rational(value)
-        if isinstance(value, str):
-            return Rational.parse(value)
+            return Rational._reduced(value, 1)
         raise TypeError("cannot coerce %r into Q" % (value,))
 
     def _add(self, a, b):
-        return a + b
+        return _add(a.num, a.den, b.num, b.den)
 
     def _sub(self, a, b):
-        return a - b
+        return _add(a.num, a.den, -b.num, b.den)
 
     def _mul(self, a, b):
-        return a * b
+        if a is b:  # a square of a reduced fraction is reduced
+            return Rational._reduced(a.num * a.num, a.den * a.den)
+        return _mul(a.num, a.den, b.num, b.den)
 
     def _neg(self, a):
-        return -a
+        return Rational._reduced(-a.num, a.den)
 
     def _inv(self, a):
         if not a:
@@ -439,14 +379,8 @@ class PrimeField(Field):
         return self.p
 
     def _coerce(self, value):
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields("element of %r given to %r" % (value.field, self))
-            return value.value
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, str):
-            return int(value) % self.p
         raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
 
     def _add(self, a, b):
@@ -528,10 +462,6 @@ class ExtField(Field):
 
     def _coerce(self, value):
         p = self.base.p
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields("element of %r given to %r" % (value.field, self))
-            return value.value
         if isinstance(value, int):
             return self._pad([value % p])
         if isinstance(value, (list, tuple)):
@@ -670,7 +600,7 @@ class FieldElement:
             return self.field == other.field and self.value == other.value
         try:
             raw = self.field._coerce(other)
-        except (TypeError, ValueError, MixedFields):
+        except (TypeError, ValueError):
             return NotImplemented
         return self.value == raw
 

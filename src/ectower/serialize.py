@@ -10,7 +10,7 @@ parsing rebuilds the objects and verify_certificate replays the arithmetic.
 """
 
 from .config import DEFAULT_CAPS
-from .errors import EctowerError, SchemaError
+from .errors import EctowerError, SchemaError, quote
 from .fields import QQ, ExtField, PrimeField, Rational
 from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from .torsion import NonTorsionCertificate, TorsionCertificate
@@ -46,7 +46,7 @@ def _int_or_decimal(value, where, key):
     try:
         return int(value)
     except ValueError:
-        raise SchemaError("%s: %r is not an integer" % (where, value)) from None
+        raise SchemaError("%s: %s is not an integer" % (where, quote(value))) from None
 
 
 def _int_list(obj, message):
@@ -97,7 +97,7 @@ def parse_field(obj, caps=DEFAULT_CAPS):
             return ExtField(PrimeField(p, caps=caps), k, modulus, caps=caps)
         except ValueError as exc:
             raise SchemaError("field: %s" % exc) from None
-    raise SchemaError("unknown field tag %r" % (tag,))
+    raise SchemaError("unknown field tag %s" % quote(tag))
 
 
 def element_to_json(x):

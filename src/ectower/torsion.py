@@ -53,8 +53,9 @@ def _admissible(V, P, order):
     and P's order is their lcm, so only that order is admitted; a coordinate
     of infinite order is refused here, before multiplying it by the claimed
     order grows heights without bound.  Over F_q each factor has at most
-    q + 1 + 2*sqrt(q) points (Hasse), so no prime above that bound divides
-    a point order, and trial division stops there.
+    q + 1 + 2*sqrt(q) points (Hasse), so no point order exceeds that bound
+    to the power of the factor count, no prime above it divides a point
+    order, and trial division stops there.
     """
     if order < 1:
         return False
@@ -62,6 +63,8 @@ def _admissible(V, P, order):
         orders = [_mazur_walk(c, q)[0] for c, q in zip(V.factors, V.split(P))]
         return None not in orders and math.lcm(*orders) == order
     hasse = _hasse_bound(V.field.size)
+    if order > hasse**V.dimension:
+        return False
     return max(factorize(order, hasse), default=1) <= hasse
 
 
@@ -212,11 +215,12 @@ def _integral_model(curve, caps):
     u = 1
     for p, e in need.items():
         u *= p**e
-    a_new = a * Rational(u**4)
-    b_new = b * Rational(u**6)
-    if abs(a_new.num) > caps.integral_model or abs(b_new.num) > caps.integral_model:
+    # each denominator divides its u^4 or u^6, so the scaled values are integers
+    a_new = a.num * (u**4 // a.den)
+    b_new = b.num * (u**6 // b.den)
+    if abs(a_new) > caps.integral_model or abs(b_new) > caps.integral_model:
         raise NonIntegralModel("rescaled coefficients exceed the integral-model cap")
-    return a_new.num, b_new.num, u
+    return a_new, b_new, u
 
 
 def _nagell_lutz_candidates(a, b, caps):
@@ -224,16 +228,18 @@ def _nagell_lutz_candidates(a, b, caps):
     bound = 16 * abs(4 * a**3 + 27 * b**2)
     if bound > caps.integral_model:
         raise NonIntegralModel("discriminant exceeds the integral-model cap")
-    # y runs to sqrt(bound); each root search trial-divides |b - y^2| <= |b| + bound
-    reach = math.isqrt(bound + abs(b))
-    if reach > caps.field_size:
-        raise BoundExceeded("Nagell-Lutz search range %d exceeds the field-size cap" % reach)
-    ys = [0]
-    y = 1
-    while y * y <= bound:
-        if bound % (y * y) == 0:
+    # the y-loop takes isqrt(bound) steps and each root search trial-divides
+    # |b - y^2| up to its square root: all of it is charged against the cap
+    limit = math.isqrt(bound)
+    work, ys = limit, []
+    for y in range(limit + 1):
+        if y == 0 or bound % (y * y) == 0:
+            work += math.isqrt(abs(b - y * y))
+            if work > caps.field_size:
+                raise BoundExceeded(
+                    "Nagell-Lutz search work exceeds the field-size cap %d" % caps.field_size
+                )
             ys.append(y)
-        y += 1
     out = []
     for y in ys:
         for x in _integer_cubic_roots(a, b - y * y):

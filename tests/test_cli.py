@@ -313,6 +313,33 @@ def test_field_cap_exceeded(tmp_path):
     assert report["kind"] == "BoundExceeded"
 
 
+def test_iso_job_truncated_by_flag(tmp_path):
+    payload = json.loads((GOLDEN / "iso-iso.job.json").read_text())
+    code, report = run(tmp_path, "iso", payload, "--N", "1")
+    assert code == 0
+    assert [tower["N"] for tower in report["towers"]] == [1, 1]
+    code, verified = run(tmp_path, "verify", report)
+    assert code == 0 and verified["ok"] is True
+    code, report = run(tmp_path, "iso", payload, "--N", "9")
+    assert code == 2
+    assert report == {"error": "cannot truncate to N=9", "kind": "SchemaError"}
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags",
+    [
+        ("tower-build", {"tower": E5_TOWER, "deck": 1}, ()),
+        ("tower-build", {"tower": E5_TOWER}, ("--field-cap", "1")),
+        ("chain-check", {"g": 1, "max_level": 2, "field": F5}, ()),
+    ],
+    ids=["deck-not-bool", "field-cap-below-2", "field-without-tower"],
+)
+def test_malformed_options_exit_2(tmp_path, command, payload, flags):
+    code, report = run(tmp_path, command, payload, *flags)
+    assert code == 2
+    assert report["kind"] == "SchemaError"
+
+
 def test_reports_are_byte_identical(tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"g": 1, "max_level": 3}))
@@ -523,6 +550,16 @@ def test_deeply_nested_input_is_a_schema_error(tmp_path, depth):
 
 def test_nagell_lutz_search_beyond_the_field_cap_exits_3(tmp_path):
     job = json.dumps({"curve": curve(Q, str(10**12 + 7), "0")}, separators=(",", ":"))
+    done = _run_text(tmp_path, "torsion", job, 5)
+    assert done.returncode == 3
+    assert json.loads(done.stdout)["kind"] == "BoundExceeded"
+    assert "Traceback" not in done.stderr
+
+
+def test_nagell_lutz_root_searches_are_charged_against_the_field_cap(tmp_path):
+    # isqrt of the search range (9,986,589) is inside the 10^7 cap, but the
+    # root searches for the 385 values of y trial-divide 26,765,747 times
+    job = json.dumps({"curve": curve(Q, "0", "480480")}, separators=(",", ":"))
     done = _run_text(tmp_path, "torsion", job, 5)
     assert done.returncode == 3
     assert json.loads(done.stdout)["kind"] == "BoundExceeded"

@@ -15,6 +15,8 @@ from ectower.curves import EllipticCurve, Point, ProductVariety
 from ectower.errors import BoundExceeded
 from ectower.fields import PrimeField
 from ectower.towers import (
+    CompositeMap,
+    Tower,
     TwistedMulMap,
     fiber,
     full_torsion_field,
@@ -121,3 +123,12 @@ def test_fiber_is_sorted_product_of_factor_fibers():
     assert points == sorted(points, key=lambda P: P.sort_key())
     per_factor = [sorted({P.coords[j] for P in points}, key=Point.sort_key) for j in (0, 1)]
     assert [P.coords for P in points] == list(itertools.product(*per_factor))
+
+
+def test_composite_map_fiber_matches_scan_over_full_torsion_field():
+    O = Point.infinity()
+    points = E5.enumerate_points()
+    tower = Tower(E5, O, [O, points[1], points[2]])
+    f = tower.compose_to_base(2)
+    assert isinstance(f, CompositeMap) and f.m == 2 and not f.c.is_infinity
+    assert _agree(f, full_torsion_field(E5, 2), 4) == {0, 4}

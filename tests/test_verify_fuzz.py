@@ -8,11 +8,15 @@ strings such as p and coordinates.  Every variant must return a verdict, and
 every refusal must say why.
 """
 
+import copy
 import json
 import re
 import time
 from pathlib import Path
 
+import pytest
+
+from ectower.curves import EllipticCurve, ProductVariety
 from ectower.serialize import find_certificates, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -81,3 +85,61 @@ def test_mutated_certificates_fail_closed_within_budget():
     assert mutated >= {"x", "y", "a", "b", "p", "k", "modulus", "order", "m", "level", "N",
                        "factor"}
     assert time.perf_counter() - start < 20
+
+
+def test_fq_order_past_the_group_bound_refused_before_any_multiplication(monkeypatch):
+    calls = []
+
+    def counted(original):
+        def scalar_mul(self, n, P):
+            calls.append(n.bit_length())
+            return original(self, n, P)
+
+        return scalar_mul
+
+    for cls in (EllipticCurve, ProductVariety):
+        for name in ("scalar_mul", "_scalar_mul_unchecked"):
+            monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    cert = _certificate("verify-handmade.job.json", "$.items[0]")  # order 3 over F_{5^2}
+    # 10^4999 has only the prime factors 2 and 5, but exceeds #E(F_25) <= 36
+    huge = {**cert, "order": 10**4999}
+    assert verify_certificate(huge) == (False, "torsion", "torsion replay failed")
+    assert calls == []
+    assert verify_certificate(cert) == (True, "torsion", None)
+    assert calls
+
+
+def _replaced(cert, keys, value):
+    """A copy of cert with the value under the key path replaced."""
+    out = copy.deepcopy(cert)
+    node = out
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return out
+
+
+_P = ("variety", "curve", "field", "p")
+_TAG = ("variety", "curve", "field", "field")
+_A = ("variety", "curve", "a")
+
+
+@pytest.mark.parametrize(
+    "name, path, keys, short, message, long",
+    [
+        ("verify-handmade.job.json", "$.items[1]", _P, "x",
+         "schema: field: 'x' is not an integer", "x" * 5000),
+        ("verify-handmade.job.json", "$.items[1]", _TAG, "Z",
+         "schema: unknown field tag 'Z'", "Z" * 5000),
+        ("torsion-curve-subgroup-emx.report.json", "$.points[0].certificate", _A, "1/1/1",
+         "schema: curve.a: not a rational: '1/1/1'", "1/" * 2500),
+    ],
+    ids=["decimal", "field-tag", "rational"],
+)
+def test_refusals_quote_at_most_forty_characters_of_the_input(
+    name, path, keys, short, message, long
+):
+    cert = _certificate(name, path)
+    assert verify_certificate(_replaced(cert, keys, short)) == (False, "torsion", message)
+    ok, _, reason = verify_certificate(_replaced(cert, keys, long))
+    assert not ok and "(5000 characters)" in reason and len(reason) < 200, reason[:300]
