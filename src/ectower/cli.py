@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import QQ
 from .chain import LatticeGroup, quotient, refine, separates, match_deck
-from .iso import classify_family, necessity_test, verify_witness, witness_search
+from .iso import classify_family
 from .torsion import TorsionCertificate, torsion_subgroup_Q, torsion_test_Q
 from .towers import Tower, deck_group, full_torsion_field
 from . import serialize
@@ -211,19 +211,12 @@ def _cmd_iso(payload, opts, caps):
             raise SchemaError("cannot truncate to N=%d" % opts["N"])
         A, B = A.truncate(opts["N"]), B.truncate(opts["N"])
     report = {"towers": [serialize.tower_to_json(A), serialize.tower_to_json(B)]}
-    cert = necessity_test(A, B)
-    if cert is not None:
-        report["status"] = "non_iso"
-        report["certificate"] = serialize.non_iso_certificate_to_json(cert)
-        return report, 1
-    witness = witness_search(A, B, caps)
-    if witness is not None and verify_witness(A, B, witness).ok:
-        report["status"] = "iso"
-        report["certificate"] = serialize.witness_to_json(witness)
-        return report, 0
-    report["status"] = "undetermined"
-    report["certificate"] = None
-    return report, 0
+    verdict = classify_family([A, B], caps).verdicts[(0, 1)]
+    report["status"] = verdict.status
+    report["certificate"] = (
+        None if verdict.certificate is None else serialize.certificate_to_json(verdict.certificate)
+    )
+    return report, 1 if verdict.status == "non_iso" else 0
 
 
 # --- corollary-demo -----------------------------------------------------------------

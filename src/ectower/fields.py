@@ -12,6 +12,7 @@ exhaustive root and factor search) under the configured field-size cap.
 
 import itertools
 import math
+import re
 
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, DivisionByZero, MixedFields, UnsupportedField, quote
@@ -79,13 +80,25 @@ class Rational:
 
     @classmethod
     def parse(cls, text):
-        """Parse 'n' or 'n/d' with decimal integers."""
-        parts = text.strip().split("/")
-        if len(parts) == 1:
-            return cls(int(parts[0]))
-        if len(parts) == 2:
-            return cls(int(parts[0]), int(parts[1]))
-        raise ValueError("not a rational: %s" % quote(text))
+        """Parse 'n' or 'n/d', each part a decimal string, d nonzero."""
+        parts = text.split("/")
+        if len(parts) > 2:
+            raise ValueError("not a rational: %s" % quote(text))
+        num = parse_decimal(parts[0])
+        den = parse_decimal(parts[1]) if len(parts) == 2 else 1
+        if den == 0:
+            raise ValueError("%s has a zero denominator" % quote(text))
+        return cls(num, den)
+
+
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def parse_decimal(text):
+    """The integer an ASCII decimal string -?[0-9]+ spells; nothing else int() reads."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError("%s is not an integer" % quote(text))
+    return int(text)
 
 
 def _add(na, da, nb, db):
@@ -281,12 +294,19 @@ def find_irreducible(p, k, caps=DEFAULT_CAPS):
 class Field:
     """Common surface of the three exact fields."""
 
+    base = None  # the prime field under an extension
+
     def element(self, value):
-        """value as an element of this field; the one place that takes a FieldElement."""
+        """value as an element of this field; the one place that takes a FieldElement.
+
+        An element of an extension's prime field is taken as a constant.
+        """
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field == self:
+                return value
+            if value.field != self.base:
                 raise MixedFields("element of %r given to %r" % (value.field, self))
-            return value
+            value = value.value
         return FieldElement(self, self._coerce(value))
 
     @property
@@ -497,14 +517,6 @@ class ExtField(Field):
 
     def _sort_key(self, a):
         return a
-
-    def embed(self, value):
-        """Embed an F_p residue (or F_p element) as a constant vector."""
-        if isinstance(value, FieldElement):
-            if value.field != self.base:
-                raise MixedFields("can only embed elements of %r" % self.base)
-            value = value.value
-        return self.element([value])
 
     def elements(self):
         for tail in itertools.product(range(self.base.p), repeat=self.degree):

@@ -86,13 +86,12 @@ def _require_comparable(A, B):
         raise BaseMismatch("tower isomorphism testing is defined over Q")
 
 
-def necessity_test(A, B):
-    """First non-torsion difference as a NonIsoCertificate, or None when all pass."""
-    return _first_non_torsion(A, B, torsion_test_Q)
+def necessity_test(A, B, decide=None):
+    """First non-torsion difference as a NonIsoCertificate, or None when all pass.
 
-
-def _first_non_torsion(A, B, decide):
-    """necessity_test with the torsion decision decide(V, P) supplied."""
+    decide(V, P) makes each torsion decision; None means torsion_test_Q.
+    """
+    decide = decide or torsion_test_Q
     _require_comparable(A, B)
     V = A.variety
     for i in range(1, A.N + 1):
@@ -258,7 +257,7 @@ def classify_family(towers, caps=DEFAULT_CAPS):
 
     for i in range(len(towers)):
         for j in range(i + 1, len(towers)):
-            cert = _first_non_torsion(towers[i], towers[j], decide)
+            cert = necessity_test(towers[i], towers[j], decide)
             if cert is not None:
                 verdicts[(i, j)] = PairVerdict("non_iso", cert)
                 continue

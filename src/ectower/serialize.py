@@ -11,7 +11,7 @@ parsing rebuilds the objects and verify_certificate replays the arithmetic.
 
 from .config import DEFAULT_CAPS
 from .errors import EctowerError, SchemaError, quote
-from .fields import QQ, ExtField, PrimeField, Rational
+from .fields import QQ, ExtField, PrimeField, Rational, parse_decimal
 from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from .torsion import NonTorsionCertificate, TorsionCertificate
 from .towers import Tower
@@ -44,9 +44,9 @@ def _int_or_decimal(value, where, key):
     if not isinstance(value, str):
         return _require_int(value, "%s: %r must be an integer or decimal string" % (where, key))
     try:
-        return int(value)
-    except ValueError:
-        raise SchemaError("%s: %s is not an integer" % (where, quote(value))) from None
+        return parse_decimal(value)
+    except ValueError as exc:
+        raise SchemaError("%s: %s" % (where, exc)) from None
 
 
 def _int_list(obj, message):

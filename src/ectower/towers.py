@@ -165,44 +165,34 @@ def extension_field(prime_field, degree, caps=DEFAULT_CAPS):
     return ExtField(prime_field, degree, caps=caps)
 
 
-def _embed_element(x, K):
-    if x.field == K:
-        return x
-    if isinstance(K, ExtField) and x.field == K.base:
-        return K.embed(x)
-    raise UnsupportedField("cannot embed %r into %r" % (x.field, K))
-
-
 def _embed_point(V, P, K):
-    """A point of V's shape with every coordinate embedded into K."""
+    """A point of V's shape with every coordinate taken into K."""
     return V.assemble(
-        [
-            q if q.is_infinity else Point(_embed_element(q.x, K), _embed_element(q.y, K))
-            for q in V.split(P)
-        ]
+        [q if q.is_infinity else Point(K.element(q.x), K.element(q.y)) for q in V.split(P)]
     )
 
 
 def realize_variety(V, K):
-    """The same curve(s) with coefficients embedded into the realization field K."""
-    return V.from_factors(
-        [EllipticCurve(K, _embed_element(c.a, K), _embed_element(c.b, K)) for c in V.factors]
-    )
+    """The same curve(s) with coefficients taken into the realization field K."""
+    return V.from_factors([EllipticCurve(K, c.a, c.b) for c in V.factors])
 
 
 def realize_map(f, K):
-    V = realize_variety(f.variety, K)
-    if isinstance(f, TwistedMulMap):
-        return TwistedMulMap(f.n, _embed_point(f.variety, f.center, K), V)
-    return CompositeMap(f.m, _embed_point(f.variety, f.c, K), V)
+    """f over K as y -> m*y + c; embedding is a homomorphism, so c is f's own c in K."""
+    return CompositeMap(
+        f.multiplier, _embed_point(f.variety, f.c, K), realize_variety(f.variety, K)
+    )
 
 
-def _require_finite_prime_base(V):
-    field = V.field
-    if field == QQ:
+def _realization_field(f, field):
+    """field, or f's own when None; refuses Q and fields that do not extend f's own."""
+    own = f.variety.field
+    if own == QQ:
         raise UnsupportedField("finite-field realization required, not Q")
-    if isinstance(field, ExtField):
-        return field.base
+    if field is None:
+        return own
+    if field != own and field.base != own:
+        raise UnsupportedField("cannot embed %r into %r" % (own, field))
     return field
 
 
@@ -216,8 +206,10 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     confirmed by counting the kernel of multiplication by n over it; the
     kernel is full once it has n^2 points on every curve factor.
     """
-    base = _require_finite_prime_base(V)
-    if not isinstance(V.field, PrimeField):
+    base = V.field
+    if base == QQ:
+        raise UnsupportedField("finite-field realization required, not Q")
+    if not isinstance(base, PrimeField):
         raise UnsupportedField("torsion-field search starts from a prime-field model")
     p = base.p
     if n < 1:
@@ -280,8 +272,7 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     Over a full-m-torsion field a nonempty fiber has exactly m^(2g) points.
     """
     m = f.multiplier
-    _require_finite_prime_base(f.variety)
-    K = field if field is not None else f.variety.field
+    K = _realization_field(f, field)
     if m % K.characteristic == 0:
         raise RamifiedCharacteristic(
             "characteristic %d divides the degree %d" % (K.characteristic, m)
@@ -338,8 +329,7 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     reporting the defect per curve factor.
     """
     m = f.multiplier
-    _require_finite_prime_base(f.variety)
-    K = field if field is not None else f.variety.field
+    K = _realization_field(f, field)
     if m % K.characteristic == 0:
         raise IncompleteTorsion(
             "characteristic %d divides the degree %d; the full kernel is never rational"

@@ -181,16 +181,13 @@ def exhaustive_fiber(f, z, K):
     sorted.
     """
 
-    def element(x):
-        return x if x.field == K else K.embed(x)
-
     def point(V, P):
         return V.assemble(
-            [q if q.is_infinity else type(q)(element(q.x), element(q.y)) for q in V.split(P)]
+            [q if q.is_infinity else type(q)(K.element(q.x), K.element(q.y)) for q in V.split(P)]
         )
 
     V = f.variety
-    VK = V.from_factors([type(c)(K, element(c.a), element(c.b)) for c in V.factors])
+    VK = V.from_factors([type(c)(K, K.element(c.a), K.element(c.b)) for c in V.factors])
     c, target = point(V, f.c), point(V, z)
     hits = [
         y

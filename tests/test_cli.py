@@ -589,3 +589,73 @@ def test_input_that_fails_to_load_exits_2(tmp_path, case):
     assert done.returncode == 2
     assert json.loads(done.stdout)["kind"] == "SchemaError"
     assert "Traceback" not in done.stderr
+
+
+def _run_refusal(tmp_path, command, payload):
+    """(exit code, report) of a job run as the CLI runs it, which must leave no traceback."""
+    done = _run_text(tmp_path, command, json.dumps(payload), 60)
+    assert "Traceback" not in done.stderr
+    return done.returncode, json.loads(done.stdout)
+
+
+F25 = {"field": "Fpk", "p": "5", "k": 2}
+# y^2 = x^3 + 1 over F_{5^2}: supersingular, with group (Z/6)^2
+E25_TOWER = {
+    "base": curve(F25, [0], [1]),
+    "o": inf(),
+    "e": [inf(), pt([0], [1]), pt([4], [0]), pt([0], [4])],
+    "N": 3,
+}
+
+
+def test_explicit_field_of_characteristic_zero_is_refused(tmp_path):
+    payload = {"g": 1, "max_level": 2, "tower": E5_TOWER, "field": Q}
+    code, report = _run_refusal(tmp_path, "chain-check", payload)
+    assert code == 2
+    assert report == {"error": "cannot embed F_5 into Q", "kind": "UnsupportedField"}
+
+
+def test_zero_denominator_is_a_schema_error(tmp_path):
+    code, report = _run_refusal(tmp_path, "torsion", {"curve": curve(Q, "1/0", "1")})
+    assert code == 2
+    assert report["kind"] == "SchemaError"
+    assert "zero denominator" in report["error"]
+
+
+def test_chain_check_over_an_extension_field_tower(tmp_path):
+    payload = {"g": 1, "max_level": 3, "tower": E25_TOWER}
+    code, report = _run_refusal(tmp_path, "chain-check", payload)
+    assert code == 2
+    assert report == {
+        "error": "torsion-field search starts from a prime-field model",
+        "kind": "UnsupportedField",
+    }
+    code, report = run(tmp_path, "chain-check", {**payload, "field": F25})
+    assert code == 0
+    assert [row["match_deck"] for row in report["levels"]] == [True, True, True]
+
+
+def test_chain_check_level_divisible_by_the_characteristic(tmp_path):
+    # E5 has group (Z/24)^2 over F_{5^4}: levels 1-4 match, level 5 has m = 120
+    tower = {**E5_TOWER, "e": E5_TOWER["e"] + [inf(), inf()], "N": 5}
+    payload = {"g": 1, "max_level": 5, "tower": tower,
+               "field": {"field": "Fpk", "p": "5", "k": 4}}
+    code, report = _run_refusal(tmp_path, "chain-check", payload)
+    assert code == 2
+    assert report["kind"] == "IncompleteTorsion"
+    assert report["error"].startswith("characteristic 5 divides the degree 120; ")
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("tower-build", {"tower": {**E25_TOWER, "base": curve(F25, [0, 0, 1], [1])}}),
+        ("tower-build", {"command": "iso", "tower": E5_TOWER}),
+        ("verify", [{"certificate": "torsion"}]),
+    ],
+    ids=["coefficients-past-k", "command-of-another-job", "top-level-list"],
+)
+def test_malformed_jobs_exit_2(tmp_path, command, payload):
+    code, report = _run_refusal(tmp_path, command, payload)
+    assert code == 2
+    assert report["kind"] == "SchemaError"

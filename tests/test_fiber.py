@@ -12,12 +12,14 @@ import pytest
 
 from ectower.config import Caps
 from ectower.curves import EllipticCurve, Point, ProductVariety
-from ectower.errors import BoundExceeded
-from ectower.fields import PrimeField
+from ectower.errors import BoundExceeded, UnsupportedField
+from ectower.fields import QQ, PrimeField
 from ectower.towers import (
     CompositeMap,
     Tower,
     TwistedMulMap,
+    deck_group,
+    extension_field,
     fiber,
     full_torsion_field,
     realize_map,
@@ -132,3 +134,25 @@ def test_composite_map_fiber_matches_scan_over_full_torsion_field():
     f = tower.compose_to_base(2)
     assert isinstance(f, CompositeMap) and f.m == 2 and not f.c.is_infinity
     assert _agree(f, full_torsion_field(E5, 2), 4) == {0, 4}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F_7"])
+def test_realization_refuses_a_field_that_does_not_extend_the_map_field(field):
+    f = TwistedMulMap(2, E5.identity(), E5)
+    message = "cannot embed F_5 into %r" % field
+    with pytest.raises(UnsupportedField, match=message):
+        fiber(f, E5.identity(), field=field)
+    with pytest.raises(UnsupportedField, match=message):
+        deck_group(f, field=field)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_realized_map_is_the_twist_by_the_realized_centre(n):
+    K = extension_field(F5, 2)
+    VK = realize_variety(E5, K)
+    for centre in E5.enumerate_points():
+        realized = realize_map(TwistedMulMap(n, centre, E5), K)
+        point = centre if centre.is_infinity else Point(K.element(centre.x), K.element(centre.y))
+        twist = TwistedMulMap(n, point, VK)
+        assert realized.variety == VK
+        assert all(realized(y) == twist(y) for y in VK.enumerate_points())

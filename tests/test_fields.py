@@ -66,6 +66,15 @@ def test_mixed_fields_rejected():
         F25.element([1, 0]) * F5.element(1)
 
 
+def test_extension_takes_its_prime_field_elements_as_constants():
+    assert F25.element(F5.element(3)) == F25.element([3, 0])
+    assert F5.element(F5.element(3)) == F5.element(3)
+    for field, x in ((F5, F25.element([1, 0])), (PrimeField(7), F5.element(1)),
+                     (QQ, F5.element(1)), (F25, QQ.element(1))):
+        with pytest.raises(MixedFields):
+            field.element(x)
+
+
 def test_inverse_of_zero():
     with pytest.raises(DivisionByZero):
         F5.element(0).inverse()

@@ -11,6 +11,7 @@ from ectower.serialize import (
     certificate_to_json,
     field_to_json,
     find_certificates,
+    parse_element,
     parse_field,
     parse_non_iso_certificate,
     parse_point,
@@ -52,6 +53,20 @@ def test_field_schema_errors():
         parse_field({"field": "Fp", "p": "5", "extra": 1})
     with pytest.raises(SchemaError):
         parse_field({"field": "Fpk", "p": "5", "k": 2, "modulus": [1, 0, 1]})
+
+
+@pytest.mark.parametrize("text", [" 5", "+5", "1_000", "\u0665"])
+def test_decimal_strings_are_ascii_digits_only(text):
+    # int() reads each of these as 5 or 1000; the wire format does not
+    for field in ({"field": "Fp", "p": text}, {"field": "Fpk", "p": text, "k": 2}):
+        with pytest.raises(SchemaError, match="is not an integer"):
+            parse_field(field)
+    with pytest.raises(SchemaError, match="is not an integer"):
+        parse_element(PrimeField(7), text)
+    for rational in (text, "1/" + text, text + "/2"):
+        with pytest.raises(SchemaError, match="is not an integer"):
+            parse_element(QQ, rational)
+    assert parse_element(QQ, "-6/4") == QQ.element(Rational(-3, 2))
 
 
 def test_variety_roundtrip():

@@ -133,8 +133,12 @@ _A = ("variety", "curve", "a")
          "schema: unknown field tag 'Z'", "Z" * 5000),
         ("torsion-curve-subgroup-emx.report.json", "$.points[0].certificate", _A, "1/1/1",
          "schema: curve.a: not a rational: '1/1/1'", "1/" * 2500),
+        ("torsion-curve-subgroup-emx.report.json", "$.points[0].certificate", _A, "x",
+         "schema: curve.a: 'x' is not an integer", "x" * 5000),
+        ("torsion-curve-subgroup-emx.report.json", "$.points[0].certificate", _A, "1/x",
+         "schema: curve.a: 'x' is not an integer", "1/" + "x" * 5000),
     ],
-    ids=["decimal", "field-tag", "rational"],
+    ids=["decimal", "field-tag", "rational", "rational-numerator", "rational-denominator"],
 )
 def test_refusals_quote_at_most_forty_characters_of_the_input(
     name, path, keys, short, message, long
@@ -143,3 +147,12 @@ def test_refusals_quote_at_most_forty_characters_of_the_input(
     assert verify_certificate(_replaced(cert, keys, short)) == (False, "torsion", message)
     ok, _, reason = verify_certificate(_replaced(cert, keys, long))
     assert not ok and "(5000 characters)" in reason and len(reason) < 200, reason[:300]
+
+
+@pytest.mark.parametrize("value", ["1/0", "-7/0"])
+def test_zero_denominator_is_a_schema_refusal(value):
+    cert = _certificate("torsion-curve-subgroup-emx.report.json", "$.points[0].certificate")
+    ok, kind, reason = verify_certificate(_replaced(cert, _A, value))
+    assert (ok, kind) == (False, "torsion")
+    assert reason == "schema: curve.a: %r has a zero denominator" % value
+
