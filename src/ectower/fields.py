@@ -12,6 +12,7 @@ exhaustive root and factor search) under the configured field-size cap.
 
 import itertools
 import math
+import operator
 import re
 
 from .config import DEFAULT_CAPS
@@ -159,31 +160,6 @@ def poly_trim(coeffs):
     return tuple(c)
 
 
-def poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return poly_trim(out)
-
-
-def poly_mod(f, m, p):
-    """Remainder of f modulo the monic polynomial m."""
-    r = list(f)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and poly_trim(r):
-        lead = r[-1] % p
-        shift = len(r) - 1 - dm
-        if lead:
-            for i in range(dm + 1):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-    return poly_trim(r)
-
-
 def poly_eval(f, x, p):
     acc = 0
     for c in reversed(f):
@@ -191,36 +167,7 @@ def poly_eval(f, x, p):
     return acc
 
 
-def _poly_inverse(a, m, p):
-    """s with s*a = 1 mod m over F_p[x], or None when gcd(a, m) != 1.
-
-    The extended Euclidean algorithm, carrying only the cofactor of a.
-    """
-    r0, r1 = poly_trim(a), poly_trim(m)
-    s0, s1 = (1,), ()
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1, p), p)
-    if len(r0) != 1:
-        return None
-    inv = pow(r0[0], p - 2, p)
-    return tuple(c * inv % p for c in s0)
-
-
-def _poly_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a - b) % p
-    return poly_trim(out)
-
-
 def _poly_divmod(f, g, p):
-    if not g:
-        raise DivisionByZero("polynomial division by zero")
     r = list(f)
     dg = len(g) - 1
     ginv = pow(g[-1], p - 2, p)
@@ -425,7 +372,7 @@ class PrimeField(Field):
 
     def elements(self):
         for v in range(self.p):
-            yield self.element(v)
+            yield FieldElement(self, v)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -438,12 +385,14 @@ class PrimeField(Field):
 
 
 class ExtField(Field):
-    """F_{p^k} as F_p[x] modulo a certified-irreducible monic polynomial.
+    """F_{p^k} as F_p[x] modulo a certified-irreducible monic polynomial f.
 
     Elements are coefficient tuples of exact length k, constant term first.
+    Products fold degrees j >= k back through the rows x^j mod f; inverses
+    use the norm, by Itoh-Tsujii through the Frobenius matrix for k >= 3.
     """
 
-    __slots__ = ("base", "degree", "modulus")
+    __slots__ = ("base", "degree", "modulus", "_rows", "_frobenius_rows", "_hash")
 
     def __init__(self, base, degree, modulus=None, caps=DEFAULT_CAPS):
         if not isinstance(base, PrimeField):
@@ -456,17 +405,33 @@ class ExtField(Field):
             raise BoundExceeded(
                 "p^k = %d^%d exceeds cap %d" % (base.p, degree, caps.field_size)
             )
+        p = base.p
         if modulus is None:
-            modulus = find_irreducible(base.p, degree, caps)
+            modulus = find_irreducible(p, degree, caps)
         else:
-            modulus = tuple(int(c) % base.p for c in modulus)
+            modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != degree + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree %d" % degree)
-            if not is_irreducible(modulus, base.p):
-                raise ValueError("modulus %r is reducible over F_%d" % (modulus, base.p))
+            if not is_irreducible(modulus, p):
+                raise ValueError("modulus %r is reducible over F_%d" % (modulus, p))
         self.base = base
         self.degree = degree
         self.modulus = modulus
+        self._hash = hash(("Fpk", p, degree, modulus))
+        # x^j mod f for j = k..2k-2; x^(j+1) is x^j shifted up, its top folded by x^k
+        top = tuple(-c % p for c in modulus[:-1])
+        rows = [top]
+        for _ in range(degree - 2):
+            r = rows[-1]
+            rows.append(tuple((s + r[-1] * t) % p for s, t in zip((0,) + r[:-1], top)))
+        self._rows = tuple(rows[: degree - 1])
+        # column i of the Frobenius matrix is (x^i)^p = (x^p)^i
+        columns = [(1,) + (0,) * (degree - 1)]
+        if degree > 1:
+            xp = (FieldElement(self, (0, 1) + (0,) * (degree - 2)) ** p).value
+            while len(columns) < degree:
+                columns.append(self._mul(columns[-1], xp))
+        self._frobenius_rows = tuple(zip(*columns))
 
     @property
     def characteristic(self):
@@ -476,51 +441,78 @@ class ExtField(Field):
     def size(self):
         return self.base.p**self.degree
 
-    def _pad(self, coeffs):
-        c = list(coeffs)[: self.degree]
-        return tuple(c + [0] * (self.degree - len(c)))
-
     def _coerce(self, value):
-        p = self.base.p
         if isinstance(value, int):
-            return self._pad([value % p])
-        if isinstance(value, (list, tuple)):
-            if len(value) > self.degree:
-                raise ValueError("coefficient vector longer than degree")
-            return self._pad([int(c) % p for c in value])
-        raise TypeError("cannot coerce %r into %r" % (value, self))
+            value = [value]
+        if isinstance(value, (list, tuple)) and len(value) > self.degree:
+            raise ValueError("coefficient vector longer than degree")
+        if not isinstance(value, (list, tuple)) or not all(isinstance(c, int) for c in value):
+            raise TypeError("cannot coerce %r into %r" % (value, self))
+        p = self.base.p
+        return tuple([c % p for c in value] + [0] * (self.degree - len(value)))
 
     def _add(self, a, b):
         p = self.base.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         p = self.base.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _mul(self, a, b):
         p = self.base.p
-        return self._pad(poly_mod(poly_mul(a, b, p), self.modulus, p))
+        if self.degree == 2:  # the convolution and its one fold, unrolled
+            (a0, a1), (b0, b1), ((r0, r1),) = a, b, self._rows
+            h = a1 * b1
+            return ((a0 * b0 + h * r0) % p, (a0 * b1 + a1 * b0 + h * r1) % p)
+        k = self.degree
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for c, row in zip(prod[k:], self._rows):
+            if c:
+                for i, r in enumerate(row):
+                    prod[i] += c * r
+        return tuple([c % p for c in prod[:k]])
+
+    def _frobenius(self, a):
+        """a^p, which is linear over F_p: the Frobenius matrix times a."""
+        p = self.base.p
+        return tuple([sum(map(operator.mul, a, row)) % p for row in self._frobenius_rows])
 
     def _neg(self, a):
         p = self.base.p
-        return tuple((-x) % p for x in a)
+        return tuple([-x % p for x in a])
 
     def _inv(self, a):
         p = self.base.p
-        if not poly_trim(a):
+        if not any(a):
             raise DivisionByZero("inverse of zero in %r" % self)
-        s = _poly_inverse(a, self.modulus, p)
-        if s is None:
-            raise ArithmeticError("modulus not irreducible")  # ruled out at init
-        return self._pad(poly_mod(s, self.modulus, p))
+        if self.degree == 1:
+            return (pow(a[0], p - 2, p),)
+        if self.degree == 2:
+            # f = x^2 + c1 x + c0: the conjugate of a0 + a1 x is (a0 - c1 a1) - a1 x,
+            # and their product is the norm a0 (a0 - c1 a1) + c0 a1^2 in F_p
+            a0, a1 = a
+            c0, c1, _ = self.modulus
+            b0 = a0 - c1 * a1
+            n = pow((a0 * b0 + c0 * a1 * a1) % p, p - 2, p)
+            return (b0 * n % p, -a1 * n % p)
+        # u = a^(p + p^2 + ... + p^(k-1)), so a*u = a^((p^k - 1)/(p - 1)) is the norm
+        u = self._frobenius(a)
+        for _ in range(self.degree - 2):
+            u = self._frobenius(self._mul(u, a))
+        n = pow(self._mul(u, a)[0], p - 2, p)
+        return tuple([c * n % p for c in u])
 
     def _sort_key(self, a):
         return a
 
     def elements(self):
-        for tail in itertools.product(range(self.base.p), repeat=self.degree):
-            yield self.element(list(tail))
+        for value in itertools.product(range(self.base.p), repeat=self.degree):
+            yield FieldElement(self, value)
 
     def __eq__(self, other):
         return (
@@ -531,7 +523,7 @@ class ExtField(Field):
         )
 
     def __hash__(self):
-        return hash(("Fpk", self.base.p, self.degree, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return "F_%d^%d" % (self.base.p, self.degree)
@@ -551,7 +543,7 @@ class FieldElement:
 
     def _raw(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields(
                     "operands from different fields: %r and %r"
                     % (self.field, other.field)
@@ -609,7 +601,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            same = self.field is other.field or self.field == other.field
+            return same and self.value == other.value
         try:
             raw = self.field._coerce(other)
         except (TypeError, ValueError):
@@ -627,7 +620,7 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __bool__(self):
-        return self.value != self.field._coerce(0)
+        return any(self.value) if isinstance(self.value, tuple) else bool(self.value)
 
     def sort_key(self):
         return self.field._sort_key(self.value)

@@ -112,26 +112,29 @@ def back_substitute(V, diffs, t_last):
     return ts
 
 
-def witness_search(A, B, caps=DEFAULT_CAPS):
+def witness_search(A, B, caps=DEFAULT_CAPS, torsion=None, decide=None):
     """A TowerIsoWitness inside the rational torsion subgroup, or None.
 
     Every solution of the recurrence is determined by its top translation,
     so scanning t_N over the rational torsion subgroup for
-    N!*t_N = -(sum (i-1)!*(i-1)*d_i) is exhaustive.
+    N!*t_N = -(sum (i-1)!*(i-1)*d_i) is exhaustive.  torsion and decide
+    default to rational_torsion_points(V) and torsion_test_Q.
     """
+    decide = decide or torsion_test_Q
     _require_comparable(A, B)
     V = A.variety
     N = A.N
     diffs = [V.sub(A.points[i], B.points[i]) for i in range(1, N + 1)]
     for d in diffs:
-        if isinstance(torsion_test_Q(V, d), NonTorsionCertificate):
+        if isinstance(decide(V, d), NonTorsionCertificate):
             raise NotNecessaryFirst("a difference is non-torsion; run necessity_test")
     target = V.identity()
     for i in range(1, N + 1):
         target = V.sub(
             target, V.scalar_mul(math.factorial(i - 1) * (i - 1), diffs[i - 1])
         )
-    torsion = rational_torsion_points(V, caps)
+    if torsion is None:
+        torsion = rational_torsion_points(V, caps)
     n_fact = math.factorial(N)
     for t_last in torsion:
         if V.scalar_mul(n_fact, t_last) != target:
@@ -141,7 +144,7 @@ def witness_search(A, B, caps=DEFAULT_CAPS):
             raise ArithmeticError("back substitution did not close at t_0 = O")
         certs = []
         for t in ts:
-            cert = torsion_test_Q(V, t)
+            cert = decide(V, t)
             if not isinstance(cert, TorsionCertificate):
                 raise ArithmeticError("translation escaped the torsion subgroup")
             certs.append(cert)
@@ -232,8 +235,9 @@ def classify_family(towers, caps=DEFAULT_CAPS):
     """Pairwise classification with certificates; classes from iso edges only.
 
     Every tower has the same base, so torsion is decided once per distinct
-    difference point; in a family of multiples m*P the differences of all
-    pairs at all levels are the (m - m')*P.
+    point, and the base's rational torsion points are found once, at the
+    first pair that passes the necessity test; in a family of multiples m*P
+    the differences of all pairs at all levels are the (m - m')*P.
     """
     towers = list(towers)
     if not towers:
@@ -243,6 +247,7 @@ def classify_family(towers, caps=DEFAULT_CAPS):
     verdicts = {}
     parent = list(range(len(towers)))
     decided = {}
+    torsion = None
 
     def decide(V, P):
         if P not in decided:
@@ -261,7 +266,9 @@ def classify_family(towers, caps=DEFAULT_CAPS):
             if cert is not None:
                 verdicts[(i, j)] = PairVerdict("non_iso", cert)
                 continue
-            witness = witness_search(towers[i], towers[j], caps)
+            if torsion is None:
+                torsion = rational_torsion_points(towers[0].variety, caps)
+            witness = witness_search(towers[i], towers[j], caps, torsion, decide)
             if witness is not None and verify_witness(towers[i], towers[j], witness).ok:
                 verdicts[(i, j)] = PairVerdict("iso", witness)
                 parent[find(i)] = find(j)

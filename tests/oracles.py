@@ -1,9 +1,9 @@
 """Independent oracles used to cross-check the package.
 
 Everything here is deliberately self-contained: plain tuples for points,
-fractions.Fraction for coordinates, and naive search everywhere.  None of it
-imports the package under test, so agreement between the two paths is a real
-check and not a tautology.
+fractions.Fraction for coordinates, plain-int polynomial arithmetic for
+F_{p^k}, and naive search everywhere.  None of it imports the package under
+test, so agreement between the two paths is a real check and not a tautology.
 
 Points are None (infinity) or (Fraction x, Fraction y) on y^2 = x^3 + ax + b.
 """
@@ -195,3 +195,111 @@ def exhaustive_fiber(f, z, K):
         if VK.add(VK.scalar_mul(f.multiplier, y), c) == target
     ]
     return sorted(hits, key=lambda P: P.sort_key())
+
+
+# F_{p^k} as plain-int polynomial arithmetic: elements are coefficient tuples,
+# constant term first, reduced modulo the monic modulus f by long division and
+# inverted by the extended Euclidean algorithm.
+
+
+def poly_trim(coeffs):
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_mul(f, g, p):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return poly_trim(out)
+
+
+def poly_mod(f, m, p):
+    """Remainder of f modulo the monic polynomial m."""
+    r = list(f)
+    dm = len(m) - 1
+    while len(r) - 1 >= dm and poly_trim(r):
+        lead = r[-1] % p
+        shift = len(r) - 1 - dm
+        if lead:
+            for i in range(dm + 1):
+                r[shift + i] = (r[shift + i] - lead * m[i]) % p
+        r.pop()
+    return poly_trim(r)
+
+
+def _poly_sub(f, g, p):
+    n = max(len(f), len(g))
+    out = [0] * n
+    for i in range(n):
+        a = f[i] if i < len(f) else 0
+        b = g[i] if i < len(g) else 0
+        out[i] = (a - b) % p
+    return poly_trim(out)
+
+
+def _poly_divmod(f, g, p):
+    r = list(f)
+    dg = len(g) - 1
+    ginv = pow(g[-1], p - 2, p)
+    q = [0] * max(len(f) - dg, 0)
+    while len(r) - 1 >= dg and poly_trim(r):
+        lead = r[-1] * ginv % p
+        shift = len(r) - 1 - dg
+        if lead:
+            q[shift] = lead
+            for i in range(dg + 1):
+                r[shift + i] = (r[shift + i] - lead * g[i]) % p
+        r.pop()
+    return poly_trim(q), poly_trim(r)
+
+
+def _poly_inverse(a, m, p):
+    """s with s*a = 1 mod m over F_p[x], or None when gcd(a, m) != 1.
+
+    The extended Euclidean algorithm, carrying only the cofactor of a.
+    """
+    r0, r1 = poly_trim(a), poly_trim(m)
+    s0, s1 = (1,), ()
+    while r1:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1, p), p)
+    if len(r0) != 1:
+        return None
+    inv = pow(r0[0], p - 2, p)
+    return tuple(c * inv % p for c in s0)
+
+
+def _fq_pad(c, f):
+    k = len(f) - 1
+    return tuple(c) + (0,) * (k - len(c))
+
+
+def fq_mul(a, b, f, p):
+    """a*b in F_p[x]/(f), as a tuple of length deg f."""
+    return _fq_pad(poly_mod(poly_mul(a, b, p), f, p), f)
+
+
+def fq_inv(a, f, p):
+    """The inverse of a nonzero a in F_p[x]/(f) with f irreducible."""
+    s = _poly_inverse(a, f, p)
+    if s is None:
+        raise ZeroDivisionError("not invertible modulo f")
+    return _fq_pad(poly_mod(s, f, p), f)
+
+
+def fq_pow(a, n, f, p):
+    """a^n in F_p[x]/(f): n multiplications from 1, through the inverse for n < 0."""
+    if n < 0:
+        return fq_pow(fq_inv(a, f, p), -n, f, p)
+    acc = _fq_pad(poly_mod((1,), f, p), f)
+    for _ in range(n):
+        acc = fq_mul(acc, a, f, p)
+    return acc

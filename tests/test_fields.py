@@ -17,6 +17,9 @@ from ectower.fields import (
     is_irreducible,
     is_prime,
 )
+from ectower.serialize import parse_field
+
+from oracles import fq_inv, fq_mul, fq_pow
 
 F5 = PrimeField(5)
 F25 = ExtField(F5, 2, modulus=(3, 0, 1))  # x^2 - 2 over F_5
@@ -224,13 +227,15 @@ def test_rational_agrees_with_fraction(an, ad, bn, bd, k):
 
 @pytest.mark.parametrize("p, k", [(5, 4), (7, 3)])
 def test_every_nonzero_element_times_its_inverse_is_one(p, k):
-    K = ExtField(PrimeField(p), k)
-    one = K.one
-    for x in K.elements():
-        if x != K.zero:
-            assert x * x.inverse() == one
-    with pytest.raises(DivisionByZero):
-        K.zero.inverse()
+    explicit = {(5, 4): (3, 1, 0, 1, 1), (7, 3): (1, 6, 2, 1)}[(p, k)]
+    for K in (ExtField(PrimeField(p), k), ExtField(PrimeField(p), k, explicit)):
+        one = K.one
+        for x in K.elements():
+            if x != K.zero:
+                assert x * x.inverse() == one
+                assert x.inverse().value == fq_inv(x.value, K.modulus, p)
+        with pytest.raises(DivisionByZero):
+            K.zero.inverse()
 
 
 def test_inverse_on_a_seeded_sample_of_f_239_squared():
@@ -243,3 +248,51 @@ def test_inverse_on_a_seeded_sample_of_f_239_squared():
         assert x * x.inverse() == K.one
     with pytest.raises(DivisionByZero):
         K.zero.inverse()
+
+
+def test_extension_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        F25.element(["3", 1.9])
+    with pytest.raises(TypeError):
+        F25.element([1, 1.0])
+    with pytest.raises(TypeError):
+        F25.element([F5.element(1)])
+    with pytest.raises(TypeError):
+        F5.element("3")
+    assert F25.element([8, -1]).value == (3, 4)
+
+
+# the kernels against the plain-int polynomial oracle, default and explicit moduli
+ORACLE_FIELDS = [
+    ExtField(PrimeField(p), k, modulus)
+    for p, k, modulus in (
+        (5, 1, None), (5, 2, None), (5, 4, None), (7, 3, None), (239, 2, None),
+        (5, 2, (2, 1, 1)), (5, 4, (3, 1, 0, 1, 1)), (7, 3, (1, 6, 2, 1)),
+        (239, 2, (7, 5, 1)),
+    )
+] + [parse_field({"field": "Fpk", "p": "5", "k": 1, "modulus": [2, 1]})]
+
+
+@st.composite
+def _field_and_elements(draw):
+    K = draw(st.sampled_from(ORACLE_FIELDS))
+    coeffs = st.lists(st.integers(0, K.base.p - 1), min_size=K.degree, max_size=K.degree)
+    return K, tuple(draw(coeffs)), tuple(draw(coeffs)), draw(st.integers(-40, 40))
+
+
+@settings(max_examples=300)
+@given(_field_and_elements())
+def test_extension_kernels_agree_with_the_oracle(case):
+    K, a, b, n = case
+    p, f = K.base.p, K.modulus
+    assert K._mul(a, b) == fq_mul(a, b, f, p)
+    assert K._frobenius(a) == fq_pow(a, p, f, p)
+    x = K.element(list(a))
+    if any(a):
+        assert K._inv(a) == fq_inv(a, f, p)
+        assert (x**n).value == fq_pow(a, n, f, p)
+    else:
+        with pytest.raises(DivisionByZero):
+            K._inv(a)
+        if n >= 0:
+            assert (x**n).value == fq_pow(a, n, f, p)

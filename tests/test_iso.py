@@ -272,3 +272,33 @@ def test_classify_family_decides_each_distinct_difference_once(monkeypatch):
         fresh = necessity_test(towers[i], towers[j])
         assert certificate_to_json(verdict.certificate) == certificate_to_json(fresh)
     assert len(decided) == 55
+
+
+def test_classify_family_finds_the_rational_torsion_points_once(monkeypatch):
+    # 8 towers on y^2 = x^3 - x with 2-torsion level points: every difference
+    # is torsion, so all 28 pairs reach the witness search; a pair is iso
+    # exactly when its level-2 points agree (6*t_N = O = target = d_2)
+    T = [O, qpt(0, 0), qpt(1, 0), qpt(-1, 0)]
+    towers = [make_tower(EMX, [T[m % 4], T[m // 4], T[(m + 1) % 4]]) for m in range(8)]
+    fresh = {}
+    for i in range(8):
+        for j in range(i + 1, 8):
+            assert necessity_test(towers[i], towers[j]) is None
+            fresh[(i, j)] = witness_search(towers[i], towers[j])
+    subgroups = []
+
+    def counted(curve, caps):
+        subgroups.append(curve)
+        return torsion_subgroup_Q(curve, caps)
+
+    monkeypatch.setattr("ectower.torsion.torsion_subgroup_Q", counted)
+    result = classify_family(towers)
+    assert subgroups == [EMX]
+    assert len(result.verdicts) == 28
+    for (i, j), verdict in result.verdicts.items():
+        assert verdict.status == ("iso" if i // 4 == j // 4 else "undetermined")
+        if verdict.status == "iso":
+            assert certificate_to_json(verdict.certificate) == certificate_to_json(fresh[(i, j)])
+        else:
+            assert fresh[(i, j)] is None
+    assert result.classes == ((0, 1, 2, 3), (4, 5, 6, 7))
