@@ -16,6 +16,7 @@ import math
 
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, MixedFields, PointNotOnCurve, UnsupportedField
+from .fields import FieldElement
 from .groups import (
     FiniteAbelianGroup,
     combine_structures,
@@ -57,6 +58,12 @@ class Point:
         if self.is_infinity:
             return (0,)
         return (1, self.x.sort_key(), self.y.sort_key())
+
+    def _raw(self):
+        """The point as the raw group law takes it: (x value, y value), None for O."""
+        if self.x is None:
+            return None
+        return (self.x.value, self.y.value)
 
     def __repr__(self):
         if self.is_infinity:
@@ -170,19 +177,45 @@ class EllipticCurve:
         return self._add_unchecked(P, Q)
 
     def _add_unchecked(self, P, Q):
-        if P.is_infinity:
+        return self._box(self._add_raw(P._raw(), Q._raw()))
+
+    def _add_raw(self, P, Q):
+        """P + Q on raw (x, y) value pairs, None for O: the curve's one group law.
+
+        The affine chord-tangent law (Washington, Elliptic Curves, 2.2) through
+        the field's own _add, _sub, _mul, _inv and _neg, so it serves F_p,
+        F_{p^k} and Q alike.
+        """
+        if P is None:
             return Q
-        if Q.is_infinity:
+        if Q is None:
             return P
-        if P.x == Q.x:
-            if P.y != Q.y or not P.y:
-                return Point.infinity()
-            lam = (3 * P.x * P.x + self.a) / (2 * P.y)
+        K = self.field
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if y1 != y2 or y1 == K._neg(y1):
+                return None
+            num = K._add(K._mul(K._coerce(3), K._mul(x1, x1)), self.a.value)
+            lam = K._mul(num, K._inv(K._mul(K._coerce(2), y1)))
         else:
-            lam = (Q.y - P.y) / (Q.x - P.x)
-        x3 = lam * lam - P.x - Q.x
-        y3 = lam * (P.x - x3) - P.y
-        return Point(x3, y3)
+            lam = K._mul(K._sub(y2, y1), K._inv(K._sub(x2, x1)))
+        x3 = K._sub(K._sub(K._mul(lam, lam), x1), x2)
+        return (x3, K._sub(K._mul(lam, K._sub(x1, x3)), y1))
+
+    def _neg_raw(self, P):
+        if P is None:
+            return None
+        return (P[0], self.field._neg(P[1]))
+
+    def _scalar_mul_raw(self, n, P):
+        return scale(n, P, self._add_raw, self._neg_raw, None)
+
+    def _box(self, P):
+        """The Point of a raw value pair; values are trusted to be reduced."""
+        if P is None:
+            return Point.infinity()
+        return Point(FieldElement(self.field, P[0]), FieldElement(self.field, P[1]))
 
     def negate(self, P):
         self.require_on_curve(P)
@@ -198,7 +231,7 @@ class EllipticCurve:
         return self._scalar_mul_unchecked(n, P)
 
     def _scalar_mul_unchecked(self, n, P):
-        return scale(n, P, self._add_unchecked, self._negate_unchecked, Point.infinity())
+        return self._box(self._scalar_mul_raw(n, P._raw()))
 
     def _negate_unchecked(self, P):
         if P.is_infinity:
@@ -206,29 +239,44 @@ class EllipticCurve:
         return Point(P.x, -P.y)
 
     def enumerate_points(self, caps=DEFAULT_CAPS):
-        """All points over a finite field, by x-sweep with a square-root table."""
-        if not self.field.is_finite:
+        """All points over a finite field, sorted, by x-sweep with a square-root table.
+
+        The sweep runs on raw values.  Field values come in ascending sort key,
+        so each x's roots ascend and the points come out sorted, O first.
+        """
+        K = self.field
+        if not K.is_finite:
             raise UnsupportedField("point enumeration needs a finite field")
-        if self.field.size > caps.field_size:
-            raise BoundExceeded("field size %d exceeds cap" % self.field.size)
+        if K.size > caps.field_size:
+            raise BoundExceeded("field size %d exceeds cap" % K.size)
+        a, b = self.a.value, self.b.value
         roots = {}
-        for z in self.field.elements():
-            roots.setdefault((z * z).value, []).append(z)
+        for z in K._values():
+            roots.setdefault(K._mul(z, z), []).append(FieldElement(K, z))
         points = [Point.infinity()]
-        for x in self.field.elements():
-            rhs = x * x * x + self.a * x + self.b
-            for y in roots.get(rhs.value, []):
-                points.append(Point(x, y))
-        points.sort(key=Point.sort_key)
+        for x in K._values():
+            ys = roots.get(K._add(K._mul(K._add(K._mul(x, x), a), x), b))
+            if ys:
+                boxed = FieldElement(K, x)
+                points.extend([Point(boxed, y) for y in ys])
         return points
 
     def enumerate_factors(self, caps=DEFAULT_CAPS):
         """Each factor's points, enumerated once: [the curve's own points]."""
         return [self.enumerate_points(caps)]
 
+    def _point_orders(self, points):
+        """The order of each point of the complete list of a finite group, in order.
+
+        One element_orders walk on the raw values.
+        """
+        raw = [P._raw() for P in points]
+        orders = element_orders(raw, self._add_raw, None)
+        return [orders[r] for r in raw]
+
     def group_structure(self, caps=DEFAULT_CAPS):
         points = self.enumerate_points(caps)
-        orders = element_orders(points, self._add_unchecked, Point.infinity())
+        orders = dict(zip(points, self._point_orders(points)))
         return structure_rank2(orders, self._add_unchecked, Point.infinity())
 
     def __eq__(self, other):

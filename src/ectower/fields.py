@@ -265,6 +265,12 @@ class Field:
         return self.element(1)
 
     def elements(self):
+        """Every element of a finite field, in ascending sort key."""
+        for value in self._values():
+            yield FieldElement(self, value)
+
+    def _values(self):
+        """The raw values behind elements(), in the same order."""
         raise UnsupportedField("cannot enumerate an infinite field")
 
     @property
@@ -370,9 +376,8 @@ class PrimeField(Field):
     def _sort_key(self, a):
         return a
 
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
+    def _values(self):
+        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -409,7 +414,9 @@ class ExtField(Field):
         if modulus is None:
             modulus = find_irreducible(p, degree, caps)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            if any(type(c) is not int for c in modulus):
+                raise TypeError("modulus %s has a non-integer entry" % quote(modulus))
+            modulus = tuple(c % p for c in modulus)
             if len(modulus) != degree + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree %d" % degree)
             if not is_irreducible(modulus, p):
@@ -442,30 +449,59 @@ class ExtField(Field):
         return self.base.p**self.degree
 
     def _coerce(self, value):
+        p = self.base.p
         if isinstance(value, int):
-            value = [value]
+            return (value % p,) + (0,) * (self.degree - 1)
         if isinstance(value, (list, tuple)) and len(value) > self.degree:
             raise ValueError("coefficient vector longer than degree")
         if not isinstance(value, (list, tuple)) or not all(isinstance(c, int) for c in value):
             raise TypeError("cannot coerce %r into %r" % (value, self))
-        p = self.base.p
         return tuple([c % p for c in value] + [0] * (self.degree - len(value)))
 
     def _add(self, a, b):
         p = self.base.p
+        if self.degree == 2:
+            (a0, a1), (b0, b1) = a, b
+            return ((a0 + b0) % p, (a1 + b1) % p)
         return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         p = self.base.p
+        if self.degree == 2:
+            (a0, a1), (b0, b1) = a, b
+            return ((a0 - b0) % p, (a1 - b1) % p)
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _mul(self, a, b):
+        """a*b; the convolution and its folds are unrolled for k = 2, 3 and 4."""
         p = self.base.p
-        if self.degree == 2:  # the convolution and its one fold, unrolled
+        k = self.degree
+        if k == 2:
             (a0, a1), (b0, b1), ((r0, r1),) = a, b, self._rows
             h = a1 * b1
             return ((a0 * b0 + h * r0) % p, (a0 * b1 + a1 * b0 + h * r1) % p)
-        k = self.degree
+        if k == 3:
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            (r0, r1, r2), (s0, s1, s2) = self._rows
+            c3 = a1 * b2 + a2 * b1
+            c4 = a2 * b2
+            return (
+                (a0 * b0 + c3 * r0 + c4 * s0) % p,
+                (a0 * b1 + a1 * b0 + c3 * r1 + c4 * s1) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + c3 * r2 + c4 * s2) % p,
+            )
+        if k == 4:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+            (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3) = self._rows
+            c4 = a1 * b3 + a2 * b2 + a3 * b1
+            c5 = a2 * b3 + a3 * b2
+            c6 = a3 * b3
+            return (
+                (a0 * b0 + c4 * r0 + c5 * s0 + c6 * t0) % p,
+                (a0 * b1 + a1 * b0 + c4 * r1 + c5 * s1 + c6 * t1) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + c4 * r2 + c5 * s2 + c6 * t2) % p,
+                (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c4 * r3 + c5 * s3 + c6 * t3) % p,
+            )
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
@@ -484,6 +520,9 @@ class ExtField(Field):
 
     def _neg(self, a):
         p = self.base.p
+        if self.degree == 2:
+            a0, a1 = a
+            return (-a0 % p, -a1 % p)
         return tuple([-x % p for x in a])
 
     def _inv(self, a):
@@ -510,9 +549,8 @@ class ExtField(Field):
     def _sort_key(self, a):
         return a
 
-    def elements(self):
-        for value in itertools.product(range(self.base.p), repeat=self.degree):
-            yield FieldElement(self, value)
+    def _values(self):
+        return itertools.product(range(self.base.p), repeat=self.degree)
 
     def __eq__(self, other):
         return (

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import ExtField, PrimeField, QQ
-from .groups import element_orders, structure_rank2
+from .groups import structure_rank2
 from .curves import EllipticCurve, Point
 from .torsion import rational_torsion_points
 
@@ -253,11 +253,11 @@ def _point_counts(curve, degrees):
 def _kernel(curve, n, caps):
     """E[n] over the curve's own field as {point: order}, in enumeration order.
 
-    Enumerates once, walks the orders once, and keeps P when ord(P) divides n.
+    Enumerates once, walks the orders once on raw values, and keeps P when
+    ord(P) divides n.
     """
     points = curve.enumerate_points(caps)
-    orders = element_orders(points, curve._add_unchecked, Point.infinity())
-    return {P: orders[P] for P in points if n % orders[P] == 0}
+    return {P: d for P, d in zip(points, curve._point_orders(points)) if n % d == 0}
 
 
 def fiber(f, z, field=None, caps=DEFAULT_CAPS):
@@ -281,11 +281,19 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     V = realized.variety
     z = _embed_point(f.variety, z, K)
     V.require_on_curve(z)
-    # enumerated points lie on their factor by construction
+    # enumerated points lie on their factor by construction; each factor's
+    # map y -> m*y + c runs on raw values
     hits = [
-        [y for y in points if _affine(curve, m, y, c) == target]
+        [
+            y
+            for y in points
+            if curve._add_raw(curve._scalar_mul_raw(m, y._raw()), c) == target
+        ]
         for curve, points, c, target in zip(
-            V.factors, V.enumerate_factors(caps), V.split(realized.c), V.split(z)
+            V.factors,
+            V.enumerate_factors(caps),
+            [q._raw() for q in V.split(realized.c)],
+            [q._raw() for q in V.split(z)],
         )
     ]
     return [V.assemble(t) for t in itertools.product(*hits)]

@@ -44,6 +44,28 @@ def o_add(a, b, P, Q):
     return (x3, y3)
 
 
+def boxed_add(curve, P, Q):
+    """P + Q on a curve's own points by the affine formula in boxed field elements.
+
+    The reference for the curve's raw-value group law: every step is an
+    operator on the package's field elements, and the result is built with
+    the points' own type, so no raw value or raw method is involved.
+    """
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    if P.x == Q.x:
+        if P.y != Q.y or not P.y:
+            return curve.identity()
+        lam = (3 * P.x * P.x + curve.a) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    y3 = lam * (P.x - x3) - P.y
+    return type(P)(x3, y3)
+
+
 def o_mul(a, b, n, P):
     if n < 0:
         return o_mul(a, b, -n, o_neg(P))
@@ -275,6 +297,18 @@ def _poly_inverse(a, m, p):
         return None
     inv = pow(r0[0], p - 2, p)
     return tuple(c * inv % p for c in s0)
+
+
+def fq_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def fq_sub(a, b, p):
+    return tuple((x - y) % p for x, y in zip(a, b))
+
+
+def fq_neg(a, p):
+    return tuple((p - x) % p for x in a)
 
 
 def _fq_pad(c, f):

@@ -1,13 +1,16 @@
-import pytest
+import functools
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from ectower.errors import MixedFields, PointNotOnCurve, UnsupportedField
 from ectower.fields import QQ, ExtField, PrimeField
+from ectower.groups import scale
 
-from oracles import o_add, o_mul
+from oracles import boxed_add, o_add, o_mul
 
 F5 = PrimeField(5)
 E_Q = EllipticCurve(QQ, 0, 1)  # y^2 = x^3 + 1
@@ -204,3 +207,105 @@ def test_group_law_matches_fraction_oracle(m, n):
     else:
         assert (Fraction(got.x.value.num, got.x.value.den),
                 Fraction(got.y.value.num, got.y.value.den)) == expected
+
+
+# the raw-value group law against the boxed affine formula in tests/oracles.py
+F25_DEFAULT = ExtField(F5, 2)
+F625 = ExtField(F5, 4)
+F343 = ExtField(PrimeField(7), 3)
+F239_2 = ExtField(PrimeField(239), 2)
+E_MX = EllipticCurve(QQ, -1, 0)  # y^2 = x^3 - x: rank 0, torsion (Z/2)^2
+RAW_LAW_CURVES = [
+    EllipticCurve(K, a, b)
+    for K in (F5, F25_DEFAULT, F625, PrimeField(7), F343)
+    for a, b in ((0, 1), (-1, 0))
+] + [EllipticCurve(F239_2, 0, 1), E17, E_MX]
+
+
+@functools.lru_cache(maxsize=None)
+def _raw_law_points(index):
+    """Every point of a finite curve; small multiples and sums of points over Q."""
+    curve = RAW_LAW_CURVES[index]
+    if curve.field.is_finite:
+        return curve.enumerate_points()
+    if curve is E_MX:
+        return [Point.infinity(), qpt(0, 0), qpt(1, 0), qpt(-1, 0)]
+    P, Q = qpt(-2, 3), qpt(-1, 4)
+    points = {
+        boxed_add(curve, _oracle_scale(curve, m, P), _oracle_scale(curve, n, Q))
+        for m in range(-2, 3)
+        for n in range(-1, 2)
+    }
+    return sorted(points, key=Point.sort_key)
+
+
+def _oracle_scale(curve, n, P):
+    if n < 0 and not P.is_infinity:
+        return _oracle_scale(curve, -n, Point(P.x, -P.y))
+    acc = curve.identity()
+    for _ in range(abs(n)):
+        acc = boxed_add(curve, acc, P)
+    return acc
+
+
+@st.composite
+def _raw_law_case(draw):
+    index = draw(st.integers(0, len(RAW_LAW_CURVES) - 1))
+    curve, points = RAW_LAW_CURVES[index], _raw_law_points(index)
+    # indices, not sampled_from, which hashes the whole list on every draw
+    P, Q = (points[draw(st.integers(0, len(points) - 1))] for _ in range(2))
+    case = draw(st.sampled_from(["any", "double", "opposite", "O left", "O right", "2-torsion"]))
+    if case == "double":
+        Q = P
+    elif case == "opposite":
+        Q = curve._negate_unchecked(P)
+    elif case == "O left":
+        P = Point.infinity()
+    elif case == "O right":
+        Q = Point.infinity()
+    elif case == "2-torsion":
+        # y^2 = x^3 + 17 has no rational 2-torsion point
+        P = draw(st.sampled_from(_halves(index) or [P]))
+        Q = draw(st.sampled_from([P, Q]))
+    return curve, P, Q, draw(st.integers(-7, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_law_case())
+def test_raw_group_law_agrees_with_the_boxed_formula(case):
+    curve, P, Q, n = case
+    expected = boxed_add(curve, P, Q)
+    assert curve._box(curve._add_raw(P._raw(), Q._raw())) == expected
+    assert curve._add_unchecked(P, Q) == expected
+    multiple = _oracle_scale(curve, n, P)
+    raw = scale(n, P._raw(), curve._add_raw, curve._neg_raw, None)
+    assert curve._box(raw) == multiple
+    assert curve._scalar_mul_unchecked(n, P) == multiple
+
+
+@functools.lru_cache(maxsize=None)
+def _halves(index):
+    return [R for R in _raw_law_points(index) if not R.is_infinity and not R.y]
+
+
+def test_raw_group_law_covers_every_case_on_every_field():
+    # each case class the hypothesis test draws, on every curve it draws from
+    for index, curve in enumerate(RAW_LAW_CURVES):
+        points = _raw_law_points(index)
+        P = next((R for R in points if not R.is_infinity and R.y), points[-1])
+        cases = [(P, P), (P, curve._negate_unchecked(P)), (Point.infinity(), P),
+                 (P, Point.infinity())]
+        for T in _halves(index):
+            assert curve._add_raw(T._raw(), T._raw()) is None
+            cases += [(T, T), (T, P), (P, T)]
+        assert len(cases) > 4 or curve is E17
+        for left, right in cases:
+            assert curve._add_unchecked(left, right) == boxed_add(curve, left, right)
+
+
+@pytest.mark.parametrize("K", [PrimeField(7), F25_DEFAULT, F625, F343], ids=repr)
+def test_enumeration_comes_out_sorted(K):
+    for a, b in ((0, 1), (-1, 0), (1, 3)):
+        points = EllipticCurve(K, a, b).enumerate_points()
+        assert points == sorted(points, key=Point.sort_key)
+        assert len(set(points)) == len(points)

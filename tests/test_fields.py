@@ -19,7 +19,7 @@ from ectower.fields import (
 )
 from ectower.serialize import parse_field
 
-from oracles import fq_inv, fq_mul, fq_pow
+from oracles import fq_add, fq_inv, fq_mul, fq_neg, fq_pow, fq_sub
 
 F5 = PrimeField(5)
 F25 = ExtField(F5, 2, modulus=(3, 0, 1))  # x^2 - 2 over F_5
@@ -286,6 +286,9 @@ def test_extension_kernels_agree_with_the_oracle(case):
     K, a, b, n = case
     p, f = K.base.p, K.modulus
     assert K._mul(a, b) == fq_mul(a, b, f, p)
+    assert K._add(a, b) == fq_add(a, b, p)
+    assert K._sub(a, b) == fq_sub(a, b, p)
+    assert K._neg(a) == fq_neg(a, p)
     assert K._frobenius(a) == fq_pow(a, p, f, p)
     x = K.element(list(a))
     if any(a):
@@ -296,3 +299,33 @@ def test_extension_kernels_agree_with_the_oracle(case):
             K._inv(a)
         if n >= 0:
             assert (x**n).value == fq_pow(a, n, f, p)
+
+
+@pytest.mark.parametrize("K", ORACLE_FIELDS, ids=repr)
+def test_every_kernel_branch_agrees_with_the_oracle(K):
+    # each unrolled degree (k = 2, 3, 4) and the generic one, under default
+    # and explicit moduli, on a seeded sample with the extreme coefficients
+    p, f = K.base.p, K.modulus
+    rng = random.Random(K.degree * 1000 + p)
+    values = [(0,) * K.degree, (p - 1,) * K.degree] + [
+        tuple(rng.randrange(p) for _ in range(K.degree)) for _ in range(60)
+    ]
+    for a, b in zip(values, values[1:] + values[:1]):
+        assert K._mul(a, b) == fq_mul(a, b, f, p)
+        assert K._add(a, b) == fq_add(a, b, p)
+        assert K._sub(a, b) == fq_sub(a, b, p)
+        assert K._neg(a) == fq_neg(a, p)
+
+
+def test_field_values_ascend_like_the_elements():
+    for K in ORACLE_FIELDS:
+        values = list(K._values())
+        assert values == sorted(values) and len(values) == K.size
+        assert [x.value for x in K.elements()] == values
+
+
+def test_explicit_modulus_entries_must_be_integers():
+    for modulus in (("2", 0, 1.9), (2, 0, 1.0), (2, False, True), [2, 0, F5.element(1)]):
+        with pytest.raises(TypeError):
+            ExtField(F5, 2, modulus)
+    assert ExtField(F5, 2, [7, 5, 6]).modulus == (2, 0, 1)

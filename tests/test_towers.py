@@ -10,8 +10,8 @@ from ectower.errors import (
     RamifiedCharacteristic,
     UnsupportedField,
 )
-from ectower.fields import QQ, ExtField, PrimeField
-from ectower import groups, towers
+from ectower.fields import QQ, ExtField, FieldElement, PrimeField
+from ectower import curves, groups, towers
 from ectower.towers import (
     Tower,
     _point_counts,
@@ -333,7 +333,7 @@ def _count_order_walks(monkeypatch):
         calls.append(len(args[0]))
         return original(*args, **kwargs)
 
-    for module in (groups, towers):
+    for module in (groups, curves):
         monkeypatch.setattr(module, "element_orders", counted)
     return calls
 
@@ -344,6 +344,24 @@ def test_deck_group_walks_each_factor_once(monkeypatch):
     g = deck_group(TwistedMulMap(24, O, E5), field=K)
     assert g.invariant_factors == (24, 24)
     assert walks == [576]  # one walk of E(F_{5^4}), none for the kernel's structure
+
+
+def test_deck_group_boxes_few_field_elements(monkeypatch):
+    # the walk runs on raw values: E(F_{5^4}) has 576 points, and the call
+    # boxes fewer than four field elements per point
+    K = full_torsion_field(E5, 24)
+    f = TwistedMulMap(24, O, E5)
+    built = []
+    init = FieldElement.__init__
+
+    def counted(self, field, value):
+        built.append(field)
+        init(self, field, value)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    g = deck_group(f, field=K)
+    assert g.invariant_factors == (24, 24)
+    assert len(built) < 4 * 576
 
 
 def test_deck_group_walks_each_product_factor_once(monkeypatch):
