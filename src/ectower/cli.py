@@ -363,8 +363,9 @@ def _cmd_verify(payload, opts, caps):
         raise SchemaError("no certificate objects found in the input")
     results = []
     failures = 0
+    memo = serialize.VerifyMemo()
     for path, obj in found:
-        ok, kind, reason = serialize.verify_certificate(obj, caps)
+        ok, kind, reason = serialize.verify_certificate(obj, caps, memo)
         entry = {"path": path, "kind": kind, "ok": ok}
         if not ok:
             entry["reason"] = reason

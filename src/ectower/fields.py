@@ -459,17 +459,32 @@ class ExtField(Field):
         return tuple([c % p for c in value] + [0] * (self.degree - len(value)))
 
     def _add(self, a, b):
+        """a + b; unrolled for k = 2, 3 and 4, as are _sub and _neg."""
         p = self.base.p
-        if self.degree == 2:
+        k = self.degree
+        if k == 2:
             (a0, a1), (b0, b1) = a, b
             return ((a0 + b0) % p, (a1 + b1) % p)
+        if k == 3:
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            return ((a0 + b0) % p, (a1 + b1) % p, (a2 + b2) % p)
+        if k == 4:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+            return ((a0 + b0) % p, (a1 + b1) % p, (a2 + b2) % p, (a3 + b3) % p)
         return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         p = self.base.p
-        if self.degree == 2:
+        k = self.degree
+        if k == 2:
             (a0, a1), (b0, b1) = a, b
             return ((a0 - b0) % p, (a1 - b1) % p)
+        if k == 3:
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            return ((a0 - b0) % p, (a1 - b1) % p, (a2 - b2) % p)
+        if k == 4:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+            return ((a0 - b0) % p, (a1 - b1) % p, (a2 - b2) % p, (a3 - b3) % p)
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _mul(self, a, b):
@@ -520,9 +535,16 @@ class ExtField(Field):
 
     def _neg(self, a):
         p = self.base.p
-        if self.degree == 2:
+        k = self.degree
+        if k == 2:
             a0, a1 = a
             return (-a0 % p, -a1 % p)
+        if k == 3:
+            a0, a1, a2 = a
+            return (-a0 % p, -a1 % p, -a2 % p)
+        if k == 4:
+            a0, a1, a2, a3 = a
+            return (-a0 % p, -a1 % p, -a2 % p, -a3 % p)
         return tuple([-x % p for x in a])
 
     def _inv(self, a):

@@ -38,7 +38,11 @@ class NonIsoCertificate:
     difference: object
     non_torsion: NonTorsionCertificate
 
-    def verify(self):
+    def verify(self, replay=None):
+        """Check the level, the difference and its variety, then replay the inner certificate.
+
+        replay(certificate) -> bool replays it; None means its own verify.
+        """
         A, B = self.tower_a, self.tower_b
         if A.variety != B.variety or A.N != B.N:
             return False
@@ -50,7 +54,7 @@ class NonIsoCertificate:
             return False
         if self.non_torsion.variety != V or self.non_torsion.point != diff:
             return False
-        return self.non_torsion.verify()
+        return self.non_torsion.verify() if replay is None else replay(self.non_torsion)
 
 
 @dataclass(frozen=True)

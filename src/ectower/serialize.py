@@ -9,6 +9,8 @@ Every certificate kind serialized here re-verifies from its own JSON alone:
 parsing rebuilds the objects and verify_certificate replays the arithmetic.
 """
 
+import json
+
 from .config import DEFAULT_CAPS
 from .errors import EctowerError, SchemaError, quote
 from .fields import QQ, ExtField, PrimeField, Rational, parse_decimal
@@ -227,10 +229,10 @@ def parse_tower(obj, caps=DEFAULT_CAPS):
         raise SchemaError("tower: %s" % exc) from None
 
 
-def parse_tower_pair(obj, where, caps=DEFAULT_CAPS):
+def parse_tower_pair(obj, where, caps=DEFAULT_CAPS, memo=None):
     if not isinstance(obj, list) or len(obj) != 2:
         raise SchemaError("%s: 'towers' must hold two towers" % where)
-    return parse_tower(obj[0], caps), parse_tower(obj[1], caps)
+    return _parse(parse_tower, obj[0], caps, memo), _parse(parse_tower, obj[1], caps, memo)
 
 
 # --- groups -------------------------------------------------------------------
@@ -342,22 +344,22 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
     return NonTorsionCertificate(V, P, tuple(evidence), factor=factor)
 
 
-def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS):
+def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     _require_keys(
         obj,
         "non-iso certificate",
         ("certificate", "towers", "level", "difference", "non_torsion"),
     )
-    A, B = parse_tower_pair(obj["towers"], "non-iso certificate", caps)
+    A, B = parse_tower_pair(obj["towers"], "non-iso certificate", caps, memo)
     level = _require_int(obj["level"], "non-iso certificate: level must be an integer")
     diff = parse_point(A.variety, obj["difference"], "difference")
-    inner = parse_non_torsion_certificate(obj["non_torsion"], caps)
+    inner = _parse(parse_non_torsion_certificate, obj["non_torsion"], caps, memo)
     return NonIsoCertificate(A, B, level, diff, inner)
 
 
-def parse_witness(obj, caps=DEFAULT_CAPS):
+def parse_witness(obj, caps=DEFAULT_CAPS, memo=None):
     _require_keys(obj, "tower-iso witness", ("certificate", "towers", "translations"))
-    A, B = parse_tower_pair(obj["towers"], "tower-iso witness", caps)
+    A, B = parse_tower_pair(obj["towers"], "tower-iso witness", caps, memo)
     if not isinstance(obj["translations"], list):
         raise SchemaError("tower-iso witness: translations must be a list")
     points, certs = [], []
@@ -372,28 +374,73 @@ def parse_witness(obj, caps=DEFAULT_CAPS):
     return TowerIsoWitness(A, B, tuple(points), tuple(certs))
 
 
-def verify_certificate(obj, caps=DEFAULT_CAPS):
+class VerifyMemo:
+    """The parses and replay verdicts of one verify run over a JSON document.
+
+    A report repeats towers and certificates: each non_iso pair of a
+    corollary-demo report holds two of the family's towers and a non_torsion
+    certificate that the report also lists on its own.  Through one memo a
+    distinct subtree is parsed once, keyed on the parser, the caps and its
+    canonical JSON, and a distinct certificate is replayed once, keyed on its
+    parsed, frozen value.  Keys are exact content, never identity or
+    position; a parse or replay that raises keeps nothing.
+    """
+
+    def __init__(self):
+        self._parsed = {}
+        self._verdicts = {}
+
+    def parse(self, parse, obj, caps):
+        try:
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        except (TypeError, ValueError, RecursionError):
+            # not JSON, past int-to-str's digit limit or past the stack: no key
+            return parse(obj, caps)
+        key = (parse, caps, text)
+        if key not in self._parsed:
+            self._parsed[key] = parse(obj, caps)
+        return self._parsed[key]
+
+    def replay(self, cert):
+        ok = self._verdicts.get(cert)
+        if ok is None:
+            ok = self._verdicts[cert] = cert.verify()
+        return ok
+
+
+def _parse(parse, obj, caps, memo):
+    """parse(obj, caps), through memo when there is one."""
+    return parse(obj, caps) if memo is None else memo.parse(parse, obj, caps)
+
+
+def _replay(cert, replay):
+    """cert.verify(), through replay when there is one."""
+    return cert.verify() if replay is None else replay(cert)
+
+
+def verify_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     """Re-run the arithmetic of one serialized certificate.
 
     Returns (ok, kind, reason); reason is None when the certificate holds.
+    memo, a VerifyMemo, shares parses and replays with the other
+    certificates of one run; the verdict is the same with or without it.
     """
     if not isinstance(obj, dict) or "certificate" not in obj:
         return False, None, "not a certificate object"
     kind = obj["certificate"]
+    replay = None if memo is None else memo.replay
     try:
         if kind == "torsion":
-            ok = parse_torsion_certificate(obj, caps).verify()
+            ok = _replay(_parse(parse_torsion_certificate, obj, caps, memo), replay)
             return ok, kind, None if ok else "torsion replay failed"
         if kind == "non_torsion":
-            cert = parse_non_torsion_certificate(obj, caps)
-            ok = cert.verify()
+            ok = _replay(_parse(parse_non_torsion_certificate, obj, caps, memo), replay)
             return ok, kind, None if ok else "non-torsion replay failed"
         if kind == "non_iso":
-            cert = parse_non_iso_certificate(obj, caps)
-            ok = cert.verify()
+            ok = parse_non_iso_certificate(obj, caps, memo).verify(replay)
             return ok, kind, None if ok else "non-iso replay failed"
         if kind == "tower_iso":
-            witness = parse_witness(obj, caps)
+            witness = parse_witness(obj, caps, memo)
             report = verify_witness(witness.tower_a, witness.tower_b, witness)
             return report.ok, kind, None if report.ok else "; ".join(report.failures)
         return False, kind, "unknown certificate kind"
