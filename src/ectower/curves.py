@@ -244,11 +244,8 @@ class EllipticCurve:
         The sweep runs on raw values.  Field values come in ascending sort key,
         so each x's roots ascend and the points come out sorted, O first.
         """
+        self._require_field_within(caps)
         K = self.field
-        if not K.is_finite:
-            raise UnsupportedField("point enumeration needs a finite field")
-        if K.size > caps.field_size:
-            raise BoundExceeded("field size %d exceeds cap" % K.size)
         a, b = self.a.value, self.b.value
         roots = {}
         for z in K._values():
@@ -260,6 +257,14 @@ class EllipticCurve:
                 boxed = FieldElement(K, x)
                 points.extend([Point(boxed, y) for y in ys])
         return points
+
+    def _require_field_within(self, caps):
+        """Refuse an infinite field, or a finite one above the field-size cap."""
+        K = self.field
+        if not K.is_finite:
+            raise UnsupportedField("point enumeration needs a finite field")
+        if K.size > caps.field_size:
+            raise BoundExceeded("field size %d exceeds cap" % K.size)
 
     def enumerate_factors(self, caps=DEFAULT_CAPS):
         """Each factor's points, enumerated once: [the curve's own points]."""

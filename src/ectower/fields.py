@@ -277,6 +277,59 @@ class Field:
     def is_finite(self):
         return self.size is not None
 
+    def _pow(self, a, n):
+        """a^n for n >= 0 on raw values, by square-and-multiply."""
+        acc = self._coerce(1)
+        while n:
+            if n & 1:
+                acc = self._mul(acc, a)
+            n >>= 1
+            if n:
+                a = self._mul(a, a)
+        return acc
+
+    def _non_residue(self):
+        """The first non-square value of a finite field of odd order, in _values order."""
+        minus_one, half = self._coerce(-1), (self.size - 1) // 2
+        for z in self._values():
+            if self._pow(z, half) == minus_one:  # Euler's criterion
+                return z
+        raise ArithmeticError("a field of odd order has non-squares")
+
+    def _sqrt(self, a, z):
+        """A square root of a raw value a, or None when a is not a square.
+
+        Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+        Theory, 1.5.1) in a finite field of odd order q = 2^s * t + 1, t odd,
+        with z a non-square: x = a^((t+1)/2) is a root up to the 2-power
+        part b = a^t, which each step clears with a power of z^t.  a is a
+        non-square exactly when b has order 2^s.
+        """
+        one = self._coerce(1)
+        if a == self._coerce(0):
+            return a
+        s, t = 0, self.size - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        c = self._pow(z, t)
+        x = self._pow(a, (t + 1) // 2)
+        b = self._pow(a, t)
+        while b != one:
+            i, d = 0, b
+            while d != one:
+                d = self._mul(d, d)
+                i += 1
+                if i == s:
+                    return None
+            g = c
+            for _ in range(s - i - 1):
+                g = self._mul(g, g)
+            x = self._mul(x, g)
+            c = self._mul(g, g)
+            b = self._mul(b, c)
+            s = i
+        return x
+
 
 class RationalField(Field):
     """The field of exact rationals."""
@@ -378,6 +431,10 @@ class PrimeField(Field):
 
     def _values(self):
         return range(self.p)
+
+    def _random(self, rng):
+        """A uniformly drawn value, from a random.Random."""
+        return rng.randrange(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -529,8 +586,28 @@ class ExtField(Field):
         return tuple([c % p for c in prod[:k]])
 
     def _frobenius(self, a):
-        """a^p, which is linear over F_p: the Frobenius matrix times a."""
+        """a^p, which is linear over F_p: the Frobenius matrix times a; unrolled for k = 3, 4."""
         p = self.base.p
+        k = self.degree
+        if k == 3:
+            a0, a1, a2 = a
+            (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = self._frobenius_rows
+            return (
+                (a0 * r0 + a1 * r1 + a2 * r2) % p,
+                (a0 * s0 + a1 * s1 + a2 * s2) % p,
+                (a0 * t0 + a1 * t1 + a2 * t2) % p,
+            )
+        if k == 4:
+            a0, a1, a2, a3 = a
+            (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = (
+                self._frobenius_rows
+            )
+            return (
+                (a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3) % p,
+                (a0 * s0 + a1 * s1 + a2 * s2 + a3 * s3) % p,
+                (a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3) % p,
+                (a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3) % p,
+            )
         return tuple([sum(map(operator.mul, a, row)) % p for row in self._frobenius_rows])
 
     def _neg(self, a):
@@ -573,6 +650,10 @@ class ExtField(Field):
 
     def _values(self):
         return itertools.product(range(self.base.p), repeat=self.degree)
+
+    def _random(self, rng):
+        p = self.base.p
+        return tuple([rng.randrange(p) for _ in range(self.degree)])
 
     def __eq__(self, other):
         return (
@@ -647,14 +728,7 @@ class FieldElement:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return (self ** (-n)).inverse()
-        acc = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return FieldElement(self.field, self.field._pow(self.value, n))
 
     def inverse(self):
         return FieldElement(self.field, self.field._inv(self.value))

@@ -452,15 +452,38 @@ def verify_certificate(obj, caps=DEFAULT_CAPS, memo=None):
         return False, kind, "%s: %s" % (type(exc).__name__, exc)
 
 
-def find_certificates(obj, path="$"):
-    """All embedded certificate objects in a report, with their JSON paths."""
+def find_certificates(obj):
+    """All embedded certificate objects in a report, with their JSON paths.
+
+    Depth first, dict keys in sorted order.  Only dicts and lists are
+    visited, so point coordinates and other scalars never are, and a path
+    is spelled out only for a node that holds a certificate.
+    """
     found = []
-    if isinstance(obj, dict):
-        if "certificate" in obj and isinstance(obj["certificate"], str):
-            found.append((path, obj))
-        for key in sorted(obj):
-            found.extend(find_certificates(obj[key], "%s.%s" % (path, key)))
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            found.extend(find_certificates(item, "%s[%d]" % (path, i)))
-    return found
+    if isinstance(obj, (dict, list)):
+        _find_certificates(obj, None, found)
+    return [(_json_path(trail), node) for trail, node in found]
+
+
+def _find_certificates(node, trail, found):
+    """Append (trail, node) for each certificate at or below a dict or list node."""
+    if isinstance(node, dict):
+        if isinstance(node.get("certificate"), str):
+            found.append((trail, node))
+        for key in sorted(node):
+            child = node[key]
+            if isinstance(child, (dict, list)):
+                _find_certificates(child, (trail, ".%s", key), found)
+    else:
+        for i, child in enumerate(node):
+            if isinstance(child, (dict, list)):
+                _find_certificates(child, (trail, "[%d]", i), found)
+
+
+def _json_path(trail):
+    """The path, like $.a[0].b, of a trail of (parent, format, step) links."""
+    steps = []
+    while trail is not None:
+        trail, form, step = trail
+        steps.append(form % step)
+    return "$" + "".join(reversed(steps))

@@ -14,6 +14,8 @@ only be sampled through a known rational preimage and are flagged as such.
 
 import dataclasses
 import itertools
+import math
+import random
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
@@ -25,7 +27,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import ExtField, PrimeField, QQ
-from .groups import structure_rank2
+from .groups import FiniteAbelianGroup, factorize, structure_rank2
 from .curves import EllipticCurve, Point
 from .torsion import rational_torsion_points
 
@@ -203,8 +205,8 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     skipped unless n | p^k - 1 and n^2 | #E(F_{p^k}) on every curve factor,
     two necessary conditions (Weil pairing; Silverman, AEC III.8) read off
     the point counts without building the field.  A degree that passes is
-    confirmed by counting the kernel of multiplication by n over it; the
-    kernel is full once it has n^2 points on every curve factor.
+    confirmed on every curve factor by a basis of E[n] over it, or, when
+    none turns up, by counting the kernel of multiplication by n.
     """
     base = V.field
     if base == QQ:
@@ -223,7 +225,7 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
         K = extension_field(base, k, caps)
-        if all(len(_kernel(realize_variety(c, K), n, caps)) == n * n for c in V.factors):
+        if all(_has_full_torsion(realize_variety(c, K), n, caps) for c in V.factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)
 
@@ -248,6 +250,167 @@ def _point_counts(curve, degrees):
         counts.append(p**k + 1 - s)
         s_prev, s = s, a_p * s - p * s_prev
     return counts
+
+
+# x-coordinates _torsion_basis draws before it leaves the field to _kernel
+_BASIS_DRAWS = 64
+
+
+def _has_full_torsion(curve, n, caps):
+    """E[n] lies in E(K): proved by a basis, else decided by counting the kernel."""
+    return _torsion_basis(curve, n) is not None or len(_kernel(curve, n, caps)) == n * n
+
+
+def _curve_order(curve):
+    """#E(K) for a curve over K = F_{p^k} with coefficients in F_p; None otherwise."""
+    K = curve.field
+    if K.base is None:
+        return _point_counts(curve, 1)[0]
+    a, b = curve.a.value, curve.b.value
+    if any(a[1:]) or any(b[1:]):
+        return None
+    return _point_counts(EllipticCurve(K.base, a[0], b[0]), K.degree)[-1]
+
+
+def _torsion_basis(curve, m):
+    """Raw points (P, Q) spanning E[m] over the curve's own field K, or None.
+
+    Enumerates nothing.  With #E(K) known, m^2 | #E(K) and m | #K - 1, it
+    draws points with a fixed seed: x at random, y by Tonelli-Shanks.  For
+    each prime q | m it takes the point's q-primary part and multiplies it
+    by q until q^v kills it, v = v_q(m), keeping it when its image in E[q]
+    is new: the first image nonzero, the second off the first's line.  The
+    basis is the sum of the kept parts over q.  It is accepted by
+    _spans_torsion, which proves <P, Q> = E[m] (Washington, Elliptic Curves,
+    3.2).  Gives None, for _kernel to decide, when #E(K) is unknown, the
+    counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
+    m = 1, whose kernel {O} has no prime to certify and is one point.
+    """
+    K = curve.field
+    order = _curve_order(curve)
+    if m == 1 or order is None or order % (m * m) or (K.size - 1) % m:
+        return None
+    primes = factorize(m)
+    mul = curve._scalar_mul_raw
+    # #E(K) = prime_to_m * m_part, m_part the product of the q-parts q^e, q | m
+    exponents = factorize(order)
+    m_part = math.prod(q ** exponents[q] for q in primes)
+    prime_to_m = order // m_part
+    kept = {q: [] for q in primes}
+    lines = {}  # q: the q multiples of the first kept image in E[q]
+    rng = random.Random(0)
+    z = K._non_residue()
+    a, b = curve.a.value, curve.b.value
+    for _ in range(_BASIS_DRAWS):
+        x = K._random(rng)
+        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b), z)
+        if y is None:
+            continue
+        T = mul(prime_to_m, (x, y))
+        for q, v in primes.items():
+            if len(kept[q]) == 2:
+                continue
+            # R, qR, ..., O: R has order q^t, and q^(t-v) R is killed by q^v
+            chain = [mul(m_part // q ** exponents[q], T)]
+            while chain[-1] is not None:
+                chain.append(mul(q, chain[-1]))
+            t = len(chain) - 1
+            if t < v or chain[t - 1] in lines.get(q, ()):
+                continue
+            if not kept[q]:
+                lines[q] = _multiples(curve, chain[t - 1], q)
+            kept[q].append(chain[t - v])
+        if all(len(pair) == 2 for pair in kept.values()):
+            P = Q = None
+            for Pq, Qq in kept.values():
+                P, Q = curve._add_raw(P, Pq), curve._add_raw(Q, Qq)
+            if not _spans_torsion(curve, m, P, Q):
+                raise ArithmeticError("sampled parts do not span E[%d]" % m)
+            return P, Q
+    return None
+
+
+def _multiples(curve, u, q):
+    """{O, u, 2u, ..., (q-1)u} on raw values."""
+    out = {None}
+    acc = None
+    for _ in range(q - 1):
+        acc = curve._add_raw(acc, u)
+        out.add(acc)
+    return out
+
+
+def _spans_torsion(curve, m, P, Q):
+    """<P, Q> = E[m] for raw points P, Q of a curve in characteristic prime to m.
+
+    mP = mQ = O puts both in E[m], which is (Z/m)^2 over the algebraic
+    closure.  For each prime q | m, multiplication by m/q maps E[m]/qE[m]
+    isomorphically onto E[q], so (m/q)P != O and (m/q)Q outside
+    <(m/q)P> say that P, Q span E[m] modulo q; by Nakayama they then span
+    its q-primary part, and over all q they span E[m].
+    """
+    mul = curve._scalar_mul_raw
+    if mul(m, P) is not None or mul(m, Q) is not None:
+        return False
+    for q in factorize(m):
+        u = mul(m // q, P)
+        if u is None or mul(m // q, Q) in _multiples(curve, u, q):
+            return False
+    return True
+
+
+def _torsion_generators(curve, m, P, Q):
+    """structure_rank2's generators (g1, g2) of E[m] = {aP + bQ}, as Points.
+
+    ord(aP + bQ) = m / gcd(a, b, m), so aP + bQ has order m exactly when
+    (a, b) is nonzero mod every prime q | m, and two such elements generate
+    E[m] exactly when their determinant is a unit mod m: when their
+    reductions lie on different lines of F_q^2 for every q.  One pass over
+    the m^2 grid keeps g2, the largest element of order m, and the smallest
+    element of order m on each tuple of lines; g1 is the smallest of those
+    whose lines all differ from g2's.  Raw pairs compare as Point.sort_key
+    orders affine points.
+    """
+    primes = sorted(factorize(m))
+    r = math.prod(primes)
+    classes = list(itertools.product(*[range(q + 1) for q in primes]))
+    index = {c: i for i, c in enumerate(classes)}
+
+    def line_class(a, b):
+        # the line through (a, b) mod q is (1 : b/a), or (0 : 1) = q when a = 0
+        lines = []
+        for q in primes:
+            a_q, b_q = a % q, b % q
+            if not a_q and not b_q:
+                return None
+            lines.append(b_q * pow(a_q, -1, q) % q if a_q else q)
+        return index[tuple(lines)]
+
+    table = [[line_class(a, b) for b in range(r)] for a in range(r)]
+    add = curve._add_raw
+    smallest = [None] * len(classes)
+    g2 = g2_class = None
+    row = None  # aP
+    for a in range(m):
+        row_classes = table[a % r]
+        R = row  # aP + bQ
+        for b in range(m):
+            c = row_classes[b % r]
+            if c is not None:
+                if g2 is None or R > g2:
+                    g2, g2_class = R, c
+                if smallest[c] is None or R < smallest[c]:
+                    smallest[c] = R
+            if b < m - 1:
+                R = add(R, Q)
+        if a < m - 1:
+            row = add(row, P)
+    g1 = min(
+        s
+        for c, s in zip(classes, smallest)
+        if s is not None and all(x != y for x, y in zip(c, classes[g2_class]))
+    )
+    return curve._box(g1), curve._box(g2)
 
 
 def _kernel(curve, n, caps):
@@ -331,8 +494,10 @@ def rational_fiber(f, through, caps=DEFAULT_CAPS):
 def deck_group(f, field=None, caps=DEFAULT_CAPS):
     """Translations t with f(y + t) = f(y) for all y: the full m-torsion.
 
-    Returns the invariant factors (m, ..., m), 2g of them, with generator
-    witnesses found by exhaustive kernel enumeration over the realization.
+    Returns the invariant factors (m, ..., m), 2g of them, with the
+    generator witnesses structure_rank2 would pick from the enumerated
+    kernel.  Each curve factor's are read off the grid of a basis of E[m]
+    (_torsion_generators); a factor with no basis is enumerated instead.
     Raises IncompleteTorsion when the field does not carry all of V[m],
     reporting the defect per curve factor.
     """
@@ -346,11 +511,16 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     V = realize_variety(f.variety, K)
     parts = []
     for j, curve in enumerate(V.factors):
-        kernel = _kernel(curve, m, caps)
-        if len(kernel) != m * m:
-            raise IncompleteTorsion(
-                "factor %d has %d of %d torsion points over %r"
-                % (j, len(kernel), m * m, K)
-            )
-        parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
+        curve._require_field_within(caps)
+        basis = _torsion_basis(curve, m)
+        if basis is None:
+            kernel = _kernel(curve, m, caps)
+            if len(kernel) != m * m:
+                raise IncompleteTorsion(
+                    "factor %d has %d of %d torsion points over %r"
+                    % (j, len(kernel), m * m, K)
+                )
+            parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
+        else:
+            parts.append(FiniteAbelianGroup((m, m), _torsion_generators(curve, m, *basis)))
     return V.group_from_parts(parts)

@@ -337,3 +337,21 @@ def fq_pow(a, n, f, p):
     for _ in range(n):
         acc = fq_mul(acc, a, f, p)
     return acc
+
+
+def find_certificates(obj, path="$"):
+    """Every dict holding a string "certificate", with its JSON path.
+
+    The plain recursion: it formats a path for every node and descends into
+    every value, scalars included.
+    """
+    found = []
+    if isinstance(obj, dict):
+        if "certificate" in obj and isinstance(obj["certificate"], str):
+            found.append((path, obj))
+        for key in sorted(obj):
+            found.extend(find_certificates(obj[key], "%s.%s" % (path, key)))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            found.extend(find_certificates(item, "%s[%d]" % (path, i)))
+    return found

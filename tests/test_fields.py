@@ -329,3 +329,28 @@ def test_explicit_modulus_entries_must_be_integers():
         with pytest.raises(TypeError):
             ExtField(F5, 2, modulus)
     assert ExtField(F5, 2, [7, 5, 6]).modulus == (2, 0, 1)
+
+
+@pytest.mark.parametrize("p, k", [(5, 3), (5, 4), (7, 3)])
+def test_unrolled_frobenius_on_every_element(p, k):
+    K = ExtField(PrimeField(p), k)
+    for a in K._values():
+        matrix = tuple(sum(x * r for x, r in zip(a, row)) % p for row in K._frobenius_rows)
+        assert K._frobenius(a) == matrix == (K.element(list(a)) ** p).value
+
+
+@pytest.mark.parametrize(
+    "K", [F5, PrimeField(239), ExtField(F5, 4), ExtField(PrimeField(7), 3)], ids=repr
+)
+def test_tonelli_shanks_against_squaring_every_element(K):
+    roots = {}
+    for x in K._values():
+        roots.setdefault(K._mul(x, x), set()).add(x)
+    z = K._non_residue()
+    assert z not in roots
+    for a in K._values():
+        r = K._sqrt(a, z)
+        if a in roots:
+            assert r in roots[a]
+        else:
+            assert r is None

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from ectower.cli import main
 from ectower.curves import EllipticCurve, Point, ProductVariety
 from ectower.errors import SchemaError
 from ectower.fields import QQ, ExtField, PrimeField, Rational
@@ -24,6 +27,8 @@ from ectower.serialize import (
 )
 from ectower.torsion import torsion_test_Q
 from ectower.towers import Tower
+
+import oracles
 
 O = Point.infinity()
 
@@ -221,3 +226,23 @@ def test_extension_coefficients_are_json_integers(x, b):
     for bad in (bad_point, bad_curve):
         ok, kind, reason = verify_certificate(bad)
         assert not ok and reason.startswith("schema: "), reason
+
+
+def test_find_certificates_agrees_with_the_plain_recursion(tmp_path):
+    # same (path, object) list in the same order, on the golden corpus and on
+    # a count-11 corollary-demo report (111 certificates)
+    sources = sorted(GOLDEN.glob("*.report.json")) + sorted(GOLDEN.glob("verify-*.job.json"))
+    reports = [json.loads(path.read_text()) for path in sources]
+    job = dict(json.loads((GOLDEN / "corollary-demo-4.job.json").read_text()), count=11)
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corollary-demo", "--input", str(tmp_path / "job.json"),
+                     "--output", str(out)]) == 0
+    reports.append(json.loads(out.read_text()))
+    assert len(find_certificates(reports[-1])) == 111
+    for report in reports:
+        found = find_certificates(report)
+        assert found == oracles.find_certificates(report)
+        assert all(a is b for (_, a), (_, b) in zip(found, oracles.find_certificates(report)))
+    assert find_certificates("certificate") == [] == find_certificates([1, "x", None])

@@ -10,11 +10,16 @@ from ectower.errors import (
     RamifiedCharacteristic,
     UnsupportedField,
 )
+from ectower.config import DEFAULT_CAPS, Caps
 from ectower.fields import QQ, ExtField, FieldElement, PrimeField
 from ectower import curves, groups, towers
+from ectower.groups import divisors, structure_rank2
+from ectower.serialize import group_to_json
 from ectower.towers import (
     Tower,
+    _kernel,
     _point_counts,
+    _torsion_basis,
     TwistedMulMap,
     deck_group,
     extension_field,
@@ -338,12 +343,16 @@ def _count_order_walks(monkeypatch):
     return calls
 
 
-def test_deck_group_walks_each_factor_once(monkeypatch):
+def test_deck_group_at_24_enumerates_nothing(monkeypatch):
+    # a basis of E[24] and the 576-point grid: no enumeration, no order walk
     K = full_torsion_field(E5, 24)
     walks = _count_order_walks(monkeypatch)
+    enumerated = _count_calls(monkeypatch, EllipticCurve, "enumerate_points")
+    added = _count_calls(monkeypatch, EllipticCurve, "_add_raw")
     g = deck_group(TwistedMulMap(24, O, E5), field=K)
     assert g.invariant_factors == (24, 24)
-    assert walks == [576]  # one walk of E(F_{5^4}), none for the kernel's structure
+    assert walks == [] and enumerated == []
+    assert len(added) <= 24 * 24 + 200
 
 
 def test_deck_group_boxes_few_field_elements(monkeypatch):
@@ -364,15 +373,98 @@ def test_deck_group_boxes_few_field_elements(monkeypatch):
     assert len(built) < 4 * 576
 
 
-def test_deck_group_walks_each_product_factor_once(monkeypatch):
+def test_deck_group_walks_no_product_factor(monkeypatch):
     X = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
     K = full_torsion_field(X, 6)
     walks = _count_order_walks(monkeypatch)
     g = deck_group(TwistedMulMap(6, X.identity(), X), field=K)
     assert g.invariant_factors == (6, 6, 6, 6)
-    assert walks == [36, 36]
+    assert walks == []
 
 
 def test_deck_group_never_over_Q():
     with pytest.raises(UnsupportedField):
         deck_group(TwistedMulMap(2, O, E_Q))
+
+
+# --- deck groups from a basis, against the enumerated kernel ----------------------
+
+
+def _kernel_structure(curve, m):
+    """The oracle: structure_rank2 over the enumerated kernel of [m], None if not full."""
+    kernel = _kernel(curve, m, DEFAULT_CAPS)
+    if len(kernel) != m * m:
+        return None
+    return structure_rank2(kernel, curve._add_unchecked, O)
+
+
+def _full_kernel_sizes(curve):
+    """The m with E[m] inside E(K): the divisors of E(K)'s first invariant factor."""
+    factors = curve.group_structure().invariant_factors
+    return divisors(factors[0] if len(factors) == 2 else 1)
+
+
+def _full_kernel_degrees(E, degrees):
+    """{m: the least k <= degrees with E[m] inside E(F_{p^k})}, by enumeration."""
+    first = {}
+    for k in range(1, degrees + 1):
+        for m in _full_kernel_sizes(realize_variety(E, extension_field(E.field, k))):
+            first.setdefault(m, k)
+    return first
+
+
+def _curves(p):
+    out = []
+    for a in range(p):
+        for b in range(p):
+            if (4 * a**3 + 27 * b**2) % p:
+                out.append(EllipticCurve(PrimeField(p), a, b))
+    return out
+
+
+@pytest.mark.parametrize("p, degrees", [(5, 4), (7, 3)])
+def test_deck_group_and_field_match_the_enumerated_kernel(p, degrees):
+    # every curve over F_p, every m with a full kernel over some F_{p^k}:
+    # the same field, invariant factors and generators as structure_rank2
+    caps = Caps(extension_degree=degrees)
+    F = PrimeField(p)
+    fields = [extension_field(F, k) for k in range(1, degrees + 1)]
+    for E in _curves(p):
+        for m, k in _full_kernel_degrees(E, degrees).items():
+            assert full_torsion_field(E, m, caps) == fields[k - 1], (E, m)
+            for K in fields[k - 1 :]:
+                want = _kernel_structure(realize_variety(E, K), m)
+                if want is None:
+                    continue
+                got = deck_group(TwistedMulMap(m, O, E), field=K)
+                assert got.invariant_factors == want.invariant_factors, (E, K, m)
+                assert got.generators == want.generators, (E, K, m)
+
+
+def test_product_deck_group_matches_the_enumerated_kernels():
+    X = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
+    for k in (1, 2, 4):
+        K = extension_field(F5, k)
+        XK = realize_variety(X, K)
+        full = set.intersection(*[set(_full_kernel_sizes(c)) for c in XK.factors])
+        assert full == set(divisors({1: 1, 2: 6, 4: 24}[k]))
+        for m in full:
+            want = XK.group_from_parts([_kernel_structure(c, m) for c in XK.factors])
+            got = deck_group(TwistedMulMap(m, X.identity(), X), field=K)
+            assert got.invariant_factors == want.invariant_factors
+            assert got.generators == want.generators
+
+
+def test_unbalanced_primary_part_takes_the_enumeration():
+    # y^2 = x^3 + 3x + 2 over F_{7^3} is Z/6 x Z/54: its 3-part Z/3 x Z/27 puts
+    # every sampled 3-part, multiplied into E[3], on one line, so no basis of
+    # E[3] turns up and the kernel is enumerated, with the same report bytes
+    E = EllipticCurve(PrimeField(7), 3, 2)
+    K = extension_field(PrimeField(7), 3)
+    EK = realize_variety(E, K)
+    assert EK.group_structure().invariant_factors == (6, 54)
+    for m in (3, 6):
+        assert _torsion_basis(EK, m) is None
+        got = group_to_json(deck_group(TwistedMulMap(m, O, E), field=K), K, 2)
+        assert got == group_to_json(_kernel_structure(EK, m), K, 2)
+    assert _torsion_basis(EK, 2) is not None
