@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, ZeroVector
 from .groups import FiniteAbelianGroup
-from .towers import deck_group, full_torsion_field
+from .towers import deck_invariant_factors, full_torsion_field
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,14 @@ def separates(vector, bound):
 def match_deck(tower, i, field=None, caps=DEFAULT_CAPS):
     """Compare the deck group of the level-i composite cover with (Z/i!)^(2g).
 
-    The deck group is computed over the given finite-field realization, or
-    over an automatically found full-i!-torsion field; IncompleteTorsion
-    propagates rather than ever producing a false positive.
+    The deck group's invariant factors are computed over the given
+    finite-field realization, or over an automatically found full-i!-torsion
+    field, with no generators; IncompleteTorsion propagates rather than ever
+    producing a false positive.
     """
     lattice = LatticeGroup(2 * tower.variety.dimension)
     composite = tower.compose_to_base(i)
     if field is None:
         field = full_torsion_field(tower.variety, composite.m, caps)
-    deck = deck_group(composite, field=field, caps=caps)
-    return deck.invariant_factors == quotient(lattice, i, caps).group.invariant_factors
+    deck = deck_invariant_factors(composite, field=field, caps=caps)
+    return deck == quotient(lattice, i, caps).group.invariant_factors

@@ -9,6 +9,7 @@ reports; all sampling is driven by the mandatory seed, which defaults to 0.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -74,7 +75,9 @@ def main(argv=None):
     return code
 
 
+@functools.cache
 def _build_parser():
+    """The CLI's parser, built at the first main call and kept: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="ectower",
         description="towers of covers of elliptic curves, with certificates",

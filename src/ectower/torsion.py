@@ -1,10 +1,13 @@
 """Certified torsion and non-torsion decisions for points.
 
 Over Q the decision is total: a point of finite order has order in
-{1..10, 12} (Mazur), so twelve exact multiplications either exhibit the
-order or certify non-torsion.  The full rational torsion subgroup comes
-from the Nagell-Lutz bound on an integral model: torsion points have
-integer coordinates with y = 0 or y^2 dividing 16*(4a^3 + 27b^2).
+{1..10, 12} (Mazur), so its first twelve multiples either exhibit the order
+or certify non-torsion.  On an integral model they come from the division
+polynomials psi_m evaluated at the point in integer arithmetic, one gcd per
+coordinate; anywhere else (O, y = 0, products, non-integral curves, points
+off the curve) the point is added to itself.  The full rational torsion
+subgroup comes from the Nagell-Lutz bound on an integral model: torsion
+points have integer coordinates with y = 0 or y^2 dividing 16*(4a^3 + 27b^2).
 
 Certificates carry the evidence needed to replay the arithmetic and are
 re-verified from their own data, never trusted.
@@ -49,7 +52,7 @@ class TorsionCertificate:
 def _admissible(V, P, order):
     """Whether P can have this order, decided with bounded work before the replay.
 
-    Over Q each coordinate shows its order within twelve additions (Mazur)
+    Over Q each coordinate shows its order within twelve multiples (Mazur)
     and P's order is their lcm, so only that order is admitted; a coordinate
     of infinite order is refused here, before multiplying it by the claimed
     order grows heights without bound.  Over F_q each factor has at most
@@ -95,7 +98,7 @@ class NonTorsionCertificate:
         return V.factors[self.factor], V.split(self.point)[self.factor]
 
     def verify(self):
-        """Replay by one walk of the tracked point: twelve additions.
+        """Replay by one walk of the tracked point through its twelve multiples.
 
         The walk's evidence must equal the certificate's, so the claimed
         m are exactly the Mazur orders, every m*P matches, and none is O.
@@ -117,8 +120,9 @@ class NonTorsionCertificate:
 def torsion_test_Q(V, P):
     """Decide torsion over Q: TorsionCertificate or NonTorsionCertificate.
 
-    Each factor's coordinate is added to itself up to twelve times; the
-    first coordinate with no vanishing Mazur multiple is the evidence.
+    Each factor's coordinate is walked through its first twelve multiples
+    (_mazur_walk); the first coordinate with no vanishing Mazur multiple is
+    the evidence.
     """
     if V.field != QQ:
         raise UnsupportedField("torsion decision by admissible orders needs Q")
@@ -133,11 +137,82 @@ def torsion_test_Q(V, P):
 
 
 def _mazur_walk(curve, P):
-    """(order, evidence) for a point of a curve over Q, by adding P to itself.
+    """(order, evidence) for a point of a curve over Q, from division values.
 
     The order is the first m <= 12 with m*P = O, or None when no Mazur order
     vanishes; evidence lists (m, m*P) for the Mazur orders m passed before.
-    The curve may be a product, whose identity is not Point.infinity().
+    With P = (a/e^2, b/e^3) and W_m from _division_values (Washington,
+    Elliptic Curves, Thm 3.6):
+
+        x(m*P) = (a*W_m^2 - W_{m-1}*W_{m+1}) / (e^2 * W_m^2)
+        y(m*P) = (W_{m+2}*W_{m-1}^2 - W_{m-2}*W_{m+1}^2) / (4*b * W_m^3 * e^3)
+
+    each reduced by one gcd.  Where there are no division values the walk
+    adds P to itself instead (_walk_by_addition), with the same result.
+    """
+    W = _division_values(curve, P)
+    if W is None:
+        return _walk_by_addition(curve, P)
+    x, y = P.x.value, P.y.value
+    evidence = []
+    for m in MAZUR_ORDERS:
+        w = W[m]
+        if not w:
+            return m, evidence
+        w2 = w * w
+        mx = Rational(x.num * w2 - W[m - 1] * W[m + 1], x.den * w2)
+        my = Rational(
+            W[m + 2] * W[m - 1] ** 2 - W[m - 2] * W[m + 1] ** 2, 4 * y.num * w2 * w * y.den
+        )
+        evidence.append((m, curve._box((mx, my))))
+    return None, evidence
+
+
+def _division_values(curve, P):
+    """{m: W_m} for m = -1..14, W_m = e^(m^2 - 1) * psi_m(P), or None.
+
+    For y^2 = x^3 + A*x + B with integral A, B and P = (a/e^2, b/e^3), psi_m
+    is the m-th division polynomial (Washington, Elliptic Curves, 3.2).  It
+    is weighted homogeneous of weight m^2 - 1 when x, y, A, B weigh 2, 3, 4,
+    6, so the W_m are integers in a, b, A*e^4, B*e^6 with psi_m's recursion,
+    and m*P = O exactly when W_m = 0.  None, for the walk by addition, when
+    P is O or a product point or has y = 0, when the curve has non-integral
+    coefficients, when P's denominators are not e^2 and e^3 or P is off the
+    curve, or when a division by 2b leaves a remainder.
+    """
+    if not isinstance(P, Point) or P.is_infinity:
+        return None
+    A, B = curve.a.value, curve.b.value
+    x, y = P.x.value, P.y.value
+    e = math.isqrt(x.den)
+    if A.den != 1 or B.den != 1 or e * e != x.den or y.den != e**3 or not y:
+        return None
+    a, b = x.num, y.num
+    A, B = A.num * e**4, B.num * e**6
+    if b * b != a**3 + A * a + B:
+        return None
+    W = {-1: -1, 0: 0, 1: 1, 2: 2 * b}
+    W[3] = 3 * a**4 + 6 * A * a**2 + 12 * B * a - A**2
+    W[4] = (
+        4 * b
+        * (a**6 + 5 * A * a**4 + 20 * B * a**3 - 5 * A**2 * a**2 - 4 * A * B * a - 8 * B**2 - A**3)
+    )
+    for n in range(5, 15):
+        k = n // 2
+        if n % 2:
+            W[n] = W[k + 2] * W[k] ** 3 - W[k - 1] * W[k + 1] ** 3
+        else:
+            W[n], r = divmod(W[k] * (W[k + 2] * W[k - 1] ** 2 - W[k - 2] * W[k + 1] ** 2), 2 * b)
+            if r:
+                return None
+    return W
+
+
+def _walk_by_addition(curve, P):
+    """_mazur_walk's result by adding P to itself up to twelve times.
+
+    It takes any variety, also a product, whose identity is not
+    Point.infinity(), and any point, also one off the curve.
     """
     evidence = []
     acc = curve.identity()

@@ -502,6 +502,35 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     reporting the defect per curve factor.
     """
     m = f.multiplier
+    V, found = _full_torsion(f, field, caps)
+    parts = []
+    for curve, basis, kernel in found:
+        if basis is None:
+            parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
+        else:
+            parts.append(FiniteAbelianGroup((m, m), _torsion_generators(curve, m, *basis)))
+    return V.group_from_parts(parts)
+
+
+def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS):
+    """deck_group(f, field, caps).invariant_factors, with no generators.
+
+    Once every factor's E[m] is shown to lie in E(K), by a basis or by its
+    kernel, the deck group is (Z/m)^(2g), so no grid is walked.  Refuses
+    exactly as deck_group does.
+    """
+    V, _ = _full_torsion(f, field, caps)
+    return FiniteAbelianGroup([f.multiplier] * (2 * V.dimension)).invariant_factors
+
+
+def _full_torsion(f, field, caps):
+    """f's variety over the realization field K, and (curve, basis, kernel) per factor.
+
+    basis is _torsion_basis's pair, or None when the factor was enumerated
+    and kernel is its {point: order} table.  Raises IncompleteTorsion when
+    K's characteristic divides m or a factor's E[m] is not all in E(K).
+    """
+    m = f.multiplier
     K = _realization_field(f, field)
     if m % K.characteristic == 0:
         raise IncompleteTorsion(
@@ -509,10 +538,11 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
             % (K.characteristic, m)
         )
     V = realize_variety(f.variety, K)
-    parts = []
+    found = []
     for j, curve in enumerate(V.factors):
         curve._require_field_within(caps)
         basis = _torsion_basis(curve, m)
+        kernel = None
         if basis is None:
             kernel = _kernel(curve, m, caps)
             if len(kernel) != m * m:
@@ -520,7 +550,5 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
                     "factor %d has %d of %d torsion points over %r"
                     % (j, len(kernel), m * m, K)
                 )
-            parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
-        else:
-            parts.append(FiniteAbelianGroup((m, m), _torsion_generators(curve, m, *basis)))
-    return V.group_from_parts(parts)
+        found.append((curve, basis, kernel))
+    return V, found

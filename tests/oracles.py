@@ -66,6 +66,25 @@ def boxed_add(curve, P, Q):
     return type(P)(x3, y3)
 
 
+def mazur_walk(curve, P):
+    """(order, evidence) of the Mazur walk, by adding P to itself up to twelve times.
+
+    The reference for the walk from division values: the first m <= 12 with
+    m*P = O, skipping 11, or None; evidence is (m, m*P) for every Mazur order
+    m passed before.  It works on any variety and on points off the curve.
+    """
+    evidence = []
+    acc = curve.identity()
+    for m in range(1, 13):
+        acc = curve._add_unchecked(acc, P)
+        if m == 11:
+            continue
+        if acc.is_infinity:
+            return m, evidence
+        evidence.append((m, acc))
+    return None, evidence
+
+
 def o_mul(a, b, n, P):
     if n < 0:
         return o_mul(a, b, -n, o_neg(P))

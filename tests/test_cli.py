@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ectower import cli
 from ectower.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -529,15 +530,19 @@ def test_job_knobs_refuse_json_true(tmp_path, command, payload, knob):
     assert code in (0, 1) and "error" not in report
 
 
-def _run_text(tmp_path, command, text, timeout):
-    job = tmp_path / "job.json"
-    job.write_bytes(text if isinstance(text, bytes) else text.encode())
+def _fresh_process(args, timeout):
+    """python args in a new interpreter that imports this checkout's ectower."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "ectower", command, "--input", str(job), "--json"],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def _run_text(tmp_path, command, text, timeout):
+    job = tmp_path / "job.json"
+    job.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return _fresh_process(["-m", "ectower", command, "--input", str(job), "--json"], timeout)
 
 
 @pytest.mark.parametrize("depth", [995, 1000])
@@ -659,3 +664,33 @@ def test_malformed_jobs_exit_2(tmp_path, command, payload):
     code, report = _run_refusal(tmp_path, command, payload)
     assert code == 2
     assert report["kind"] == "SchemaError"
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built at the first main call, not at import, and kept;
+    # argparse's exits 2 (an unknown flag, two exclusive flags) leave nothing
+    # in it, so each call gives the bytes of a fresh process
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"g": 1, "max_level": 2}))
+    calls = [
+        ["chain-check", "--input", str(job), "--json", "--bogus"],
+        ["chain-check", "--input", str(job), "--json", "--seed", "3"],
+        ["chain-check", "--input", str(job), "--json", "--text"],
+        ["chain-check", "--input", str(job), "--text"],
+    ]
+    codes = []
+    for argv in calls:
+        fresh = _fresh_process(["-m", "ectower", *argv], 60)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+    imported = _fresh_process(
+        ["-c", "import ectower.cli as c; print(c._build_parser.cache_info().currsize)"], 60
+    )
+    assert imported.stdout == "0\n"

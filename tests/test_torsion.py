@@ -24,7 +24,7 @@ from ectower.torsion import (
     torsion_test_Q,
 )
 
-from oracles import nagell_lutz_torsion, o_mul, o_order
+from oracles import mazur_walk, nagell_lutz_torsion, o_mul, o_order
 
 E1 = EllipticCurve(QQ, 0, 1)
 EMX = EllipticCurve(QQ, -1, 0)
@@ -399,3 +399,105 @@ def test_every_golden_non_torsion_certificate_still_verifies():
             else:
                 seen["curve"] += 1
     assert all(seen.values()), seen
+
+
+# --- the walk from division values, against the walk by addition ----------------
+
+# a torsion point of each Mazur order on a short Weierstrass model over Q:
+# (A, B, x, y, order); 8, 9, 10 and 12 come from Kubert's Tate normal forms at t = 2
+MAZUR_EXAMPLES = [
+    (0, 1, 0, 1, 3),
+    (4, 0, 2, 4, 4),  # y^2 = x^3 + 4x
+    (-432, 8208, -12, 108, 5),
+    (0, 1, 2, 3, 6),
+    (-43, 166, 3, 8, 7),
+    (-44091, 3304854, -141, -2592, 8),
+    (-219, 1654, -13, -48, 9),
+    (-58347, 3954150, -213, -2592, 10),
+    (-33339627, 73697852646, 3027, -22680, 12),
+]
+# points of infinite order on curves with A != 0
+E_A = [
+    (EllipticCurve(QQ, -2, 5), qpt(1, 2)),
+    (EllipticCurve(QQ, -43, 166), qpt(3, 8)),  # order 7
+    (EllipticCurve(QQ, 1, 1), qpt(0, 1)),
+    (EllipticCurve(QQ, -7, 10), qpt(1, 2)),
+]
+
+
+def _division_path(monkeypatch):
+    """The points that took the walk by addition during the test."""
+    walked = []
+    walk = torsion._walk_by_addition
+
+    def counted(curve, P):
+        walked.append(P)
+        return walk(curve, P)
+
+    monkeypatch.setattr(torsion, "_walk_by_addition", counted)
+    return walked
+
+
+def test_walk_matches_the_oracle_on_multiples_of_a_non_torsion_point(monkeypatch):
+    walked = _division_path(monkeypatch)
+    P = qpt(-2, 3)
+    for d in range(1, 12):
+        for Q in (E17.scalar_mul(d, P), E17.scalar_mul(-d, P)):
+            assert torsion._mazur_walk(E17, Q) == mazur_walk(E17, Q), d
+    assert walked == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(E_A), st.integers(-9, 9))
+def test_walk_matches_the_oracle_on_curves_with_a_linear_term(curve_point, d):
+    curve, P = curve_point
+    Q = curve.scalar_mul(d, P)
+    assert torsion._mazur_walk(curve, Q) == mazur_walk(curve, Q)
+
+
+def test_walk_finds_every_mazur_order_from_division_values(monkeypatch):
+    walked = _division_path(monkeypatch)
+    for A, B, x, y, order in MAZUR_EXAMPLES:
+        assert o_order(A, B, (Fraction(x), Fraction(y))) == order
+        curve = EllipticCurve(QQ, A, B)
+        for P in (qpt(x, y), qpt(x, -y)):
+            walk = torsion._mazur_walk(curve, P)
+            assert walk[0] == order
+            assert walk == mazur_walk(curve, P)
+    assert walked == []
+
+
+def _fallbacks():
+    # each point below that is off its curve would be on it if the walk
+    # read only the numerators: (0, 1) on y^2 = x^3 + x + 1, (-2, 3) on E17
+    X = ProductVariety([E1, E17])
+    return [
+        (E17, Point.infinity()),
+        (EMX, qpt(0, 0)),  # y = 0
+        (X, ProductPoint([qpt(2, 3), qpt(-2, 3)])),
+        (X, X.identity()),
+        (EllipticCurve(QQ, Rational(1, 2), 1), qpt(0, 1)),
+        (E17, qpt(1, 1)),  # off the curve
+        (E17, qpt(Rational(-2, 3), 3)),  # x's denominator is no square
+        (E17, qpt(-2, Rational(3, 2))),  # y's is not e^3
+    ]
+
+
+@pytest.mark.parametrize(
+    "curve, P", _fallbacks(),
+    ids=["O", "y=0", "product", "product-O", "non-integral", "off-curve", "den-x", "den-y"],
+)
+def test_every_fallback_walks_by_addition_as_the_oracle(monkeypatch, curve, P):
+    walked = _division_path(monkeypatch)
+    assert torsion._mazur_walk(curve, P) == mazur_walk(curve, P)
+    assert walked == [P]
+
+
+def test_a_remainder_in_the_division_by_2b_walks_by_addition(monkeypatch):
+    # on the curve the division is exact; a divmod that leaves a remainder
+    # stands in for a point where it is not
+    walked = _division_path(monkeypatch)
+    P = E17.scalar_mul(3, qpt(-2, 3))
+    monkeypatch.setattr(torsion, "divmod", lambda n, d: (n // d, 1), raising=False)
+    assert torsion._mazur_walk(E17, P) == mazur_walk(E17, P)
+    assert walked == [P]

@@ -13,6 +13,7 @@ from ectower.errors import (
 from ectower.config import DEFAULT_CAPS, Caps
 from ectower.fields import QQ, ExtField, FieldElement, PrimeField
 from ectower import curves, groups, towers
+from ectower.chain import match_deck
 from ectower.groups import divisors, structure_rank2
 from ectower.serialize import group_to_json
 from ectower.towers import (
@@ -22,6 +23,7 @@ from ectower.towers import (
     _torsion_basis,
     TwistedMulMap,
     deck_group,
+    deck_invariant_factors,
     extension_field,
     fiber,
     full_torsion_field,
@@ -468,3 +470,43 @@ def test_unbalanced_primary_part_takes_the_enumeration():
         got = group_to_json(deck_group(TwistedMulMap(m, O, E), field=K), K, 2)
         assert got == group_to_json(_kernel_structure(EK, m), K, 2)
     assert _torsion_basis(EK, 2) is not None
+
+
+def _deck_outcome(deck, f, K):
+    """What deck(f, field=K) gives: its result, or the refusal's type and text."""
+    try:
+        return deck(f, field=K)
+    except IncompleteTorsion as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p, degrees", [(5, 4), (7, 3)])
+def test_deck_invariant_factors_agree_with_deck_group(monkeypatch, p, degrees):
+    # every curve over F_p and every m <= 8 over every F_{p^k}: the same
+    # invariant factors, or the same refusal, and no generator grid
+    fields = [extension_field(PrimeField(p), k) for k in range(1, degrees + 1)]
+    grids = _count_calls(monkeypatch, towers, "_torsion_generators")
+    want = {}
+    for E in _curves(p):
+        for m in range(1, 9):
+            for K in fields:
+                f = TwistedMulMap(m, O, E)
+                want[E, m, K] = _deck_outcome(deck_group, f, K)
+    assert grids and any(isinstance(w, tuple) for w in want.values())
+    del grids[:]
+    for (E, m, K), w in want.items():
+        got = _deck_outcome(deck_invariant_factors, TwistedMulMap(m, O, E), K)
+        assert got == (w if isinstance(w, tuple) else w.invariant_factors), (E, m, K)
+    assert grids == []
+
+
+def test_match_deck_walks_no_generator_grid(monkeypatch):
+    X = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
+    grids = _count_calls(monkeypatch, towers, "_torsion_generators")
+    for V in (E5, X):
+        tower = Tower(V, V.identity(), [V.identity()] * 5)
+        assert [match_deck(tower, i) for i in (1, 2, 3)] == [True] * 3
+        assert grids == []
+    tower = Tower(E5, O, [O] * 5)
+    with pytest.raises(IncompleteTorsion, match="factor 0 has 2 of 4 torsion points"):
+        match_deck(tower, 2, field=F5)

@@ -106,9 +106,13 @@ def test_verify_replays_each_distinct_certificate_once(tmp_path, monkeypatch):
 
     walk = torsion._mazur_walk
     monkeypatch.setattr(torsion, "_mazur_walk", counted)
+    # every difference lies on the integral model: no walk adds P to itself
+    added = []
+    monkeypatch.setattr(torsion, "_walk_by_addition", lambda curve, P: added.append(P))
     out = tmp_path / "verified.json"
     assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
     assert len(walks) == len(set(walks)) == 6
+    assert added == []
     assert source.read_bytes() == blob
     monkeypatch.undo()
     verified = json.loads(out.read_text())
