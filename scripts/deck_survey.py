@@ -15,15 +15,16 @@ import time
 
 from ectower import (
     EllipticCurve,
+    FiniteAbelianGroup,
     LatticeGroup,
     Point,
     PrimeField,
     Tower,
-    deck_group,
     full_torsion_field,
     quotient,
 )
 from ectower.errors import BoundExceeded, IncompleteTorsion
+from ectower.towers import deck_invariant_factors
 
 
 def main():
@@ -49,10 +50,12 @@ def main():
         start = time.perf_counter()
         try:
             step_field = full_torsion_field(curve, i)
-            step = deck_group(tower.level_map(i), field=step_field)
+            step = FiniteAbelianGroup(
+                deck_invariant_factors(tower.level_map(i), field=step_field)
+            )
             composite = tower.compose_to_base(i)
             comp_field = full_torsion_field(curve, composite.m)
-            comp = deck_group(composite, field=comp_field)
+            comp = FiniteAbelianGroup(deck_invariant_factors(composite, field=comp_field))
             expected = quotient(lattice, i).group
         except (BoundExceeded, IncompleteTorsion) as exc:
             print("level %d refused: %s" % (i, exc), file=sys.stderr)

@@ -213,11 +213,19 @@ def _cmd_iso(payload, opts, caps):
         if opts["N"] > min(A.N, B.N):
             raise SchemaError("cannot truncate to N=%d" % opts["N"])
         A, B = A.truncate(opts["N"]), B.truncate(opts["N"])
-    report = {"towers": [serialize.tower_to_json(A), serialize.tower_to_json(B)]}
+    memo = {}  # the certificate holds A and B themselves: one subtree each
+    report = {
+        "towers": [
+            serialize._shared(serialize.tower_to_json, A, memo),
+            serialize._shared(serialize.tower_to_json, B, memo),
+        ]
+    }
     verdict = classify_family([A, B], caps).verdicts[(0, 1)]
     report["status"] = verdict.status
     report["certificate"] = (
-        None if verdict.certificate is None else serialize.certificate_to_json(verdict.certificate)
+        None
+        if verdict.certificate is None
+        else serialize.certificate_to_json(verdict.certificate, memo)
     )
     return report, 1 if verdict.status == "non_iso" else 0
 
@@ -246,10 +254,11 @@ def _cmd_corollary_demo(payload, opts, caps):
         towers.append(Tower(V, V.identity(), [V.identity()] + [e_m] * N))
     result = classify_family(towers, caps)
     pairs = []
+    memo = {}  # one subtree per tower and per distinct difference's certificate
     for (i, j), verdict in sorted(result.verdicts.items()):
         entry = {"a": i + 1, "b": j + 1, "status": verdict.status}
         if verdict.certificate is not None:
-            entry["certificate"] = serialize.certificate_to_json(verdict.certificate)
+            entry["certificate"] = serialize.certificate_to_json(verdict.certificate, memo)
         pairs.append(entry)
     report = {
         "curve": serialize.variety_to_json(V),
@@ -397,13 +406,80 @@ _HANDLERS = {
 
 
 def _emit(report, args):
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    blob = _dumps(report) + "\n"
     if getattr(args, "output", None):
         _write_atomically(args.output, blob)
     if getattr(args, "json", False):
         sys.stdout.write(blob)
     else:
         sys.stdout.write(_render_text(report) + "\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj):
+    """A report's JSON text, byte for byte as json.dumps with sorted keys and indent 2.
+
+    With an indent, json encodes through a chain of pure-Python generators;
+    this writer appends pieces to one list.  A report shares subtrees (see
+    serialize._shared), so a container met again at the same depth is copied:
+    its first writing records only its span in the piece list, and the second
+    sighting joins that span once and keeps the text.  Reports hold str, int,
+    bool, None, lists, tuples and dicts with str keys; anything else raises
+    TypeError, floats included.  A cyclic report is never built.
+    """
+    out = []
+    _write(obj, "\n", out, {})
+    return "".join(out)
+
+
+def _write(obj, pad, out, spans):
+    """Append obj's pieces to out; pad is a newline and two spaces a level."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        key = (id(obj), len(pad))
+        seen = spans.get(key)
+        if seen is not None:
+            if len(seen) == 3:  # (obj, start, end) of its first writing
+                seen = spans[key] = (obj, "".join(out[seen[1] : seen[2]]))
+            out.append(seen[1])
+            return
+        start = len(out)
+        inner = pad + "  "
+        comma = "," + inner
+        sep = inner
+        if isinstance(obj, dict):
+            out.append("{")
+            for k in sorted(obj):
+                if not isinstance(k, str):
+                    raise TypeError("report keys must be str, not %s" % type(k).__name__)
+                out.append(sep + _encode_str(k) + ": ")
+                _write(obj[k], inner, out, spans)
+                sep = comma
+            out.append(pad + "}")
+        else:
+            out.append("[")
+            for item in obj:
+                out.append(sep)
+                _write(item, inner, out, spans)
+                sep = comma
+            out.append(pad + "]")
+        spans[key] = (obj, start, len(out))
+    else:
+        raise TypeError("%s is not allowed in a report" % type(obj).__name__)
 
 
 def _write_atomically(path, text):

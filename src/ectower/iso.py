@@ -49,7 +49,7 @@ class NonIsoCertificate:
         if not 1 <= self.level <= A.N:
             return False
         V = A.variety
-        diff = V.sub(A.points[self.level], B.points[self.level])
+        diff = _difference(V, A, B, self.level)
         if diff != self.difference:
             return False
         if self.non_torsion.variety != V or self.non_torsion.point != diff:
@@ -90,6 +90,11 @@ def _require_comparable(A, B):
         raise BaseMismatch("tower isomorphism testing is defined over Q")
 
 
+def _difference(V, A, B, i):
+    """e_i - e'_i of towers A and B over V, whose points Tower checked once."""
+    return V._add_unchecked(A.points[i], V._negate_unchecked(B.points[i]))
+
+
 def necessity_test(A, B, decide=None):
     """First non-torsion difference as a NonIsoCertificate, or None when all pass.
 
@@ -99,7 +104,7 @@ def necessity_test(A, B, decide=None):
     _require_comparable(A, B)
     V = A.variety
     for i in range(1, A.N + 1):
-        diff = V.sub(A.points[i], B.points[i])
+        diff = _difference(V, A, B, i)
         cert = decide(V, diff)
         if isinstance(cert, NonTorsionCertificate):
             return NonIsoCertificate(A, B, i, diff, cert)
@@ -128,7 +133,7 @@ def witness_search(A, B, caps=DEFAULT_CAPS, torsion=None, decide=None):
     _require_comparable(A, B)
     V = A.variety
     N = A.N
-    diffs = [V.sub(A.points[i], B.points[i]) for i in range(1, N + 1)]
+    diffs = [_difference(V, A, B, i) for i in range(1, N + 1)]
     for d in diffs:
         if isinstance(decide(V, d), NonTorsionCertificate):
             raise NotNecessaryFirst("a difference is non-torsion; run necessity_test")
@@ -188,7 +193,7 @@ def verify_witness(A, B, witness):
         if cert.variety != V or cert.point != t or not cert.verify():
             fail(i, "torsion certificate at level %d does not re-verify" % i)
     for i in range(1, N + 1):
-        d = V.sub(A.points[i], B.points[i])
+        d = _difference(V, A, B, i)
         recurrence_ok = ts[i - 1] == V.add(
             V.scalar_mul(i, ts[i]), V.scalar_mul(i - 1, d)
         )

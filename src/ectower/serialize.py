@@ -276,20 +276,43 @@ def non_torsion_certificate_to_json(cert):
     return out
 
 
-def non_iso_certificate_to_json(cert):
+def _shared(to_json, value, memo):
+    """to_json(value), once per value object when memo, a per-report dict, is given.
+
+    A report repeats objects: classify_family hands out one Tower per member
+    and one NonTorsionCertificate per distinct difference.  Entries are keyed
+    on identity and keep the value, so its id stays valid; the report then
+    holds one JSON subtree per shared value, which nothing mutates.
+    """
+    if memo is None:
+        return to_json(value)
+    key = (to_json, id(value))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (value, to_json(value))
+    return hit[1]
+
+
+def non_iso_certificate_to_json(cert, memo=None):
     return {
         "certificate": "non_iso",
-        "towers": [tower_to_json(cert.tower_a), tower_to_json(cert.tower_b)],
+        "towers": [
+            _shared(tower_to_json, cert.tower_a, memo),
+            _shared(tower_to_json, cert.tower_b, memo),
+        ],
         "level": cert.level,
         "difference": point_to_json(cert.difference),
-        "non_torsion": non_torsion_certificate_to_json(cert.non_torsion),
+        "non_torsion": _shared(non_torsion_certificate_to_json, cert.non_torsion, memo),
     }
 
 
-def witness_to_json(witness):
+def witness_to_json(witness, memo=None):
     return {
         "certificate": "tower_iso",
-        "towers": [tower_to_json(witness.tower_a), tower_to_json(witness.tower_b)],
+        "towers": [
+            _shared(tower_to_json, witness.tower_a, memo),
+            _shared(tower_to_json, witness.tower_b, memo),
+        ],
         "translations": [
             {"point": point_to_json(t), "order": c.order}
             for t, c in zip(witness.translations, witness.certificates)
@@ -297,15 +320,20 @@ def witness_to_json(witness):
     }
 
 
-def certificate_to_json(cert):
+def certificate_to_json(cert, memo=None):
+    """The certificate's JSON.
+
+    memo, a dict kept for one report, shares the certificate's towers and
+    inner certificate with the rest of that report (see _shared).
+    """
     if isinstance(cert, TorsionCertificate):
         return torsion_certificate_to_json(cert)
     if isinstance(cert, NonTorsionCertificate):
         return non_torsion_certificate_to_json(cert)
     if isinstance(cert, NonIsoCertificate):
-        return non_iso_certificate_to_json(cert)
+        return non_iso_certificate_to_json(cert, memo)
     if isinstance(cert, TowerIsoWitness):
-        return witness_to_json(cert)
+        return witness_to_json(cert, memo)
     raise SchemaError("unknown certificate object %r" % (cert,))
 
 
@@ -380,17 +408,24 @@ class VerifyMemo:
     A report repeats towers and certificates: each non_iso pair of a
     corollary-demo report holds two of the family's towers and a non_torsion
     certificate that the report also lists on its own.  Through one memo a
-    distinct subtree is parsed once, keyed on the parser, the caps and its
-    canonical JSON, and a distinct certificate is replayed once, keyed on its
-    parsed, frozen value.  Keys are exact content, never identity or
-    position; a parse or replay that raises keeps nothing.
+    distinct subtree is parsed once, and a distinct certificate is replayed
+    once, keyed on its parsed, frozen value.  A subtree is looked up by
+    identity first, then by exact content: the parser, the caps and its
+    canonical JSON, never its position.  The inner non_torsion of a non_iso
+    is the very object find_certificates lists on its own, so its canonical
+    text is built once.  A parse or replay that raises keeps nothing.
     """
 
     def __init__(self):
+        self._by_id = {}
         self._parsed = {}
         self._verdicts = {}
 
     def parse(self, parse, obj, caps):
+        ident = (parse, caps, id(obj))
+        hit = self._by_id.get(ident)
+        if hit is not None:
+            return hit[1]
         try:
             text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         except (TypeError, ValueError, RecursionError):
@@ -399,7 +434,10 @@ class VerifyMemo:
         key = (parse, caps, text)
         if key not in self._parsed:
             self._parsed[key] = parse(obj, caps)
-        return self._parsed[key]
+        value = self._parsed[key]
+        # obj is kept with its value, so its id names no other object
+        self._by_id[ident] = (obj, value)
+        return value
 
     def replay(self, cert):
         ok = self._verdicts.get(cert)

@@ -101,7 +101,7 @@ class Tower:
         points = tuple(self.points)
         if not points or points[0] != self.o:
             raise ValueError("the point sequence must begin with the base point o")
-        for P in points:
+        for P in dict.fromkeys(points):  # each distinct point once: e_i often repeat
             self.variety.require_on_curve(P)
         object.__setattr__(self, "points", points)
 

@@ -5,12 +5,18 @@ on a single curve and on a product alike, while the arithmetic behind it
 checks each point once.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from ectower.cli import main
+from ectower.config import DEFAULT_CAPS
 from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from ectower.errors import PointNotOnCurve
 from ectower.fields import QQ, PrimeField
 from ectower.groups import FiniteAbelianGroup
+from ectower.serialize import VerifyMemo, verify_certificate
 from ectower.torsion import NonTorsionCertificate, TorsionCertificate, torsion_test_Q
 from ectower.towers import (
     CompositeMap,
@@ -28,6 +34,7 @@ X = ProductVariety([E5, E5B])
 O = Point.infinity()
 E1 = EllipticCurve(QQ, 0, 1)
 E17 = EllipticCurve(QQ, 0, 17)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def f5pt(x, y):
@@ -148,3 +155,39 @@ def test_fiber_checks_a_bounded_number_of_points(monkeypatch):
     assert len(points) == 16
     # the map's centre and z, not each of the enumerated points
     assert calls[ProductVariety] == 2
+
+
+def test_a_tower_checks_each_distinct_point_once(monkeypatch):
+    calls = _count_contains(monkeypatch)
+    Tower(E17, O, [O] + [qpt(-2, 3)] * 6)
+    assert calls[EllipticCurve] == 2
+
+
+def test_a_family_and_its_verify_check_tower_points_once(tmp_path, monkeypatch):
+    # count 6 over y^2 = x^3 + 17 at N = 6: towers O, m*P, ..., m*P and 15
+    # non_iso pairs, whose differences come from points the towers checked
+    job = dict(json.loads((GOLDEN / "corollary-demo-4.job.json").read_text()), count=6)
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    report = tmp_path / "demo.json"
+    calls = _count_contains(monkeypatch)
+    assert main(["corollary-demo", "--input", str(tmp_path / "job.json"),
+                 "--output", str(report)]) == 0
+    demo = calls[EllipticCurve]
+    assert main(["verify", "--input", str(report), "--output", str(tmp_path / "v.json")]) == 0
+    # checking all 7 points of every tower, and both operands of every
+    # difference, would make 84 calls for the demo and 162 with its verify
+    assert demo <= 24
+    assert calls[EllipticCurve] <= 42
+
+
+@pytest.mark.parametrize("name, tower", [("iso-non-iso", 0), ("iso-non-iso", 1),
+                                         ("iso-iso", 0), ("iso-iso", 1)])
+def test_a_certificate_with_an_off_curve_tower_point_is_refused(name, tower):
+    cert = json.loads((GOLDEN / (name + ".report.json")).read_text())["certificate"]
+    kind = cert["certificate"]
+    assert verify_certificate(cert) == (True, kind, None)
+    cert["towers"][tower]["e"][1] = {"x": "1", "y": "1"}
+    ok, seen, reason = verify_certificate(cert)
+    assert (ok, seen) == (False, kind)
+    assert reason.startswith("PointNotOnCurve: ")
+    assert verify_certificate(cert, DEFAULT_CAPS, VerifyMemo()) == (ok, seen, reason)

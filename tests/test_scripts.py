@@ -31,3 +31,6 @@ def test_deck_survey_levels_4_match_the_factorial_quotients():
     rows = [line.split() for line in done.stdout.splitlines() if line[:1].isdigit()]
     assert [row[0] for row in rows] == ["1", "2", "3", "4"]
     assert all(row[5] == "True" for row in rows)
+    # step deck (Z/i)^2 and composite deck (Z/i!)^2, the trivial group as (Z/1)^2
+    assert [row[1] for row in rows] == ["(Z/%d)^2" % i for i in (1, 2, 3, 4)]
+    assert [row[3] for row in rows] == ["(Z/%d)^2" % i for i in (1, 2, 6, 24)]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from test_verify_fuzz import _mutations
 
-from ectower import torsion
+from ectower import serialize, torsion
 from ectower.cli import main
 from ectower.config import DEFAULT_CAPS
 from ectower.serialize import VerifyMemo, find_certificates, verify_certificate
@@ -122,6 +122,28 @@ def test_verify_replays_each_distinct_certificate_once(tmp_path, monkeypatch):
         for path, (ok, kind, _) in verify_each_alone(report)
     ]
     assert verified["results"] == expected
+
+
+def test_each_subtree_object_is_keyed_once(tmp_path, monkeypatch):
+    # count 6: the base point certificate, then per non_iso pair two towers
+    # and an inner non_torsion that find_certificates also lists on its own
+    job = dict(json.loads((GOLDEN / "corollary-demo-4.job.json").read_text()), count=6)
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    source = tmp_path / "demo.json"
+    main(["corollary-demo", "--input", str(tmp_path / "job.json"), "--output", str(source)])
+    keyed = []
+    dumps = json.dumps
+
+    def counted(obj, **kwargs):
+        keyed.append(id(obj))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "dumps", counted)
+    out = tmp_path / "verified.json"
+    assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(keyed) == len(set(keyed)) == 1 + 15 * 3
+    assert json.loads(out.read_text())["certificates"] == 31
 
 
 def test_a_replay_that_raises_refuses_every_copy(tmp_path, monkeypatch):
