@@ -39,6 +39,7 @@ def main():
     pts = [P for P in curve.enumerate_points() if not P.is_infinity]
     tower = Tower(curve, O, [O] + [pts[i % len(pts)] for i in range(args.levels)])
     lattice = LatticeGroup(2)
+    memo = {}  # each field and each basis of E[m], found once per run
 
     print("base: y^2 = x^3 + 1 over F_%d, tower N = %d" % (args.p, args.levels))
     header = "%-6s %-14s %-12s %-14s %-12s %-8s" % (
@@ -49,13 +50,15 @@ def main():
     for i in range(1, args.levels + 1):
         start = time.perf_counter()
         try:
-            step_field = full_torsion_field(curve, i)
+            step_field = full_torsion_field(curve, i, memo=memo)
             step = FiniteAbelianGroup(
-                deck_invariant_factors(tower.level_map(i), field=step_field)
+                deck_invariant_factors(tower.level_map(i), field=step_field, memo=memo)
             )
             composite = tower.compose_to_base(i)
-            comp_field = full_torsion_field(curve, composite.m)
-            comp = FiniteAbelianGroup(deck_invariant_factors(composite, field=comp_field))
+            comp_field = full_torsion_field(curve, composite.m, memo=memo)
+            comp = FiniteAbelianGroup(
+                deck_invariant_factors(composite, field=comp_field, memo=memo)
+            )
             expected = quotient(lattice, i).group
         except (BoundExceeded, IncompleteTorsion) as exc:
             print("level %d refused: %s" % (i, exc), file=sys.stderr)

@@ -144,7 +144,8 @@ def match_deck(tower, i, field=None, caps=DEFAULT_CAPS):
     """
     lattice = LatticeGroup(2 * tower.variety.dimension)
     composite = tower.compose_to_base(i)
+    memo = {}  # the basis that finds the field also proves the deck group
     if field is None:
-        field = full_torsion_field(tower.variety, composite.m, caps)
-    deck = deck_invariant_factors(composite, field=field, caps=caps)
+        field = full_torsion_field(tower.variety, composite.m, caps, memo)
+    deck = deck_invariant_factors(composite, field, caps, memo)
     return deck == quotient(lattice, i, caps).group.invariant_factors

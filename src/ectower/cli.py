@@ -177,6 +177,7 @@ def _cmd_tower_build(payload, opts, caps):
             "deck groups are computed over finite-field realizations; the base is over Q"
         )
     rank = 2 * tower.variety.dimension
+    memo = {}  # each field and each basis of E[m], found once for all levels
     levels = []
     for i in range(1, tower.N + 1):
         composite = tower.compose_to_base(i)
@@ -190,10 +191,10 @@ def _cmd_tower_build(payload, opts, caps):
             },
         }
         if want_deck:
-            step_field = full_torsion_field(tower.variety, i, caps)
-            step = deck_group(tower.level_map(i), field=step_field, caps=caps)
-            comp_field = full_torsion_field(tower.variety, composite.m, caps)
-            comp = deck_group(composite, field=comp_field, caps=caps)
+            step_field = full_torsion_field(tower.variety, i, caps, memo)
+            step = deck_group(tower.level_map(i), step_field, caps, memo)
+            comp_field = full_torsion_field(tower.variety, composite.m, caps, memo)
+            comp = deck_group(composite, comp_field, caps, memo)
             row["step_deck"] = serialize.group_to_json(step, step_field, rank)
             row["deck"] = serialize.group_to_json(comp, comp_field, rank)
         levels.append(row)

@@ -112,13 +112,18 @@ def necessity_test(A, B, decide=None):
 
 
 def back_substitute(V, diffs, t_last):
-    """The full translation sequence t_0..t_N determined by t_N."""
+    """The full translation sequence t_0..t_N determined by t_N, all points of V."""
     N = len(diffs)
     ts = [None] * (N + 1)
     ts[N] = t_last
     for i in range(N, 0, -1):
-        ts[i - 1] = V.add(V.scalar_mul(i, ts[i]), V.scalar_mul(i - 1, diffs[i - 1]))
+        ts[i - 1] = _level_step(V, i, ts[i], diffs[i - 1])
     return ts
+
+
+def _level_step(V, i, t, d):
+    """i*t + (i-1)*d, on points of V that were already checked."""
+    return V._add_unchecked(V._scalar_mul_unchecked(i, t), V._scalar_mul_unchecked(i - 1, d))
 
 
 def witness_search(A, B, caps=DEFAULT_CAPS, torsion=None, decide=None):
@@ -127,7 +132,8 @@ def witness_search(A, B, caps=DEFAULT_CAPS, torsion=None, decide=None):
     Every solution of the recurrence is determined by its top translation,
     so scanning t_N over the rational torsion subgroup for
     N!*t_N = -(sum (i-1)!*(i-1)*d_i) is exhaustive.  torsion and decide
-    default to rational_torsion_points(V) and torsion_test_Q.
+    default to rational_torsion_points(V) and torsion_test_Q; the points of
+    torsion must lie on V, as rational_torsion_points' do.
     """
     decide = decide or torsion_test_Q
     _require_comparable(A, B)
@@ -139,14 +145,13 @@ def witness_search(A, B, caps=DEFAULT_CAPS, torsion=None, decide=None):
             raise NotNecessaryFirst("a difference is non-torsion; run necessity_test")
     target = V.identity()
     for i in range(1, N + 1):
-        target = V.sub(
-            target, V.scalar_mul(math.factorial(i - 1) * (i - 1), diffs[i - 1])
-        )
+        step = V._scalar_mul_unchecked(math.factorial(i - 1) * (i - 1), diffs[i - 1])
+        target = V._add_unchecked(target, V._negate_unchecked(step))
     if torsion is None:
         torsion = rational_torsion_points(V, caps)
     n_fact = math.factorial(N)
     for t_last in torsion:
-        if V.scalar_mul(n_fact, t_last) != target:
+        if V._scalar_mul_unchecked(n_fact, t_last) != target:
             continue
         ts = back_substitute(V, diffs, t_last)
         if not ts[0].is_infinity:
@@ -194,9 +199,7 @@ def verify_witness(A, B, witness):
             fail(i, "torsion certificate at level %d does not re-verify" % i)
     for i in range(1, N + 1):
         d = _difference(V, A, B, i)
-        recurrence_ok = ts[i - 1] == V.add(
-            V.scalar_mul(i, ts[i]), V.scalar_mul(i - 1, d)
-        )
+        recurrence_ok = ts[i - 1] == _level_step(V, i, ts[i], d)
         pointwise_ok = _commutation_holds(V, A.points[i], B.points[i], ts[i - 1], ts[i], i)
         if recurrence_ok != pointwise_ok:
             fail(i, "recurrence and pointwise commutation disagree at level %d" % i)
@@ -207,18 +210,20 @@ def verify_witness(A, B, witness):
 
 
 def _commutation_holds(V, e_a, e_b, t_prev, t_cur, i):
-    """Check f_{i-1}(twist_i(y; e_a)) == twist_i(f_i(y); e_b) on sample points."""
-    samples = [V.identity(), e_a, e_b, t_cur, V.add(e_a, e_b)]
+    """Check f_{i-1}(twist_i(y; e_a)) == twist_i(f_i(y); e_b) on sample points.
+
+    Every argument is a point of V that its tower or verify_witness checked.
+    """
+    add, neg, mul = V._add_unchecked, V._negate_unchecked, V._scalar_mul_unchecked
+    samples = [V.identity(), e_a, e_b, t_cur, add(e_a, e_b)]
     seen = []
     for y in samples:
         if y not in seen:
             seen.append(y)
     for y in seen:
-        lhs = V.add(
-            V.sub(V.scalar_mul(i, y), V.scalar_mul(i - 1, e_a)), t_prev
-        )
-        f_y = V.add(y, t_cur)
-        rhs = V.sub(V.scalar_mul(i, f_y), V.scalar_mul(i - 1, e_b))
+        lhs = add(add(mul(i, y), neg(mul(i - 1, e_a))), t_prev)
+        f_y = add(y, t_cur)
+        rhs = add(mul(i, f_y), neg(mul(i - 1, e_b)))
         if lhs != rhs:
             return False
     return True

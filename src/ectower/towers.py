@@ -198,7 +198,7 @@ def _realization_field(f, field):
     return field
 
 
-def full_torsion_field(V, n, caps=DEFAULT_CAPS):
+def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
     """Smallest-degree extension of the prime field carrying all of V[n].
 
     Searches degrees 1, 2, ... up to the configured caps.  A degree k is
@@ -207,7 +207,14 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     the point counts without building the field.  A degree that passes is
     confirmed on every curve factor by a basis of E[n] over it, or, when
     none turns up, by counting the kernel of multiplication by n.
+
+    memo, a dict that one command passes to each of these calls and to
+    deck_group, keeps each field built, per (prime field, degree), and each
+    basis found, per (realized curve, n): deck_group then reuses the basis
+    that confirmed its field.  No entry depends on the caps.
     """
+    if memo is None:
+        memo = {}
     base = V.field
     if base == QQ:
         raise UnsupportedField("finite-field realization required, not Q")
@@ -224,8 +231,10 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
             break
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
-        K = extension_field(base, k, caps)
-        if all(_has_full_torsion(realize_variety(c, K), n, caps) for c in V.factors):
+        if (base, k) not in memo:
+            memo[base, k] = extension_field(base, k, caps)
+        K = memo[base, k]
+        if all(_has_full_torsion(realize_variety(c, K), n, caps, memo) for c in V.factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)
 
@@ -256,9 +265,18 @@ def _point_counts(curve, degrees):
 _BASIS_DRAWS = 64
 
 
-def _has_full_torsion(curve, n, caps):
+def _has_full_torsion(curve, n, caps, memo):
     """E[n] lies in E(K): proved by a basis, else decided by counting the kernel."""
-    return _torsion_basis(curve, n) is not None or len(_kernel(curve, n, caps)) == n * n
+    return _basis(curve, n, memo) is not None or len(_kernel(curve, n, caps)) == n * n
+
+
+def _basis(curve, m, memo):
+    """_torsion_basis(curve, m), found once per (curve, m) in memo, None included."""
+    if memo is None:
+        return _torsion_basis(curve, m)
+    if (curve, m) not in memo:
+        memo[curve, m] = _torsion_basis(curve, m)
+    return memo[curve, m]
 
 
 def _curve_order(curve):
@@ -369,7 +387,9 @@ def _torsion_generators(curve, m, P, Q):
     the m^2 grid keeps g2, the largest element of order m, and the smallest
     element of order m on each tuple of lines; g1 is the smallest of those
     whose lines all differ from g2's.  Raw pairs compare as Point.sort_key
-    orders affine points.
+    orders affine points.  The pass walks rows a <= m/2 only: for 0 < a < m - a,
+    -(aP + bQ) = (m - a)P + (m - b)Q lies on the same lines, so negating a
+    row offers row m - a, and every grid element is offered exactly once.
     """
     primes = sorted(factorize(m))
     r = math.prod(primes)
@@ -387,12 +407,13 @@ def _torsion_generators(curve, m, P, Q):
         return index[tuple(lines)]
 
     table = [[line_class(a, b) for b in range(r)] for a in range(r)]
-    add = curve._add_raw
+    add, neg = curve._add_raw, curve._neg_raw
     smallest = [None] * len(classes)
     g2 = g2_class = None
     row = None  # aP
-    for a in range(m):
+    for a in range(m // 2 + 1):
         row_classes = table[a % r]
+        mirrored = 0 < a < m - a
         R = row  # aP + bQ
         for b in range(m):
             c = row_classes[b % r]
@@ -401,10 +422,15 @@ def _torsion_generators(curve, m, P, Q):
                     g2, g2_class = R, c
                 if smallest[c] is None or R < smallest[c]:
                     smallest[c] = R
+                if mirrored:
+                    S = neg(R)
+                    if S > g2:
+                        g2, g2_class = S, c
+                    if S < smallest[c]:
+                        smallest[c] = S
             if b < m - 1:
                 R = add(R, Q)
-        if a < m - 1:
-            row = add(row, P)
+        row = add(row, P)
     g1 = min(
         s
         for c, s in zip(classes, smallest)
@@ -491,7 +517,7 @@ def rational_fiber(f, through, caps=DEFAULT_CAPS):
     return RationalFiber(tuple(pts), False, f.multiplier)
 
 
-def deck_group(f, field=None, caps=DEFAULT_CAPS):
+def deck_group(f, field=None, caps=DEFAULT_CAPS, memo=None):
     """Translations t with f(y + t) = f(y) for all y: the full m-torsion.
 
     Returns the invariant factors (m, ..., m), 2g of them, with the
@@ -499,10 +525,10 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     kernel.  Each curve factor's are read off the grid of a basis of E[m]
     (_torsion_generators); a factor with no basis is enumerated instead.
     Raises IncompleteTorsion when the field does not carry all of V[m],
-    reporting the defect per curve factor.
+    reporting the defect per curve factor.  memo is full_torsion_field's.
     """
     m = f.multiplier
-    V, found = _full_torsion(f, field, caps)
+    V, found = _full_torsion(f, field, caps, memo)
     parts = []
     for curve, basis, kernel in found:
         if basis is None:
@@ -512,18 +538,18 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     return V.group_from_parts(parts)
 
 
-def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS):
+def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS, memo=None):
     """deck_group(f, field, caps).invariant_factors, with no generators.
 
     Once every factor's E[m] is shown to lie in E(K), by a basis or by its
     kernel, the deck group is (Z/m)^(2g), so no grid is walked.  Refuses
-    exactly as deck_group does.
+    exactly as deck_group does.  memo is full_torsion_field's.
     """
-    V, _ = _full_torsion(f, field, caps)
+    V, _ = _full_torsion(f, field, caps, memo)
     return FiniteAbelianGroup([f.multiplier] * (2 * V.dimension)).invariant_factors
 
 
-def _full_torsion(f, field, caps):
+def _full_torsion(f, field, caps, memo):
     """f's variety over the realization field K, and (curve, basis, kernel) per factor.
 
     basis is _torsion_basis's pair, or None when the factor was enumerated
@@ -541,7 +567,7 @@ def _full_torsion(f, field, caps):
     found = []
     for j, curve in enumerate(V.factors):
         curve._require_field_within(caps)
-        basis = _torsion_basis(curve, m)
+        basis = _basis(curve, m, memo)
         kernel = None
         if basis is None:
             kernel = _kernel(curve, m, caps)

@@ -180,6 +180,22 @@ def test_a_family_and_its_verify_check_tower_points_once(tmp_path, monkeypatch):
     assert calls[EllipticCurve] <= 42
 
 
+def test_an_iso_job_and_its_verify_check_each_point_once(tmp_path, monkeypatch):
+    # witness search, back substitution and both replays of the witness run
+    # on tower points and translations that were checked when they came in
+    report = tmp_path / "iso.json"
+    calls = _count_contains(monkeypatch)
+    assert main(["iso", "--input", str(GOLDEN / "iso-iso.job.json"),
+                 "--output", str(report)]) == 0
+    iso = calls[EllipticCurve]
+    assert main(["verify", "--input", str(report), "--output", str(tmp_path / "v.json")]) == 0
+    monkeypatch.undo()
+    assert json.loads((tmp_path / "v.json").read_text())["verified"] == 1
+    # the checked group law would make 157 calls for the job and 286 with its verify
+    assert iso <= 24
+    assert calls[EllipticCurve] <= 40
+
+
 @pytest.mark.parametrize("name, tower", [("iso-non-iso", 0), ("iso-non-iso", 1),
                                          ("iso-iso", 0), ("iso-iso", 1)])
 def test_a_certificate_with_an_off_curve_tower_point_is_refused(name, tower):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from ectower.config import DEFAULT_CAPS, Caps
 from ectower.fields import QQ, ExtField, FieldElement, PrimeField
 from ectower import curves, groups, towers
 from ectower.chain import match_deck
+from ectower.cli import main
 from ectower.groups import divisors, structure_rank2
 from ectower.serialize import group_to_json
 from ectower.towers import (
@@ -33,6 +36,7 @@ from ectower.towers import (
 
 from oracles import fp_point_count
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 F5 = PrimeField(5)
 E_Q = EllipticCurve(QQ, 0, 1)
 E17 = EllipticCurve(QQ, 0, 17)
@@ -346,7 +350,8 @@ def _count_order_walks(monkeypatch):
 
 
 def test_deck_group_at_24_enumerates_nothing(monkeypatch):
-    # a basis of E[24] and the 576-point grid: no enumeration, no order walk
+    # a basis of E[24] and half the 576-point grid, the other half read off
+    # by negation: no enumeration, no order walk
     K = full_torsion_field(E5, 24)
     walks = _count_order_walks(monkeypatch)
     enumerated = _count_calls(monkeypatch, EllipticCurve, "enumerate_points")
@@ -354,7 +359,7 @@ def test_deck_group_at_24_enumerates_nothing(monkeypatch):
     g = deck_group(TwistedMulMap(24, O, E5), field=K)
     assert g.invariant_factors == (24, 24)
     assert walks == [] and enumerated == []
-    assert len(added) <= 24 * 24 + 200
+    assert len(added) <= 13 * 24 + 100
 
 
 def test_deck_group_boxes_few_field_elements(monkeypatch):
@@ -510,3 +515,47 @@ def test_match_deck_walks_no_generator_grid(monkeypatch):
     tower = Tower(E5, O, [O] * 5)
     with pytest.raises(IncompleteTorsion, match="factor 0 has 2 of 4 torsion points"):
         match_deck(tower, 2, field=F5)
+
+
+def _count_bases(monkeypatch):
+    """The (curve, m) of each _torsion_basis call, in order."""
+    calls = []
+    find = towers._torsion_basis
+
+    def counted(curve, m):
+        calls.append((curve, m))
+        return find(curve, m)
+
+    monkeypatch.setattr(towers, "_torsion_basis", counted)
+    return calls
+
+
+def _build_level5(tmp_path):
+    job = str(GOLDEN / "tower-build-level5-deck.job.json")
+    assert main(["tower-build", "--input", job, "--output", str(tmp_path / "r.json")]) == 0
+    return (tmp_path / "r.json").read_bytes()
+
+
+def test_tower_build_finds_each_basis_once(monkeypatch, tmp_path):
+    # levels 1..5 over F_239: the basis that confirms each step and composite
+    # field is the one its deck group's generators are read off
+    bases = _count_bases(monkeypatch)
+    report = _build_level5(tmp_path)
+    assert len(bases) == len(set(bases))
+    assert {m for _, m in bases} == {1, 2, 3, 4, 5, 6, 24, 120}
+    assert report == (GOLDEN / "tower-build-level5-deck.report.json").read_bytes()
+
+
+def test_no_basis_outlives_its_command(monkeypatch, tmp_path):
+    bases = _count_bases(monkeypatch)
+    first = _build_level5(tmp_path)
+    once = list(bases)
+    assert _build_level5(tmp_path) == first
+    assert bases == once + once
+
+
+def test_match_deck_finds_its_basis_once(monkeypatch):
+    tower = Tower(E5, O, [O] * 5)
+    bases = _count_bases(monkeypatch)
+    assert match_deck(tower, 4)
+    assert bases and len(bases) == len(set(bases))

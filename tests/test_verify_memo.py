@@ -146,6 +146,31 @@ def test_each_subtree_object_is_keyed_once(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["certificates"] == 31
 
 
+def test_a_replayed_certificate_is_looked_up_by_identity(tmp_path, monkeypatch):
+    # count 6: the base point and the 5 distinct differences, each parsed
+    # once into one object, then met again inside every non_iso pair
+    job = dict(json.loads((GOLDEN / "corollary-demo-4.job.json").read_text()), count=6)
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    source = tmp_path / "demo.json"
+    main(["corollary-demo", "--input", str(tmp_path / "job.json"), "--output", str(source)])
+    hashed = []
+    cls = torsion.NonTorsionCertificate
+    digest = cls.__hash__
+
+    def counted(cert):
+        hashed.append(id(cert))
+        return digest(cert)
+
+    monkeypatch.setattr(cls, "__hash__", counted)
+    out = tmp_path / "verified.json"
+    assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
+    monkeypatch.undo()
+    # hashing the frozen rationals on every lookup would make 37 calls
+    assert len(set(hashed)) == 6
+    assert len(hashed) <= 2 * 6
+    assert json.loads(out.read_text())["verified"] == 31
+
+
 def test_a_replay_that_raises_refuses_every_copy(tmp_path, monkeypatch):
     calls = []
 
