@@ -39,7 +39,7 @@ def main():
     pts = [P for P in curve.enumerate_points() if not P.is_infinity]
     tower = Tower(curve, O, [O] + [pts[i % len(pts)] for i in range(args.levels)])
     lattice = LatticeGroup(2)
-    memo = {}  # each field and each basis of E[m], found once per run
+    memo = {}  # each basis of E[m], found once per run
 
     print("base: y^2 = x^3 + 1 over F_%d, tower N = %d" % (args.p, args.levels))
     header = "%-6s %-14s %-12s %-14s %-12s %-8s" % (

@@ -177,7 +177,7 @@ def _cmd_tower_build(payload, opts, caps):
             "deck groups are computed over finite-field realizations; the base is over Q"
         )
     rank = 2 * tower.variety.dimension
-    memo = {}  # each field and each basis of E[m], found once for all levels
+    memo = {}  # each basis of E[m], found once for all levels
     levels = []
     for i in range(1, tower.N + 1):
         composite = tower.compose_to_base(i)

@@ -409,20 +409,19 @@ class VerifyMemo:
     corollary-demo report holds two of the family's towers and a non_torsion
     certificate that the report also lists on its own.  Through one memo a
     distinct subtree is parsed once, and a distinct certificate is replayed
-    once, keyed on its parsed, frozen value.  A subtree is looked up by
-    identity first, then by exact content: the parser, the caps and its
-    canonical JSON, never its position.  The inner non_torsion of a non_iso
-    is the very object find_certificates lists on its own, so its canonical
-    text is built once.  A certificate, too, is looked up by identity before
-    its value is hashed, since parses through the memo hand out one object
-    per content.  A parse or replay that raises keeps nothing.
+    once.  A subtree is looked up by identity first, then by exact content:
+    the parser, the caps and its canonical JSON, never its position.  The
+    inner non_torsion of a non_iso is the very object find_certificates
+    lists on its own, so its canonical text is built once.  A certificate is
+    looked up by identity alone: parses through the memo hand out one object
+    per content, so its multi-KB rationals are never hashed.  A parse or
+    replay that raises keeps nothing.
     """
 
     def __init__(self):
         self._by_id = {}
         self._parsed = {}
         self._verdicts = {}
-        self._verdicts_by_id = {}
 
     def parse(self, parse, obj, caps):
         ident = (parse, caps, id(obj))
@@ -443,14 +442,12 @@ class VerifyMemo:
         return value
 
     def replay(self, cert):
-        hit = self._verdicts_by_id.get(id(cert))
+        hit = self._verdicts.get(id(cert))
         if hit is not None:
             return hit[1]
-        ok = self._verdicts.get(cert)
-        if ok is None:
-            ok = self._verdicts[cert] = cert.verify()
+        ok = cert.verify()
         # cert is kept with its verdict, so its id names no other object
-        self._verdicts_by_id[id(cert)] = (cert, ok)
+        self._verdicts[id(cert)] = (cert, ok)
         return ok
 
 

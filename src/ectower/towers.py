@@ -209,12 +209,11 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
     none turns up, by counting the kernel of multiplication by n.
 
     memo, a dict that one command passes to each of these calls and to
-    deck_group, keeps each field built, per (prime field, degree), and each
-    basis found, per (realized curve, n): deck_group then reuses the basis
-    that confirmed its field.  No entry depends on the caps.
+    deck_group, keeps each basis found, per (realized curve, n): deck_group
+    then reuses the basis that confirmed its field.  Curves and fields
+    compare by value, so a field built again still finds its bases.  No
+    entry depends on the caps.
     """
-    if memo is None:
-        memo = {}
     base = V.field
     if base == QQ:
         raise UnsupportedField("finite-field realization required, not Q")
@@ -231,9 +230,7 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
             break
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
-        if (base, k) not in memo:
-            memo[base, k] = extension_field(base, k, caps)
-        K = memo[base, k]
+        K = extension_field(base, k, caps)
         if all(_has_full_torsion(realize_variety(c, K), n, caps, memo) for c in V.factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)

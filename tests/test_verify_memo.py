@@ -153,21 +153,26 @@ def test_a_replayed_certificate_is_looked_up_by_identity(tmp_path, monkeypatch):
     (tmp_path / "job.json").write_text(json.dumps(job))
     source = tmp_path / "demo.json"
     main(["corollary-demo", "--input", str(tmp_path / "job.json"), "--output", str(source)])
-    hashed = []
+    hashed, replayed = [], []
     cls = torsion.NonTorsionCertificate
-    digest = cls.__hash__
+    digest, replay = cls.__hash__, cls.verify
 
-    def counted(cert):
+    def counted_hash(cert):
         hashed.append(id(cert))
         return digest(cert)
 
-    monkeypatch.setattr(cls, "__hash__", counted)
+    def counted_verify(cert):
+        replayed.append(id(cert))
+        return replay(cert)
+
+    monkeypatch.setattr(cls, "__hash__", counted_hash)
+    monkeypatch.setattr(cls, "verify", counted_verify)
     out = tmp_path / "verified.json"
     assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
     monkeypatch.undo()
-    # hashing the frozen rationals on every lookup would make 37 calls
-    assert len(set(hashed)) == 6
-    assert len(hashed) <= 2 * 6
+    # a lookup by value would hash the frozen rationals on every one of them
+    assert hashed == []
+    assert len(replayed) == len(set(replayed)) == 6
     assert json.loads(out.read_text())["verified"] == 31
 
 
