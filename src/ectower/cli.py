@@ -214,7 +214,9 @@ def _cmd_iso(payload, opts, caps):
         if opts["N"] > min(A.N, B.N):
             raise SchemaError("cannot truncate to N=%d" % opts["N"])
         A, B = A.truncate(opts["N"]), B.truncate(opts["N"])
-    memo = {}  # the certificate holds A and B themselves: one subtree each
+    # the certificate holds A and B themselves: one subtree each, and one
+    # text per distinct Q value
+    memo = {}
     report = {
         "towers": [
             serialize._shared(serialize.tower_to_json, A, memo),
@@ -255,18 +257,20 @@ def _cmd_corollary_demo(payload, opts, caps):
         towers.append(Tower(V, V.identity(), [V.identity()] + [e_m] * N))
     result = classify_family(towers, caps)
     pairs = []
-    memo = {}  # one subtree per tower and per distinct difference's certificate
+    # one subtree per tower and per distinct difference's certificate, and
+    # one text per distinct Q value
+    memo = {}
     for (i, j), verdict in sorted(result.verdicts.items()):
         entry = {"a": i + 1, "b": j + 1, "status": verdict.status}
         if verdict.certificate is not None:
             entry["certificate"] = serialize.certificate_to_json(verdict.certificate, memo)
         pairs.append(entry)
     report = {
-        "curve": serialize.variety_to_json(V),
-        "point": serialize.point_to_json(P),
+        "curve": serialize.variety_to_json(V, memo),
+        "point": serialize.point_to_json(P, memo),
         "count": count,
         "N": N,
-        "base_point_certificate": serialize.certificate_to_json(base_cert),
+        "base_point_certificate": serialize.certificate_to_json(base_cert, memo),
         "pairs": pairs,
         "classes": [list(c) for c in result.classes],
         "all_non_isomorphic": result.all_non_isomorphic,

@@ -9,7 +9,9 @@ Every certificate kind serialized here re-verifies from its own JSON alone:
 parsing rebuilds the objects and verify_certificate replays the arithmetic.
 """
 
+import functools
 import json
+from operator import methodcaller
 
 from .config import DEFAULT_CAPS
 from .errors import EctowerError, SchemaError, quote
@@ -102,19 +104,31 @@ def parse_field(obj, caps=DEFAULT_CAPS):
     raise SchemaError("unknown field tag %s" % quote(tag))
 
 
-def element_to_json(x):
-    if x.field == QQ:
+def element_to_json(x, memo=None):
+    """x's JSON; memo, a per-report dict, prints each distinct value once.
+
+    A report repeats rationals: a family's towers share e_m, and each
+    difference's certificate repeats the multiples of the others.  The
+    texts are keyed on the value, a Rational or an F_p int; equal ones print
+    alike, so they may share a key.
+    """
+    if isinstance(x.field, ExtField):
+        return list(x.value)
+    if memo is None:
         return str(x.value)
-    if isinstance(x.field, PrimeField):
-        return str(x.value)
-    return list(x.value)
+    text = memo.get(x.value)
+    if text is None:
+        text = memo[x.value] = str(x.value)
+    return text
 
 
-def parse_element(field, obj, where="element"):
+def parse_element(field, obj, where="element", memo=None):
     try:
         if field == QQ:
             if isinstance(obj, str):
-                return field.element(Rational.parse(obj))
+                if memo is None:
+                    return field.element(Rational.parse(obj))
+                return memo.rational(obj)
             return field.element(
                 _require_int(obj, "%s: rationals are strings like '2/3'" % where)
             )
@@ -130,19 +144,19 @@ def parse_element(field, obj, where="element"):
 # --- varieties and points ---------------------------------------------------
 
 
-def variety_to_json(V):
+def variety_to_json(V, memo=None):
     if isinstance(V, ProductVariety):
-        return {"product": [variety_to_json(c) for c in V.factors]}
+        return {"product": [variety_to_json(c, memo) for c in V.factors]}
     return {
         "curve": {
             "field": field_to_json(V.field),
-            "a": element_to_json(V.a),
-            "b": element_to_json(V.b),
+            "a": element_to_json(V.a, memo),
+            "b": element_to_json(V.b, memo),
         }
     }
 
 
-def parse_variety(obj, caps=DEFAULT_CAPS):
+def parse_variety(obj, caps=DEFAULT_CAPS, memo=None):
     if not isinstance(obj, dict):
         raise SchemaError("variety descriptor must be an object")
     if "product" in obj:
@@ -151,7 +165,7 @@ def parse_variety(obj, caps=DEFAULT_CAPS):
         if not isinstance(factors, list) or not factors:
             raise SchemaError("product: needs a nonempty list of curves")
         try:
-            return ProductVariety([parse_variety(c, caps) for c in factors])
+            return ProductVariety([parse_variety(c, caps, memo) for c in factors])
         except ValueError as exc:
             raise SchemaError("product: %s" % exc) from None
     if "curve" in obj:
@@ -159,8 +173,8 @@ def parse_variety(obj, caps=DEFAULT_CAPS):
         body = obj["curve"]
         _require_keys(body, "curve", ("field", "a", "b"))
         field = parse_field(body["field"], caps)
-        a = parse_element(field, body["a"], "curve.a")
-        b = parse_element(field, body["b"], "curve.b")
+        a = parse_element(field, body["a"], "curve.a", memo)
+        b = parse_element(field, body["b"], "curve.b", memo)
         try:
             return EllipticCurve(field, a, b)
         except ValueError as exc:
@@ -168,15 +182,15 @@ def parse_variety(obj, caps=DEFAULT_CAPS):
     raise SchemaError("variety descriptor needs 'curve' or 'product'")
 
 
-def point_to_json(P):
+def point_to_json(P, memo=None):
     if isinstance(P, ProductPoint):
-        return {"coords": [point_to_json(c) for c in P.coords]}
+        return {"coords": [point_to_json(c, memo) for c in P.coords]}
     if P.is_infinity:
         return {"inf": True}
-    return {"x": element_to_json(P.x), "y": element_to_json(P.y)}
+    return {"x": element_to_json(P.x, memo), "y": element_to_json(P.y, memo)}
 
 
-def parse_point(V, obj, where="point"):
+def parse_point(V, obj, where="point", memo=None):
     if not isinstance(obj, dict):
         raise SchemaError("%s: expected an object" % where)
     if obj.get("inf") is True:
@@ -189,37 +203,37 @@ def parse_point(V, obj, where="point"):
             raise SchemaError("%s: needs one coordinate per factor" % where)
         return ProductPoint(
             [
-                parse_point(c, q, "%s[%d]" % (where, j))
+                parse_point(c, q, "%s[%d]" % (where, j), memo)
                 for j, (c, q) in enumerate(zip(V.factors, coords))
             ]
         )
     _require_keys(obj, where, ("x", "y"))
     return Point(
-        parse_element(V.field, obj["x"], where + ".x"),
-        parse_element(V.field, obj["y"], where + ".y"),
+        parse_element(V.field, obj["x"], where + ".x", memo),
+        parse_element(V.field, obj["y"], where + ".y", memo),
     )
 
 
 # --- towers ------------------------------------------------------------------
 
 
-def tower_to_json(T):
+def tower_to_json(T, memo=None):
     return {
-        "base": variety_to_json(T.variety),
-        "o": point_to_json(T.o),
-        "e": [point_to_json(P) for P in T.points],
+        "base": variety_to_json(T.variety, memo),
+        "o": point_to_json(T.o, memo),
+        "e": [point_to_json(P, memo) for P in T.points],
         "N": T.N,
     }
 
 
-def parse_tower(obj, caps=DEFAULT_CAPS):
+def parse_tower(obj, caps=DEFAULT_CAPS, memo=None):
     _require_keys(obj, "tower", ("base", "o", "e", "N"))
-    V = parse_variety(obj["base"], caps)
-    o = parse_point(V, obj["o"], "o")
+    V = parse_variety(obj["base"], caps, memo)
+    o = parse_point(V, obj["o"], "o", memo)
     e_list = obj["e"]
     if not isinstance(e_list, list) or not e_list:
         raise SchemaError("tower: 'e' must be a nonempty list of points")
-    points = [parse_point(V, p, "e[%d]" % i) for i, p in enumerate(e_list)]
+    points = [parse_point(V, p, "e[%d]" % i, memo) for i, p in enumerate(e_list)]
     message = "tower: 'N' must equal len(e) - 1"
     if _require_int(obj["N"], message) != len(points) - 1:
         raise SchemaError(message)
@@ -252,22 +266,22 @@ def group_to_json(group, field=None, rank=None):
 # --- certificates --------------------------------------------------------------
 
 
-def torsion_certificate_to_json(cert):
+def torsion_certificate_to_json(cert, memo=None):
     return {
         "certificate": "torsion",
-        "variety": variety_to_json(cert.variety),
-        "point": point_to_json(cert.point),
+        "variety": variety_to_json(cert.variety, memo),
+        "point": point_to_json(cert.point, memo),
         "order": cert.order,
     }
 
 
-def non_torsion_certificate_to_json(cert):
+def non_torsion_certificate_to_json(cert, memo=None):
     out = {
         "certificate": "non_torsion",
-        "variety": variety_to_json(cert.variety),
-        "point": point_to_json(cert.point),
+        "variety": variety_to_json(cert.variety, memo),
+        "point": point_to_json(cert.point, memo),
         "evidence": [
-            {"m": m, "multiple": point_to_json(mult)} for m, mult in cert.evidence
+            {"m": m, "multiple": point_to_json(mult, memo)} for m, mult in cert.evidence
         ],
     }
     # the wire format names the tracked factor of products only
@@ -277,19 +291,20 @@ def non_torsion_certificate_to_json(cert):
 
 
 def _shared(to_json, value, memo):
-    """to_json(value), once per value object when memo, a per-report dict, is given.
+    """to_json(value, memo), once per value object when memo, a per-report dict, is given.
 
     A report repeats objects: classify_family hands out one Tower per member
     and one NonTorsionCertificate per distinct difference.  Entries are keyed
     on identity and keep the value, so its id stays valid; the report then
-    holds one JSON subtree per shared value, which nothing mutates.
+    holds one JSON subtree per shared value, which nothing mutates.  The
+    same dict holds element_to_json's texts, keyed on the Rational itself.
     """
     if memo is None:
         return to_json(value)
     key = (to_json, id(value))
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (value, to_json(value))
+        hit = memo[key] = (value, to_json(value, memo))
     return hit[1]
 
 
@@ -301,7 +316,7 @@ def non_iso_certificate_to_json(cert, memo=None):
             _shared(tower_to_json, cert.tower_b, memo),
         ],
         "level": cert.level,
-        "difference": point_to_json(cert.difference),
+        "difference": point_to_json(cert.difference, memo),
         "non_torsion": _shared(non_torsion_certificate_to_json, cert.non_torsion, memo),
     }
 
@@ -314,7 +329,7 @@ def witness_to_json(witness, memo=None):
             _shared(tower_to_json, witness.tower_b, memo),
         ],
         "translations": [
-            {"point": point_to_json(t), "order": c.order}
+            {"point": point_to_json(t, memo), "order": c.order}
             for t, c in zip(witness.translations, witness.certificates)
         ],
     }
@@ -324,12 +339,13 @@ def certificate_to_json(cert, memo=None):
     """The certificate's JSON.
 
     memo, a dict kept for one report, shares the certificate's towers and
-    inner certificate with the rest of that report (see _shared).
+    inner certificate with the rest of that report (see _shared), and each
+    Q value's text (see element_to_json).
     """
     if isinstance(cert, TorsionCertificate):
-        return torsion_certificate_to_json(cert)
+        return torsion_certificate_to_json(cert, memo)
     if isinstance(cert, NonTorsionCertificate):
-        return non_torsion_certificate_to_json(cert)
+        return non_torsion_certificate_to_json(cert, memo)
     if isinstance(cert, NonIsoCertificate):
         return non_iso_certificate_to_json(cert, memo)
     if isinstance(cert, TowerIsoWitness):
@@ -337,25 +353,25 @@ def certificate_to_json(cert, memo=None):
     raise SchemaError("unknown certificate object %r" % (cert,))
 
 
-def parse_torsion_certificate(obj, caps=DEFAULT_CAPS):
+def parse_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     _require_keys(obj, "torsion certificate", ("certificate", "variety", "point", "order"))
-    V = parse_variety(obj["variety"], caps)
-    P = parse_point(V, obj["point"])
+    V = parse_variety(obj["variety"], caps, memo)
+    P = parse_point(V, obj["point"], "point", memo)
     order = _require_int(
         obj["order"], "torsion certificate: order must be a positive integer", 1
     )
     return TorsionCertificate(V, P, order)
 
 
-def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
+def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     _require_keys(
         obj,
         "non-torsion certificate",
         ("certificate", "variety", "point", "evidence"),
         optional=("factor",),
     )
-    V = parse_variety(obj["variety"], caps)
-    P = parse_point(V, obj["point"])
+    V = parse_variety(obj["variety"], caps, memo)
+    P = parse_point(V, obj["point"], "point", memo)
     factor = obj.get("factor")
     if factor is not None:
         bad = "non-torsion certificate: bad factor index"
@@ -368,7 +384,7 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS):
     for entry in obj["evidence"]:
         _require_keys(entry, "evidence entry", ("m", "multiple"))
         m = _require_int(entry["m"], "evidence entry: m must be an integer")
-        evidence.append((m, parse_point(tracked, entry["multiple"])))
+        evidence.append((m, parse_point(tracked, entry["multiple"], "point", memo)))
     return NonTorsionCertificate(V, P, tuple(evidence), factor=factor)
 
 
@@ -380,7 +396,7 @@ def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     )
     A, B = parse_tower_pair(obj["towers"], "non-iso certificate", caps, memo)
     level = _require_int(obj["level"], "non-iso certificate: level must be an integer")
-    diff = parse_point(A.variety, obj["difference"], "difference")
+    diff = parse_point(A.variety, obj["difference"], "difference", memo)
     inner = _parse(parse_non_torsion_certificate, obj["non_torsion"], caps, memo)
     return NonIsoCertificate(A, B, level, diff, inner)
 
@@ -393,7 +409,7 @@ def parse_witness(obj, caps=DEFAULT_CAPS, memo=None):
     points, certs = [], []
     for entry in obj["translations"]:
         _require_keys(entry, "translation", ("point", "order"))
-        t = parse_point(A.variety, entry["point"], "translation")
+        t = parse_point(A.variety, entry["point"], "translation", memo)
         order = _require_int(
             entry["order"], "translation: order must be a positive integer", 1
         )
@@ -414,14 +430,16 @@ class VerifyMemo:
     inner non_torsion of a non_iso is the very object find_certificates
     lists on its own, so its canonical text is built once.  A certificate is
     looked up by identity alone: parses through the memo hand out one object
-    per content, so its multi-KB rationals are never hashed.  A parse or
-    replay that raises keeps nothing.
+    per content, so its multi-KB rationals are never hashed.  Below the
+    subtrees, rational(text) parses each distinct Q coordinate string once.
+    A parse or replay that raises keeps nothing.
     """
 
     def __init__(self):
         self._by_id = {}
         self._parsed = {}
         self._verdicts = {}
+        self.rational = functools.cache(lambda text: QQ.element(Rational.parse(text)))
 
     def parse(self, parse, obj, caps):
         ident = (parse, caps, id(obj))
@@ -432,10 +450,10 @@ class VerifyMemo:
             text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         except (TypeError, ValueError, RecursionError):
             # not JSON, past int-to-str's digit limit or past the stack: no key
-            return parse(obj, caps)
+            return parse(obj, caps, self)
         key = (parse, caps, text)
         if key not in self._parsed:
-            self._parsed[key] = parse(obj, caps)
+            self._parsed[key] = parse(obj, caps, self)
         value = self._parsed[key]
         # obj is kept with its value, so its id names no other object
         self._by_id[ident] = (obj, value)
@@ -456,11 +474,6 @@ def _parse(parse, obj, caps, memo):
     return parse(obj, caps) if memo is None else memo.parse(parse, obj, caps)
 
 
-def _replay(cert, replay):
-    """cert.verify(), through replay when there is one."""
-    return cert.verify() if replay is None else replay(cert)
-
-
 def verify_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     """Re-run the arithmetic of one serialized certificate.
 
@@ -471,13 +484,13 @@ def verify_certificate(obj, caps=DEFAULT_CAPS, memo=None):
     if not isinstance(obj, dict) or "certificate" not in obj:
         return False, None, "not a certificate object"
     kind = obj["certificate"]
-    replay = None if memo is None else memo.replay
+    replay = methodcaller("verify") if memo is None else memo.replay
     try:
         if kind == "torsion":
-            ok = _replay(_parse(parse_torsion_certificate, obj, caps, memo), replay)
+            ok = replay(_parse(parse_torsion_certificate, obj, caps, memo))
             return ok, kind, None if ok else "torsion replay failed"
         if kind == "non_torsion":
-            ok = _replay(_parse(parse_non_torsion_certificate, obj, caps, memo), replay)
+            ok = replay(_parse(parse_non_torsion_certificate, obj, caps, memo))
             return ok, kind, None if ok else "non-torsion replay failed"
         if kind == "non_iso":
             ok = parse_non_iso_certificate(obj, caps, memo).verify(replay)

@@ -4,7 +4,7 @@ Over Q the decision is total: a point of finite order has order in
 {1..10, 12} (Mazur), so its first twelve multiples either exhibit the order
 or certify non-torsion.  On an integral model they come from the division
 polynomials psi_m evaluated at the point in integer arithmetic, one gcd per
-coordinate; anywhere else (O, y = 0, products, non-integral curves, points
+multiple; anywhere else (O, y = 0, products, non-integral curves, points
 off the curve) the point is added to itself.  The full rational torsion
 subgroup comes from the Nagell-Lutz bound on an integral model: torsion
 points have integer coordinates with y = 0 or y^2 dividing 16*(4a^3 + 27b^2).
@@ -147,23 +147,34 @@ def _mazur_walk(curve, P):
         x(m*P) = (a*W_m^2 - W_{m-1}*W_{m+1}) / (e^2 * W_m^2)
         y(m*P) = (W_{m+2}*W_{m-1}^2 - W_{m-2}*W_{m+1}^2) / (4*b * W_m^3 * e^3)
 
-    each reduced by one gcd.  Where there are no division values the walk
-    adds P to itself instead (_walk_by_addition), with the same result.
+    with one gcd per multiple, of x's parts.  A rational point of an integral
+    short Weierstrass model is (n/E^2, k/E^3) in lowest terms (Silverman-Tate,
+    Rational Points on Elliptic Curves, III.2; Washington, 8.1), so when x's
+    gcd is g = s^2, y's reduced denominator is E^3 = (e*|W_m|/s)^3 and its
+    numerator comes from one exact division by 4*b*s^3.  A g that is no
+    square, or a remainder, raises ArithmeticError; neither can happen on
+    the curve.  Where there are no division values the walk adds P to itself
+    instead (_walk_by_addition), with the same result.
     """
     W = _division_values(curve, P)
     if W is None:
         return _walk_by_addition(curve, P)
-    x, y = P.x.value, P.y.value
+    a, e2, b = P.x.value.num, P.x.value.den, P.y.value.num
+    e = math.isqrt(e2)
     evidence = []
     for m in MAZUR_ORDERS:
         w = W[m]
         if not w:
             return m, evidence
         w2 = w * w
-        mx = Rational(x.num * w2 - W[m - 1] * W[m + 1], x.den * w2)
-        my = Rational(
-            W[m + 2] * W[m - 1] ** 2 - W[m - 2] * W[m + 1] ** 2, 4 * y.num * w2 * w * y.den
-        )
+        nx, dx = a * w2 - W[m - 1] * W[m + 1], e2 * w2
+        g = math.gcd(nx, dx)
+        s = math.isqrt(g)
+        ny, r = divmod(W[m + 2] * W[m - 1] ** 2 - W[m - 2] * W[m + 1] ** 2, 4 * b * s**3)
+        if s * s != g or r:
+            raise ArithmeticError("%d*P breaks the E^2, E^3 denominator identity" % m)
+        mx = Rational._reduced(nx // g, dx // g)
+        my = Rational._reduced(ny if w > 0 else -ny, (e * abs(w) // s) ** 3)
         evidence.append((m, curve._box((mx, my))))
     return None, evidence
 

@@ -210,9 +210,10 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
 
     memo, a dict that one command passes to each of these calls and to
     deck_group, keeps each basis found, per (realized curve, n): deck_group
-    then reuses the basis that confirmed its field.  Curves and fields
-    compare by value, so a field built again still finds its bases.  No
-    entry depends on the caps.
+    then reuses the basis that confirmed its field.  It also keeps each
+    curve's point counts (_counts), which the search and every basis read.
+    Curves and fields compare by value, so a field built again still finds
+    its bases.  No entry depends on the caps.
     """
     base = V.field
     if base == QQ:
@@ -224,7 +225,7 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
         raise ValueError("n must be >= 1")
     if n % p == 0:
         raise RamifiedCharacteristic("characteristic %d divides n = %d" % (p, n))
-    counts = [_point_counts(curve, caps.extension_degree) for curve in V.factors]
+    counts = [_counts(curve, caps.extension_degree, memo) for curve in V.factors]
     for k in range(1, caps.extension_degree + 1):
         if p**k > caps.field_size:
             break
@@ -258,6 +259,19 @@ def _point_counts(curve, degrees):
     return counts
 
 
+def _counts(curve, degrees, memo):
+    """_point_counts(curve, degrees), counted once per curve in memo.
+
+    The entry keeps the longest list counted; a shorter one is its prefix.
+    """
+    if memo is None:
+        return _point_counts(curve, degrees)
+    counts = memo.get((curve, "counts"))
+    if counts is None or len(counts) < degrees:
+        counts = memo[curve, "counts"] = _point_counts(curve, degrees)
+    return counts[:degrees]
+
+
 # x-coordinates _torsion_basis draws before it leaves the field to _kernel
 _BASIS_DRAWS = 64
 
@@ -272,22 +286,22 @@ def _basis(curve, m, memo):
     if memo is None:
         return _torsion_basis(curve, m)
     if (curve, m) not in memo:
-        memo[curve, m] = _torsion_basis(curve, m)
+        memo[curve, m] = _torsion_basis(curve, m, memo)
     return memo[curve, m]
 
 
-def _curve_order(curve):
+def _curve_order(curve, memo=None):
     """#E(K) for a curve over K = F_{p^k} with coefficients in F_p; None otherwise."""
     K = curve.field
     if K.base is None:
-        return _point_counts(curve, 1)[0]
+        return _counts(curve, 1, memo)[0]
     a, b = curve.a.value, curve.b.value
     if any(a[1:]) or any(b[1:]):
         return None
-    return _point_counts(EllipticCurve(K.base, a[0], b[0]), K.degree)[-1]
+    return _counts(EllipticCurve(K.base, a[0], b[0]), K.degree, memo)[-1]
 
 
-def _torsion_basis(curve, m):
+def _torsion_basis(curve, m, memo=None):
     """Raw points (P, Q) spanning E[m] over the curve's own field K, or None.
 
     Enumerates nothing.  With #E(K) known, m^2 | #E(K) and m | #K - 1, it
@@ -300,9 +314,10 @@ def _torsion_basis(curve, m):
     3.2).  Gives None, for _kernel to decide, when #E(K) is unknown, the
     counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
     m = 1, whose kernel {O} has no prime to certify and is one point.
+    memo, when given, is full_torsion_field's and supplies the counts.
     """
     K = curve.field
-    order = _curve_order(curve)
+    order = _curve_order(curve, memo)
     if m == 1 or order is None or order % (m * m) or (K.size - 1) % m:
         return None
     primes = factorize(m)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ectower import cli, serialize
 from ectower.cli import _dumps
+from ectower.fields import Rational
 
 
 def oracle(obj):
@@ -135,3 +136,38 @@ def test_a_family_report_serializes_each_shared_value_once(tmp_path, monkeypatch
         "element_to_json": 554,
     }
 
+
+
+def q_texts(node):
+    """Each string under an "x", "y", "a" or "b" key of a report: its Q values."""
+    if isinstance(node, list):
+        return [text for child in node for text in q_texts(child)]
+    if not isinstance(node, dict):
+        return []
+    texts = []
+    for key, child in node.items():
+        if key in ("x", "y", "a", "b") and isinstance(child, str):
+            texts.append(child)
+        else:
+            texts.extend(q_texts(child))
+    return texts
+
+
+def test_a_family_report_prints_each_distinct_q_value_once(tmp_path, monkeypatch):
+    job, out = tmp_path / "job.json", tmp_path / "demo.json"
+    job.write_text(json.dumps(dict(COUNT_11, count=6)))
+    printed = []
+    text = Rational.__str__
+
+    def counted(value):
+        printed.append((value.num, value.den))
+        return text(value)
+
+    monkeypatch.setattr(Rational, "__str__", counted)
+    assert cli.main(["corollary-demo", "--input", str(job), "--output", str(out)]) == 0
+    once = list(printed)
+    texts = q_texts(json.loads(out.read_text()))
+    assert len(once) == len(set(once)) == len(set(texts)) < len(texts)
+    # the table is the command's: a second command prints every value again
+    assert cli.main(["corollary-demo", "--input", str(job), "--output", str(out)]) == 0
+    assert printed == once + once

@@ -501,3 +501,74 @@ def test_a_remainder_in_the_division_by_2b_walks_by_addition(monkeypatch):
     monkeypatch.setattr(torsion, "divmod", lambda n, d: (n // d, 1), raising=False)
     assert torsion._mazur_walk(E17, P) == mazur_walk(E17, P)
     assert walked == [P]
+
+
+# --- one gcd per multiple, against the walk that reduced x and y apart ------------
+
+# non-torsion points on integral curves: y^2 = x^3 + 17, x^3 - 2, x^3 - 36x, x^3 - x + 1
+ONE_GCD_CURVES = [
+    (E17, qpt(-2, 3)),
+    (EllipticCurve(QQ, 0, -2), qpt(3, 5)),
+    (EllipticCurve(QQ, -36, 0), qpt(-3, 9)),
+    (EllipticCurve(QQ, -1, 1), qpt(1, 1)),
+] + [(EllipticCurve(QQ, A, B), qpt(x, y)) for A, B, x, y, _ in MAZUR_EXAMPLES]
+
+
+def _two_gcd_walk(curve, P):
+    """(walk, whether some x had a common factor): each coordinate reduced by its own gcd."""
+    W = torsion._division_values(curve, P)
+    x, y = P.x.value, P.y.value
+    evidence, reduced = [], False
+    for m in MAZUR_ORDERS:
+        w = W[m]
+        if not w:
+            return (m, evidence), reduced
+        w2 = w * w
+        nx, dx = x.num * w2 - W[m - 1] * W[m + 1], x.den * w2
+        reduced = reduced or math.gcd(nx, dx) > 1
+        my = Rational(
+            W[m + 2] * W[m - 1] ** 2 - W[m - 2] * W[m + 1] ** 2, 4 * y.num * w2 * w * y.den
+        )
+        evidence.append((m, curve._box((Rational(nx, dx), my))))
+    return (None, evidence), reduced
+
+
+def test_one_gcd_walk_matches_addition_and_the_two_gcd_walk(monkeypatch):
+    by_addition = torsion._walk_by_addition
+    walked = _division_path(monkeypatch)
+    seen = {"g > 1": 0, "e > 1": 0}
+    for curve, P in ONE_GCD_CURVES:
+        for d in range(1, 13):
+            for Q in (curve.scalar_mul(d, P), curve.scalar_mul(-d, P)):
+                if torsion._division_values(curve, Q) is None:
+                    continue  # O or y = 0, which the walk adds to itself
+                walk = torsion._mazur_walk(curve, Q)
+                old, reduced = _two_gcd_walk(curve, Q)
+                assert walk == old == by_addition(curve, Q), (curve, d)
+                seen["g > 1"] += reduced
+                seen["e > 1"] += Q.x.value.den > 1
+    assert walked == []
+    assert all(seen.values()), seen
+
+
+def test_the_walk_takes_one_gcd_per_mazur_multiple(monkeypatch):
+    gcds = []
+    gcd = math.gcd
+
+    def counted(*args):
+        gcds.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    walks = 0
+    for curve, P in ONE_GCD_CURVES:
+        for Q in (P, curve.scalar_mul(5, P)):
+            if torsion._division_values(curve, Q) is None:
+                continue  # 5P is O at order 5 and has y = 0 at order 10
+            del gcds[:]
+            order, evidence = torsion._mazur_walk(curve, Q)
+            passed = [m for m in MAZUR_ORDERS if order is None or m < order]
+            assert [m for m, _ in evidence] == passed
+            assert len(gcds) == len(passed)
+            walks += 1
+    assert walks == 2 * len(ONE_GCD_CURVES) - 2

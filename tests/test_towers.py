@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -522,9 +523,9 @@ def _count_bases(monkeypatch):
     calls = []
     find = towers._torsion_basis
 
-    def counted(curve, m):
+    def counted(curve, m, *memo):
         calls.append((curve, m))
-        return find(curve, m)
+        return find(curve, m, *memo)
 
     monkeypatch.setattr(towers, "_torsion_basis", counted)
     return calls
@@ -552,6 +553,36 @@ def test_no_basis_outlives_its_command(monkeypatch, tmp_path):
     once = list(bases)
     assert _build_level5(tmp_path) == first
     assert bases == once + once
+
+
+LEVEL6_DECK_F719 = {
+    "deck": True,
+    "tower": {
+        "N": 6,
+        "o": {"inf": True},
+        "base": {"curve": {"a": "0", "b": "1", "field": {"field": "Fp", "p": "719"}}},
+        "e": [{"inf": True}] * 7,
+    },
+}
+
+
+def test_tower_build_counts_points_once_per_curve(monkeypatch, tmp_path):
+    # every level's degree search and every basis read the counts of
+    # y^2 = x^3 + 1 over F_719
+    calls = []
+    count = towers._point_counts
+
+    def counted(curve, degrees):
+        calls.append(curve)
+        return count(curve, degrees)
+
+    monkeypatch.setattr(towers, "_point_counts", counted)
+    job = tmp_path / "level6.job.json"
+    job.write_text(json.dumps(LEVEL6_DECK_F719))
+    assert main(["tower-build", "--input", str(job), "--output", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+    assert main(["tower-build", "--input", str(job)]) == 0
+    assert calls == calls[:1] * 2  # no count outlives its command
 
 
 def test_match_deck_finds_its_basis_once(monkeypatch):

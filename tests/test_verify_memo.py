@@ -11,11 +11,13 @@ import json
 import time
 from pathlib import Path
 
+from test_report_writer import q_texts
 from test_verify_fuzz import _mutations
 
 from ectower import serialize, torsion
 from ectower.cli import main
 from ectower.config import DEFAULT_CAPS
+from ectower.fields import Rational
 from ectower.serialize import VerifyMemo, find_certificates, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -208,3 +210,30 @@ def test_a_tampered_inner_certificate_fails_only_where_it_is(tmp_path):
     same = DEMO_4["pairs"][3]["certificate"]["non_torsion"]
     assert all(DEMO_4["pairs"][k]["certificate"]["non_torsion"] == same for k in (0, 5))
     assert verified["verified"] == 11
+
+
+def test_verify_parses_each_distinct_coordinate_string_once(tmp_path, monkeypatch):
+    # count 6: 31 certificates whose towers and evidence repeat the
+    # multiples of P, each string parsed once per verify command
+    job = dict(json.loads((GOLDEN / "corollary-demo-4.job.json").read_text()), count=6)
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    source, out = tmp_path / "demo.json", tmp_path / "verified.json"
+    main(["corollary-demo", "--input", str(tmp_path / "job.json"), "--output", str(source)])
+    texts = q_texts(json.loads(source.read_text()))
+    parsed = []
+    parse = Rational.parse
+
+    def counted(cls, text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(Rational, "parse", classmethod(counted))
+    assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
+    once = list(parsed)
+    assert sorted(once) == sorted(set(texts))
+    assert len(once) < len(texts)
+    # the table is the command's: a second verify parses every string again
+    assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
+    assert parsed == once + once
+    monkeypatch.undo()
+    assert json.loads(out.read_text())["verified"] == 31
