@@ -411,13 +411,25 @@ _HANDLERS = {
 
 
 def _emit(report, args):
-    blob = _dumps(report) + "\n"
+    text = _dumps(report)
     if getattr(args, "output", None):
-        _write_atomically(args.output, blob)
+        _write_atomically(args.output, text)
     if getattr(args, "json", False):
-        sys.stdout.write(blob)
+        _write_line(sys.stdout, text)
     else:
         sys.stdout.write(_render_text(report) + "\n")
+
+
+# characters per write: a text stream encodes each write whole, so a report
+# goes out in slices instead of as one encoded copy of its text
+_SLICE = 1 << 16
+
+
+def _write_line(handle, text):
+    """Write text and a newline to a text stream, one slice of text at a time."""
+    for start in range(0, len(text), _SLICE):
+        handle.write(text[start : start + _SLICE])
+    handle.write("\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -488,7 +500,7 @@ def _write(obj, pad, out, spans):
 
 
 def _write_atomically(path, text):
-    """Write text to a new file beside path, then rename it onto path.
+    """Write text and a newline to a new file beside path, then rename it onto path.
 
     A failed write leaves any earlier report at path untouched, and the
     rename never exposes a half-written one.
@@ -496,7 +508,7 @@ def _write_atomically(path, text):
     tmp = "%s.%s.tmp" % (path, secrets.token_hex(8))
     try:
         with open(tmp, "x", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_line(handle, text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -113,8 +113,11 @@ class EllipticCurve:
         if field.characteristic in (2, 3):
             raise UnsupportedField("short Weierstrass form needs char not in {2, 3}")
         a, b = field.element(a), field.element(b)
-        disc = -16 * (4 * a * a * a + 27 * b * b)
-        if not disc:
+        K, u, v = field, a.value, b.value
+        # the discriminant -16 (4 a^3 + 27 b^2) is zero exactly when 4 a^3 + 27 b^2 is
+        d = K._add(K._mul(K._coerce(4), K._mul(K._mul(u, u), u)),
+                   K._mul(K._coerce(27), K._mul(v, v)))
+        if d == K._coerce(0):
             raise ValueError("singular curve: discriminant is zero")
         self.field = field
         self.a = a
@@ -163,9 +166,12 @@ class EllipticCurve:
             return False
         if P.is_infinity:
             return True
-        if P.x.field != self.field or P.y.field != self.field:
+        K = self.field
+        if P.x.field != K or P.y.field != K:
             return False
-        return P.y * P.y == P.x * P.x * P.x + self.a * P.x + self.b
+        x, y = P.x.value, P.y.value
+        rhs = K._add(K._mul(K._add(K._mul(x, x), self.a.value), x), self.b.value)
+        return K._mul(y, y) == rhs
 
     def require_on_curve(self, P):
         if not self.contains(P):
@@ -182,26 +188,14 @@ class EllipticCurve:
     def _add_raw(self, P, Q):
         """P + Q on raw (x, y) value pairs, None for O: the curve's one group law.
 
-        The affine chord-tangent law (Washington, Elliptic Curves, 2.2) through
-        the field's own _add, _sub, _mul, _inv and _neg, so it serves F_p,
-        F_{p^k} and Q alike.
+        O is handled here; two affine points go to the field's chord-tangent
+        law, which F_p and F_{p^2} run on plain ints.
         """
         if P is None:
             return Q
         if Q is None:
             return P
-        K = self.field
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if y1 != y2 or y1 == K._neg(y1):
-                return None
-            num = K._add(K._mul(K._coerce(3), K._mul(x1, x1)), self.a.value)
-            lam = K._mul(num, K._inv(K._mul(K._coerce(2), y1)))
-        else:
-            lam = K._mul(K._sub(y2, y1), K._inv(K._sub(x2, x1)))
-        x3 = K._sub(K._sub(K._mul(lam, lam), x1), x2)
-        return (x3, K._sub(K._mul(lam, K._sub(x1, x3)), y1))
+        return self.field._chord_tangent(self.a.value, P, Q)
 
     def _neg_raw(self, P):
         if P is None:

@@ -277,6 +277,25 @@ class Field:
     def is_finite(self):
         return self.size is not None
 
+    def _chord_tangent(self, a, P, Q):
+        """P + Q on y^2 = x^3 + a*x + b for affine raw points, None for O.
+
+        The affine chord-tangent law (Washington, Elliptic Curves, 2.2) through
+        this field's _add, _sub, _mul, _inv and _neg, for Q and F_{p^k}, k >= 3;
+        F_p and F_{p^2} override it with the same law in plain ints.
+        """
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if y1 != y2 or y1 == self._neg(y1):
+                return None
+            num = self._add(self._mul(self._coerce(3), self._mul(x1, x1)), a)
+            lam = self._mul(num, self._inv(self._mul(self._coerce(2), y1)))
+        else:
+            lam = self._mul(self._sub(y2, y1), self._inv(self._sub(x2, x1)))
+        x3 = self._sub(self._sub(self._mul(lam, lam), x1), x2)
+        return (x3, self._sub(self._mul(lam, self._sub(x1, x3)), y1))
+
     def _pow(self, a, n):
         """a^n for n >= 0 on raw values, by square-and-multiply."""
         acc = self._coerce(1)
@@ -425,6 +444,20 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZero("inverse of zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
+
+    def _chord_tangent(self, a, P, Q):
+        """Field._chord_tangent on plain ints, with one inversion by Fermat."""
+        p = self.p
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                return None
+            lam = (3 * x1 * x1 + a) * pow(2 * y1, p - 2, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return (x3, (lam * (x1 - x3) - y1) % p)
 
     def _sort_key(self, a):
         return a
@@ -644,6 +677,49 @@ class ExtField(Field):
             u = self._frobenius(self._mul(u, a))
         n = pow(self._mul(u, a)[0], p - 2, p)
         return tuple([c * n % p for c in u])
+
+    def _chord_tangent(self, a, P, Q):
+        """Field._chord_tangent; for k = 2 on plain ints, with _mul and _inv written out.
+
+        With f = x^2 + c1 x + c0 and x^2 = r0 + r1 x, a product is
+        (u0 v0 + h r0) + (u0 v1 + u1 v0 + h r1) x with h = u1 v1, and the
+        slope's one inversion goes through the norm, as _inv does.
+        """
+        if self.degree != 2:
+            return Field._chord_tangent(self, a, P, Q)
+        p = self.base.p
+        c0, c1, _ = self.modulus
+        ((r0, r1),) = self._rows
+        x1, y1 = P
+        x2, y2 = Q
+        (x10, x11), (y10, y11), (x20, x21) = x1, y1, x2
+        if x1 == x2:
+            if y1 != y2 or not (y10 or y11):
+                return None
+            # slope (3 x1^2 + a) / (2 y1)
+            h = x11 * x11
+            n0 = 3 * (x10 * x10 + h * r0) + a[0]
+            n1 = 3 * (2 * x10 * x11 + h * r1) + a[1]
+            d0, d1 = 2 * y10, 2 * y11
+        else:
+            y20, y21 = y2
+            n0, n1 = y20 - y10, y21 - y11
+            d0, d1 = x20 - x10, x21 - x11
+        b0 = d0 - c1 * d1
+        t = pow((d0 * b0 + c0 * d1 * d1) % p, p - 2, p)
+        e0, e1 = b0 * t % p, -d1 * t % p  # 1 / d
+        h = n1 * e1
+        l0 = (n0 * e0 + h * r0) % p
+        l1 = (n0 * e1 + n1 * e0 + h * r1) % p
+        h = l1 * l1
+        x30 = (l0 * l0 + h * r0 - x10 - x20) % p
+        x31 = (2 * l0 * l1 + h * r1 - x11 - x21) % p
+        u0, u1 = x10 - x30, x11 - x31
+        h = l1 * u1
+        return (
+            (x30, x31),
+            ((l0 * u0 + h * r0 - y10) % p, (l0 * u1 + l1 * u0 + h * r1 - y11) % p),
+        )
 
     def _sort_key(self, a):
         return a

@@ -206,7 +206,8 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
     two necessary conditions (Weil pairing; Silverman, AEC III.8) read off
     the point counts without building the field.  A degree that passes is
     confirmed on every curve factor by a basis of E[n] over it, or, when
-    none turns up, by counting the kernel of multiplication by n.
+    none turns up, by counting the kernel of multiplication by n; E[1] = {O}
+    needs neither.
 
     memo, a dict that one command passes to each of these calls and to
     deck_group, keeps each basis found, per (realized curve, n): deck_group
@@ -277,8 +278,8 @@ _BASIS_DRAWS = 64
 
 
 def _has_full_torsion(curve, n, caps, memo):
-    """E[n] lies in E(K): proved by a basis, else decided by counting the kernel."""
-    return _basis(curve, n, memo) is not None or len(_kernel(curve, n, caps)) == n * n
+    """E[n] lies in E(K): always for n = 1, else proved by a basis or by the kernel's count."""
+    return n == 1 or _basis(curve, n, memo) is not None or len(_kernel(curve, n, caps)) == n * n
 
 
 def _basis(curve, m, memo):
@@ -466,8 +467,9 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
 
     A nonempty fiber of y -> m*y + c is a coset of the m-torsion, which is
     the product of the factors' m-torsion, so the fiber is the product of
-    the per-factor fibers of y_j -> m*y_j + c_j over z_j.  Each factor is
-    enumerated once: sum |E_j(K)| map evaluations, not prod |E_j(K)|.  The
+    the per-factor fibers of y_j -> m*y_j + c_j over z_j, each the solutions
+    of m*y_j = w_j with w_j = z_j - c_j (_factor_fiber).  Each factor is
+    enumerated once: sum |E_j(K)| candidates, not prod |E_j(K)|.  The
     factor enumerations are sorted and a product point sorts by its factor
     keys in order, so the product of the per-factor fibers comes out sorted.
     Over a full-m-torsion field a nonempty fiber has exactly m^(2g) points.
@@ -482,22 +484,33 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     V = realized.variety
     z = _embed_point(f.variety, z, K)
     V.require_on_curve(z)
-    # enumerated points lie on their factor by construction; each factor's
-    # map y -> m*y + c runs on raw values
     hits = [
-        [
-            y
-            for y in points
-            if curve._add_raw(curve._scalar_mul_raw(m, y._raw()), c) == target
-        ]
-        for curve, points, c, target in zip(
-            V.factors,
-            V.enumerate_factors(caps),
-            [q._raw() for q in V.split(realized.c)],
-            [q._raw() for q in V.split(z)],
+        _factor_fiber(curve, points, m, curve._add_raw(zj._raw(), curve._neg_raw(cj._raw())))
+        for curve, points, cj, zj in zip(
+            V.factors, V.enumerate_factors(caps), V.split(realized.c), V.split(z)
         )
     ]
     return [V.assemble(t) for t in itertools.product(*hits)]
+
+
+def _factor_fiber(curve, points, m, w):
+    """The points y of a curve's sorted enumeration with m*y = w, w raw.
+
+    m*O = O, so O is in it exactly when w = O.  The enumeration lists the
+    points of one x together, and a second root is the negation of the
+    first, with the negated image: one scalar multiple per x-coordinate.
+    Enumerated points lie on the curve by construction; none is checked.
+    """
+    hits = [points[0]] if w is None else []
+    mul, neg = curve._scalar_mul_raw, curve._neg_raw
+    x = image = None
+    for y in points[1:]:
+        raw = y._raw()
+        image = neg(image) if raw[0] == x else mul(m, raw)
+        x = raw[0]
+        if image == w:
+            hits.append(y)
+    return hits
 
 
 @dataclass(frozen=True)

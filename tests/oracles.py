@@ -358,6 +358,30 @@ def fq_pow(a, n, f, p):
     return acc
 
 
+def fq_point_add(a, P, Q, f, p):
+    """P + Q on y^2 = x^3 + a*x + b over F_p[x]/(f), by the affine formula in fq_* arithmetic.
+
+    Points are None (infinity) or (x, y) coefficient tuples of length deg f,
+    and a is one too; F_p itself is f = (0, 1), with 1-tuples.
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if y1 != y2 or not any(y1):
+            return None
+        three, two = _fq_pad((3 % p,), f), _fq_pad((2 % p,), f)
+        num = fq_add(fq_mul(three, fq_mul(x1, x1, f, p), f, p), a, p)
+        lam = fq_mul(num, fq_inv(fq_mul(two, y1, f, p), f, p), f, p)
+    else:
+        lam = fq_mul(fq_sub(y2, y1, p), fq_inv(fq_sub(x2, x1, p), f, p), f, p)
+    x3 = fq_sub(fq_sub(fq_mul(lam, lam, f, p), x1, p), x2, p)
+    y3 = fq_sub(fq_mul(lam, fq_sub(x1, x3, p), f, p), y1, p)
+    return (x3, y3)
+
+
 def find_certificates(obj, path="$"):
     """Every dict holding a string "certificate", with its JSON path.
 

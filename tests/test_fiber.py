@@ -91,19 +91,57 @@ def test_product_fiber_evaluates_each_factor_point_once(monkeypatch):
     K = full_torsion_field(X, 3)
     f = TwistedMulMap(3, X.enumerate_points()[9], X)
     z = realize_map(f, K)(realize_variety(X, K).enumerate_points()[500])
-    factor_points = sum(len(c.enumerate_points()) for c in realize_variety(X, K).factors)
+    factors = realize_variety(X, K).factors
+    xs = sum(len({P.x for P in c.enumerate_points() if not P.is_infinity}) for c in factors)
     calls = []
-    original = EllipticCurve._scalar_mul_unchecked
+    original = EllipticCurve._scalar_mul_raw
 
     def counted(self, n, P):
         calls.append(n)
         return original(self, n, P)
 
-    monkeypatch.setattr(EllipticCurve, "_scalar_mul_unchecked", counted)
+    monkeypatch.setattr(EllipticCurve, "_scalar_mul_raw", counted)
     assert len(fiber(f, z, field=K)) == 81
-    # one multiplication per factor point, plus the realized centre's constant
-    # on each factor; a scan of the product would make 36 * 36 of them
-    assert len(calls) <= factor_points + len(X.factors)
+    # at most one multiplication per distinct x per factor, each by m: the
+    # second root's image is the negation of the first's, and O needs none;
+    # a scan of the product would make 36 * 36 of them
+    assert calls and len(calls) <= xs and set(calls) == {3}
+
+
+F11 = PrimeField(11)
+E11 = EllipticCurve(F11, 0, 1)  # supersingular: (Z/12)^2 over F_121
+E11B = EllipticCurve(F11, 0, 2)
+
+
+def _two_torsion(V):
+    return [P for P in V.enumerate_points() if all(q.is_infinity or not q.y for q in V.split(P))]
+
+
+@pytest.mark.parametrize(
+    "V, K",
+    [(E11, F11), (E11, extension_field(F11, 2)), (ProductVariety([E11, E11B]), F11)],
+    ids=["g1-F11", "g1-F121", "g2-F11"],
+)
+def test_fiber_matches_scan_for_m_1_to_6(V, K):
+    # targets z = c + w: w = O, every 2-torsion w, and a spread of other points
+    VK = realize_variety(V, K)
+    points = VK.enumerate_points()
+    halves = _two_torsion(VK)
+    assert len(halves) > 1
+    empty = nonempty = 0
+    for m in range(1, 7):
+        f = TwistedMulMap(m, V.enumerate_points()[5], V)
+        c = realize_map(f, K).c
+        for w in halves + points[:: max(1, len(points) // 12)]:
+            z = VK._add_unchecked(c, w)
+            got = fiber(f, z, field=K)
+            assert got == exhaustive_fiber(f, z, K)
+            empty += not got
+            nonempty += bool(got)
+            if m == 1:
+                assert len(got) == 1
+    # some w lie outside m*V(K), so their fibers are empty
+    assert empty and nonempty
 
 
 def test_product_over_the_cap_is_refused_with_the_same_message():

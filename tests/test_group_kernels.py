@@ -1,0 +1,215 @@
+"""The F_p and F_{p^2} group-law kernels, and membership, against tests/oracles.py.
+
+EllipticCurve._add_raw hands two affine points to its field's _chord_tangent:
+PrimeField and ExtField at k = 2 run it on plain ints, every other field
+runs the generic law through the field's own operations.  Each kernel is
+checked against the affine formula in the oracles' plain-int F_p[x]/(f)
+arithmetic (fq_point_add) and against the boxed formula (boxed_add), on
+random pairs and on every special case: doubling, P + (-P), a point with
+y = 0, and O on either side.  Moduli with c1 = 0 (every default one here)
+and with c1 != 0 are both covered, and so are curve coefficients outside F_p.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ectower.curves import EllipticCurve, Point, ProductPoint
+from ectower.fields import QQ, ExtField, Field, PrimeField, Rational, is_irreducible
+
+from oracles import boxed_add, fq_mul, fq_point_add, o_add, on_curve
+
+
+def _ext(p, modulus=None):
+    return ExtField(PrimeField(p), 2, modulus)
+
+
+def _first_modulus_with_c1(p):
+    """The first irreducible x^2 + x + c0 over F_p: a modulus with c1 != 0."""
+    return next((c0, 1, 1) for c0 in range(p) if is_irreducible((c0, 1, 1), p))
+
+
+FIELDS = [PrimeField(p) for p in (5, 7, 239, 719)] + [
+    _ext(5),
+    _ext(5, (2, 1, 1)),
+    _ext(7),
+    _ext(239),
+    _ext(719),
+    _ext(719, _first_modulus_with_c1(719)),
+]
+
+
+def _oracle_value(value):
+    """A raw value as the oracles' coefficient tuple: an F_p int becomes a 1-tuple."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _oracle_modulus(K):
+    return K.modulus if isinstance(K, ExtField) else (0, 1)
+
+
+def _oracle_point(P):
+    if P is None:
+        return None
+    return tuple(_oracle_value(v) for v in P)
+
+
+def _curves(K, rng):
+    """(curve, roots of x^3 + a x + b) for y^2 = x^3 + 1, y^2 = x^3 - x and a random
+    curve through a chosen (r, 0); the roots listed are those known, not all."""
+    one = K._coerce(1)
+    curves = [(EllipticCurve(K, 0, 1), [K._neg(one)]),
+              (EllipticCurve(K, -1, 0), [K._coerce(0), one, K._neg(one)])]
+    while len(curves) < 3:
+        a, r = K._random(rng), K._random(rng)
+        # b = -(r^3 + a r) puts (r, 0) on the curve
+        b = K._neg(K._add(K._mul(K._mul(r, r), r), K._mul(a, r)))
+        try:
+            curves.append((EllipticCurve(K, K.element(a), K.element(b)), [r]))
+        except ValueError:  # singular
+            continue
+    return curves
+
+
+def _random_points(curve, rng, count):
+    """Points with a random x, each checked on the curve in the oracle's arithmetic."""
+    K = curve.field
+    f, p = _oracle_modulus(K), K.characteristic
+    a, b = curve.a.value, curve.b.value
+    z = K._non_residue()
+    points = []
+    while len(points) < count:
+        x = K._random(rng)
+        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b), z)
+        if y is None:
+            continue
+        ox, oy, oa, ob = (_oracle_value(v) for v in (x, y, a, b))
+        rhs = [(u + v + w) % p for u, v, w in
+               zip(fq_mul(fq_mul(ox, ox, f, p), ox, f, p), fq_mul(oa, ox, f, p), ob)]
+        assert list(fq_mul(oy, oy, f, p)) == rhs
+        points.append((x, y))
+    return points
+
+
+def _cases(curve, roots, rng):
+    points = _random_points(curve, rng, 24)
+    neg = curve._neg_raw
+    halves = [(x, curve.field._coerce(0)) for x in roots]
+    cases = [(rng.choice(points), rng.choice(points)) for _ in range(60)]
+    for P in points[:8]:
+        cases += [(P, P), (P, neg(P)), (neg(P), P), (None, P), (P, None)]
+    for T in halves:
+        cases += [(T, T), (T, points[0]), (points[0], T), (None, T), (T, None)]
+    return cases + [(None, None)]
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=lambda K: "%r/%r" % (K, getattr(K, "modulus", "")))
+def test_kernels_agree_with_the_fq_oracle_and_the_boxed_formula(K):
+    rng = random.Random(7)
+    f, p = _oracle_modulus(K), K.characteristic
+    for curve, roots in _curves(K, rng):
+        a = _oracle_value(curve.a.value)
+        for P, Q in _cases(curve, roots, rng):
+            got = curve._add_raw(P, Q)
+            assert _oracle_point(got) == fq_point_add(
+                a, _oracle_point(P), _oracle_point(Q), f, p
+            )
+            assert curve._box(got) == boxed_add(curve, curve._box(P), curve._box(Q))
+
+
+@pytest.mark.parametrize("K", [PrimeField(7), _ext(5, (2, 1, 1)), _ext(719)], ids=repr)
+def test_f_p_and_f_p2_additions_make_no_field_method_call(K, monkeypatch):
+    rng = random.Random(1)
+    curve = _curves(K, rng)[2][0]
+    P, Q = _random_points(curve, rng, 2)
+    calls = []
+    for name in ("_add", "_sub", "_mul", "_inv", "_neg", "_coerce"):
+        original = getattr(type(K), name)
+
+        def counted(*args, original=original):
+            calls.append(original)
+            return original(*args)
+
+        monkeypatch.setattr(type(K), name, counted)
+    curve._add_raw(P, Q)
+    curve._add_raw(P, P)
+    assert calls == []
+    assert type(K)._chord_tangent is not Field._chord_tangent
+
+
+def test_higher_degrees_and_q_keep_the_generic_law():
+    F125 = ExtField(PrimeField(5), 3)
+    curve = EllipticCurve(F125, 0, 1)
+    P, Q = [R._raw() for R in curve.enumerate_points()[1:3]]
+    assert curve._add_raw(P, Q) == Field._chord_tangent(F125, curve.a.value, P, Q)
+    # over Q, against the Fraction formula of the oracles
+    E = EllipticCurve(QQ, 0, 17)
+    R, S = Point(QQ.element(-2), QQ.element(3)), Point(QQ.element(-1), QQ.element(4))
+    for left, right in ((R, S), (R, R), (S, E._negate_unchecked(S))):
+        got = E._add_unchecked(left, right)
+        expected = o_add(Fraction(0), Fraction(17), _fraction_point(left), _fraction_point(right))
+        assert _fraction_point(got) == expected
+
+
+def _fraction_point(P):
+    if P.is_infinity:
+        return None
+    return tuple(Fraction(v.value.num, v.value.den) for v in (P.x, P.y))
+
+
+# --- membership --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "K", [PrimeField(5), PrimeField(7), _ext(5), _ext(5, (2, 1, 1))], ids=repr
+)
+def test_contains_agrees_with_the_oracle_on_every_pair(K):
+    rng = random.Random(3)
+    for curve, _ in _curves(K, rng):
+        values = list(K.elements())
+        for x in values:
+            for y in values:
+                P = Point(x, y)
+                assert curve.contains(P) == on_curve(curve.a, curve.b, (x, y))
+        assert curve.contains(Point.infinity())
+
+
+def test_contains_agrees_with_the_oracle_over_q():
+    on = 0
+    for a, b in ((0, 1), (0, 17), (-1, 0), (-3, 5)):
+        curve = EllipticCurve(QQ, a, b)
+        for x in (Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 4)):
+            for y in (Fraction(n, d) for n in range(-6, 7) for d in (1, 8)):
+                P = Point(*(QQ.element(Rational(v.numerator, v.denominator)) for v in (x, y)))
+                assert curve.contains(P) == on_curve(Fraction(a), Fraction(b), (x, y))
+                on += curve.contains(P)
+    assert on >= 10  # (2, +-3) and (-1, 0) on the first, (-2, +-3) on the second, ...
+
+
+def test_contains_refuses_other_shapes_and_fields():
+    F5, F7 = PrimeField(5), PrimeField(7)
+    E5, F25 = EllipticCurve(F5, 0, 1), _ext(5)
+    P = Point(F5.element(0), F5.element(1))
+    assert E5.contains(P)
+    for other in (None, (0, 1), ProductPoint([P]), ProductPoint([P, P])):
+        assert not E5.contains(other)
+    # the same values in another field, and F_5 values on the F_25 curve
+    assert not E5.contains(Point(F7.element(0), F7.element(1)))
+    assert not EllipticCurve(F25, 0, 1).contains(P)
+    assert not E5.contains(Point(F5.element(0), F7.element(1)))
+
+
+@pytest.mark.parametrize("K", [QQ, PrimeField(5), _ext(5, (2, 1, 1)), ExtField(PrimeField(5), 3)],
+                         ids=repr)
+def test_singular_curves_are_refused(K):
+    # a = -3 t^2, b = 2 t^3 gives 4 a^3 + 27 b^2 = 0 for every t
+    t = K.element([1, 1]) if isinstance(K, ExtField) else K.element(2)
+    with pytest.raises(ValueError, match="^singular curve: discriminant is zero$"):
+        EllipticCurve(K, -3 * t * t, 2 * t * t * t)
+    with pytest.raises(ValueError, match="^singular curve"):
+        EllipticCurve(K, 0, 0)
+    if K == PrimeField(5):
+        # 4 * 2^3 + 27 * 2^2 = 140 = 0 mod 5, though not over Z
+        with pytest.raises(ValueError, match="^singular curve"):
+            EllipticCurve(K, 2, 2)

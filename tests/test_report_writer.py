@@ -6,7 +6,10 @@ container object at equal and at different depths, as reports built with a
 `serialize._shared` memo do.
 """
 
+import io
 import json
+import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -171,3 +174,33 @@ def test_a_family_report_prints_each_distinct_q_value_once(tmp_path, monkeypatch
     # the table is the command's: a second command prints every value again
     assert cli.main(["corollary-demo", "--input", str(job), "--output", str(out)]) == 0
     assert printed == once + once
+
+
+def test_a_report_is_written_in_slices_without_a_copy_of_its_text(tmp_path):
+    # a 2 MB report text: writing it to a file or to a text stream allocates
+    # about one slice and its encoding at a time, not the text again
+    text = "[" + ",".join('"%07d"' % i for i in range(200_000)) + "]"
+    out = tmp_path / "report.json"
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cli._write_atomically(str(out), text)
+            cli._write_line(sink, text)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert out.read_bytes() == (text + "\n").encode()
+    stream = io.StringIO()
+    cli._write_line(stream, text)
+    assert stream.getvalue() == text + "\n"
+    assert peak < len(text) // 4
+
+
+def test_emit_writes_the_same_bytes_to_the_file_and_stdout(tmp_path, capsys):
+    job, out = tmp_path / "job.json", tmp_path / "demo.json"
+    job.write_text(json.dumps(dict(COUNT_11, count=6)))
+    assert cli.main(["corollary-demo", "--input", str(job), "--output", str(out), "--json"]) == 0
+    blob = out.read_bytes()
+    assert capsys.readouterr().out.encode() == blob
+    assert blob == (oracle(json.loads(blob)) + "\n").encode()

@@ -590,3 +590,34 @@ def test_match_deck_finds_its_basis_once(monkeypatch):
     bases = _count_bases(monkeypatch)
     assert match_deck(tower, 4)
     assert bases and len(bases) == len(set(bases))
+
+
+def _tower_build_kernels(monkeypatch, tmp_path, base, o, e):
+    """The m of every _kernel call of one tower-build with deck groups."""
+    calls = _count_calls(monkeypatch, towers, "_kernel")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"deck": True, "tower": {"base": base, "o": o, "e": [o] + e,
+                                                        "N": len(e)}}))
+    assert main(["tower-build", "--input", str(job), "--output", str(tmp_path / "r.json")]) == 0
+    return [n for _, n, _ in calls]
+
+
+F5_JSON = {"field": "Fp", "p": "5"}
+E5_JSON = {"curve": {"a": "0", "b": "1", "field": F5_JSON}}
+E5B_JSON = {"curve": {"a": "0", "b": "2", "field": F5_JSON}}
+INF = {"inf": True}
+
+
+@pytest.mark.parametrize("g, N, level1", [(1, 4, 2), (2, 3, 4)])
+def test_level_one_is_enumerated_only_by_its_deck_groups(monkeypatch, tmp_path, g, N, level1):
+    # E[1] = {O} lies in every E(K), so full_torsion_field(V, 1) enumerates
+    # nothing; each level-1 deck group, for the step and the composite,
+    # still walks its one-point kernel on every curve factor
+    point = {"x": "2", "y": "3"}
+    if g == 1:
+        base, o, e = E5_JSON, INF, [point] * N
+    else:
+        base, o = {"product": [E5_JSON, E5B_JSON]}, {"coords": [INF, INF]}
+        e = [{"coords": [point, {"x": "3", "y": "2"}]}] * N
+    kernels = _tower_build_kernels(monkeypatch, tmp_path, base, o, e)
+    assert kernels.count(1) == level1 == 2 * g
