@@ -281,8 +281,9 @@ class Field:
         """P + Q on y^2 = x^3 + a*x + b for affine raw points, None for O.
 
         The affine chord-tangent law (Washington, Elliptic Curves, 2.2) through
-        this field's _add, _sub, _mul, _inv and _neg, for Q and F_{p^k}, k >= 3;
-        F_p and F_{p^2} override it with the same law in plain ints.
+        this field's _add, _sub, _mul, _inv and _neg, for Q and F_{p^k} with
+        k = 1 or k >= 5; F_p and F_{p^k}, k = 2, 3, 4, override it with the
+        same law in plain ints.
         """
         x1, y1 = P
         x2, y2 = Q
@@ -549,32 +550,18 @@ class ExtField(Field):
         return tuple([c % p for c in value] + [0] * (self.degree - len(value)))
 
     def _add(self, a, b):
-        """a + b; unrolled for k = 2, 3 and 4, as are _sub and _neg."""
+        """a + b; unrolled for k = 2, as are _sub and _neg."""
         p = self.base.p
-        k = self.degree
-        if k == 2:
+        if self.degree == 2:
             (a0, a1), (b0, b1) = a, b
             return ((a0 + b0) % p, (a1 + b1) % p)
-        if k == 3:
-            (a0, a1, a2), (b0, b1, b2) = a, b
-            return ((a0 + b0) % p, (a1 + b1) % p, (a2 + b2) % p)
-        if k == 4:
-            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
-            return ((a0 + b0) % p, (a1 + b1) % p, (a2 + b2) % p, (a3 + b3) % p)
         return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         p = self.base.p
-        k = self.degree
-        if k == 2:
+        if self.degree == 2:
             (a0, a1), (b0, b1) = a, b
             return ((a0 - b0) % p, (a1 - b1) % p)
-        if k == 3:
-            (a0, a1, a2), (b0, b1, b2) = a, b
-            return ((a0 - b0) % p, (a1 - b1) % p, (a2 - b2) % p)
-        if k == 4:
-            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
-            return ((a0 - b0) % p, (a1 - b1) % p, (a2 - b2) % p, (a3 - b3) % p)
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _mul(self, a, b):
@@ -619,50 +606,21 @@ class ExtField(Field):
         return tuple([c % p for c in prod[:k]])
 
     def _frobenius(self, a):
-        """a^p, which is linear over F_p: the Frobenius matrix times a; unrolled for k = 3, 4."""
+        """a^p, which is linear over F_p: the Frobenius matrix times a."""
         p = self.base.p
-        k = self.degree
-        if k == 3:
-            a0, a1, a2 = a
-            (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = self._frobenius_rows
-            return (
-                (a0 * r0 + a1 * r1 + a2 * r2) % p,
-                (a0 * s0 + a1 * s1 + a2 * s2) % p,
-                (a0 * t0 + a1 * t1 + a2 * t2) % p,
-            )
-        if k == 4:
-            a0, a1, a2, a3 = a
-            (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = (
-                self._frobenius_rows
-            )
-            return (
-                (a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3) % p,
-                (a0 * s0 + a1 * s1 + a2 * s2 + a3 * s3) % p,
-                (a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3) % p,
-                (a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3) % p,
-            )
         return tuple([sum(map(operator.mul, a, row)) % p for row in self._frobenius_rows])
 
     def _neg(self, a):
         p = self.base.p
-        k = self.degree
-        if k == 2:
+        if self.degree == 2:
             a0, a1 = a
             return (-a0 % p, -a1 % p)
-        if k == 3:
-            a0, a1, a2 = a
-            return (-a0 % p, -a1 % p, -a2 % p)
-        if k == 4:
-            a0, a1, a2, a3 = a
-            return (-a0 % p, -a1 % p, -a2 % p, -a3 % p)
         return tuple([-x % p for x in a])
 
     def _inv(self, a):
         p = self.base.p
         if not any(a):
             raise DivisionByZero("inverse of zero in %r" % self)
-        if self.degree == 1:
-            return (pow(a[0], p - 2, p),)
         if self.degree == 2:
             # f = x^2 + c1 x + c0: the conjugate of a0 + a1 x is (a0 - c1 a1) - a1 x,
             # and their product is the norm a0 (a0 - c1 a1) + c0 a1^2 in F_p
@@ -671,22 +629,36 @@ class ExtField(Field):
             b0 = a0 - c1 * a1
             n = pow((a0 * b0 + c0 * a1 * a1) % p, p - 2, p)
             return (b0 * n % p, -a1 * n % p)
-        # u = a^(p + p^2 + ... + p^(k-1)), so a*u = a^((p^k - 1)/(p - 1)) is the norm
+        # u = a^(p + p^2 + ... + p^(k-1)), so a*u = a^((p^k - 1)/(p - 1)) is the norm,
+        # which lies in F_p: only its constant term is formed, through x^j mod f.
+        # For k = 1, u = a^p = a and a*u = a^2, whose inverse times u is 1/a as well
+        k = self.degree
         u = self._frobenius(a)
-        for _ in range(self.degree - 2):
+        for _ in range(k - 2):
             u = self._frobenius(self._mul(u, a))
-        n = pow(self._mul(u, a)[0], p - 2, p)
+        n = u[0] * a[0]
+        for j, row in enumerate(self._rows, k):
+            n += row[0] * sum([u[i] * a[j - i] for i in range(j - k + 1, k)])
+        n = pow(n % p, p - 2, p)
         return tuple([c * n % p for c in u])
 
     def _chord_tangent(self, a, P, Q):
-        """Field._chord_tangent; for k = 2 on plain ints, with _mul and _inv written out.
+        """Field._chord_tangent on plain ints for k = 2, 3 and 4, with _mul and _inv written out.
 
-        With f = x^2 + c1 x + c0 and x^2 = r0 + r1 x, a product is
-        (u0 v0 + h r0) + (u0 v1 + u1 v0 + h r1) x with h = u1 v1, and the
-        slope's one inversion goes through the norm, as _inv does.
+        A product is the convolution with each coefficient of degree j >= k
+        folded back through x^j mod f, the rows of _rows: for k = 2 it is
+        (u0 v0 + h r0) + (u0 v1 + u1 v0 + h r1) x with h = u1 v1.  The
+        slope's one inversion goes through the norm N of the denominator d,
+        which lies in F_p, as in _inv: for k = 2 by the conjugate, and for
+        k = 3, 4 by Itoh-Tsujii, u = d^(p + ... + p^(k-1)) from the Frobenius
+        rows (1^p = 1, so their first column is (1, 0, ..., 0)), N the
+        constant term of u d, and 1/d = u / N with one pow(N, p - 2, p).
+        k = 2 runs here.  Other degrees go to _chord_tangent_3_4, which keeps
+        the 80-odd locals of k = 3 and 4 out of this frame: a call sets up and
+        tears down its frame slot by slot, and k = 2 is the hottest degree.
         """
         if self.degree != 2:
-            return Field._chord_tangent(self, a, P, Q)
+            return self._chord_tangent_3_4(a, P, Q)
         p = self.base.p
         c0, c1, _ = self.modulus
         ((r0, r1),) = self._rows
@@ -719,6 +691,113 @@ class ExtField(Field):
         return (
             (x30, x31),
             ((l0 * u0 + h * r0 - y10) % p, (l0 * u1 + l1 * u0 + h * r1 - y11) % p),
+        )
+
+    def _chord_tangent_3_4(self, a, P, Q):
+        """_chord_tangent for k = 3 and 4; the generic law for k = 1 and k >= 5."""
+        k = self.degree
+        p = self.base.p
+        x1, y1 = P
+        x2, y2 = Q
+        if k == 3:
+            (r0, r1, r2), (s0, s1, s2) = self._rows
+            (_, f1, f2), (_, g1, g2), (_, h1, h2) = self._frobenius_rows
+            (x10, x11, x12), (y10, y11, y12), (x20, x21, x22) = x1, y1, x2
+            if x1 == x2:
+                if y1 != y2 or not (y10 or y11 or y12):
+                    return None
+                c3, c4 = 2 * x11 * x12, x12 * x12
+                n0 = 3 * (x10 * x10 + c3 * r0 + c4 * s0) + a[0]
+                n1 = 3 * (2 * x10 * x11 + c3 * r1 + c4 * s1) + a[1]
+                n2 = 3 * (2 * x10 * x12 + x11 * x11 + c3 * r2 + c4 * s2) + a[2]
+                d0, d1, d2 = 2 * y10, 2 * y11, 2 * y12
+            else:
+                y20, y21, y22 = y2
+                n0, n1, n2 = y20 - y10, y21 - y11, y22 - y12
+                d0, d1, d2 = x20 - x10, x21 - x11, x22 - x12
+            # u = w^p and w = u d, from w = d: u = d^p, then d^(p + p^2),
+            # and the last w is N, of which only the constant term w0 is formed
+            w0, w1, w2 = d0, d1, d2
+            for i in 0, 1:
+                u0, u1, u2 = w0 + f1 * w1 + f2 * w2, g1 * w1 + g2 * w2, h1 * w1 + h2 * w2
+                c3, c4 = u1 * d2 + u2 * d1, u2 * d2
+                w0 = (u0 * d0 + c3 * r0 + c4 * s0) % p
+                if not i:
+                    w1 = (u0 * d1 + u1 * d0 + c3 * r1 + c4 * s1) % p
+                    w2 = (u0 * d2 + u1 * d1 + u2 * d0 + c3 * r2 + c4 * s2) % p
+            t = pow(w0, p - 2, p)
+            # the slope n u / N
+            c3, c4 = n1 * u2 + n2 * u1, n2 * u2
+            l0 = (n0 * u0 + c3 * r0 + c4 * s0) * t % p
+            l1 = (n0 * u1 + n1 * u0 + c3 * r1 + c4 * s1) * t % p
+            l2 = (n0 * u2 + n1 * u1 + n2 * u0 + c3 * r2 + c4 * s2) * t % p
+            c3, c4 = 2 * l1 * l2, l2 * l2
+            x30 = (l0 * l0 + c3 * r0 + c4 * s0 - x10 - x20) % p
+            x31 = (2 * l0 * l1 + c3 * r1 + c4 * s1 - x11 - x21) % p
+            x32 = (2 * l0 * l2 + l1 * l1 + c3 * r2 + c4 * s2 - x12 - x22) % p
+            e0, e1, e2 = x10 - x30, x11 - x31, x12 - x32
+            c3, c4 = l1 * e2 + l2 * e1, l2 * e2
+            return (
+                (x30, x31, x32),
+                (
+                    (l0 * e0 + c3 * r0 + c4 * s0 - y10) % p,
+                    (l0 * e1 + l1 * e0 + c3 * r1 + c4 * s1 - y11) % p,
+                    (l0 * e2 + l1 * e1 + l2 * e0 + c3 * r2 + c4 * s2 - y12) % p,
+                ),
+            )
+        if k != 4:
+            return Field._chord_tangent(self, a, P, Q)
+        (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3) = self._rows
+        (_, f1, f2, f3), (_, g1, g2, g3), (_, h1, h2, h3), (_, q1, q2, q3) = self._frobenius_rows
+        (x10, x11, x12, x13), (y10, y11, y12, y13), (x20, x21, x22, x23) = x1, y1, x2
+        if x1 == x2:
+            if y1 != y2 or not (y10 or y11 or y12 or y13):
+                return None
+            c4, c5, c6 = 2 * x11 * x13 + x12 * x12, 2 * x12 * x13, x13 * x13
+            n0 = 3 * (x10 * x10 + c4 * r0 + c5 * s0 + c6 * t0) + a[0]
+            n1 = 3 * (2 * x10 * x11 + c4 * r1 + c5 * s1 + c6 * t1) + a[1]
+            n2 = 3 * (2 * x10 * x12 + x11 * x11 + c4 * r2 + c5 * s2 + c6 * t2) + a[2]
+            n3 = 3 * (2 * (x10 * x13 + x11 * x12) + c4 * r3 + c5 * s3 + c6 * t3) + a[3]
+            d0, d1, d2, d3 = 2 * y10, 2 * y11, 2 * y12, 2 * y13
+        else:
+            y20, y21, y22, y23 = y2
+            n0, n1, n2, n3 = y20 - y10, y21 - y11, y22 - y12, y23 - y13
+            d0, d1, d2, d3 = x20 - x10, x21 - x11, x22 - x12, x23 - x13
+        # u = w^p and w = u d, from w = d: u = d^p, d^(p + p^2), d^(p + p^2 + p^3),
+        # and the last w is N, of which only the constant term w0 is formed
+        w0, w1, w2, w3 = d0, d1, d2, d3
+        for i in 0, 1, 2:
+            u0 = w0 + f1 * w1 + f2 * w2 + f3 * w3
+            u1, u2 = g1 * w1 + g2 * w2 + g3 * w3, h1 * w1 + h2 * w2 + h3 * w3
+            u3 = q1 * w1 + q2 * w2 + q3 * w3
+            c4, c5, c6 = u1 * d3 + u2 * d2 + u3 * d1, u2 * d3 + u3 * d2, u3 * d3
+            w0 = (u0 * d0 + c4 * r0 + c5 * s0 + c6 * t0) % p
+            if i < 2:
+                w1 = (u0 * d1 + u1 * d0 + c4 * r1 + c5 * s1 + c6 * t1) % p
+                w2 = (u0 * d2 + u1 * d1 + u2 * d0 + c4 * r2 + c5 * s2 + c6 * t2) % p
+                w3 = (u0 * d3 + u1 * d2 + u2 * d1 + u3 * d0 + c4 * r3 + c5 * s3 + c6 * t3) % p
+        t = pow(w0, p - 2, p)
+        # the slope n u / N
+        c4, c5, c6 = n1 * u3 + n2 * u2 + n3 * u1, n2 * u3 + n3 * u2, n3 * u3
+        l0 = (n0 * u0 + c4 * r0 + c5 * s0 + c6 * t0) * t % p
+        l1 = (n0 * u1 + n1 * u0 + c4 * r1 + c5 * s1 + c6 * t1) * t % p
+        l2 = (n0 * u2 + n1 * u1 + n2 * u0 + c4 * r2 + c5 * s2 + c6 * t2) * t % p
+        l3 = (n0 * u3 + n1 * u2 + n2 * u1 + n3 * u0 + c4 * r3 + c5 * s3 + c6 * t3) * t % p
+        c4, c5, c6 = 2 * l1 * l3 + l2 * l2, 2 * l2 * l3, l3 * l3
+        x30 = (l0 * l0 + c4 * r0 + c5 * s0 + c6 * t0 - x10 - x20) % p
+        x31 = (2 * l0 * l1 + c4 * r1 + c5 * s1 + c6 * t1 - x11 - x21) % p
+        x32 = (2 * l0 * l2 + l1 * l1 + c4 * r2 + c5 * s2 + c6 * t2 - x12 - x22) % p
+        x33 = (2 * (l0 * l3 + l1 * l2) + c4 * r3 + c5 * s3 + c6 * t3 - x13 - x23) % p
+        e0, e1, e2, e3 = x10 - x30, x11 - x31, x12 - x32, x13 - x33
+        c4, c5, c6 = l1 * e3 + l2 * e2 + l3 * e1, l2 * e3 + l3 * e2, l3 * e3
+        return (
+            (x30, x31, x32, x33),
+            (
+                (l0 * e0 + c4 * r0 + c5 * s0 + c6 * t0 - y10) % p,
+                (l0 * e1 + l1 * e0 + c4 * r1 + c5 * s1 + c6 * t1 - y11) % p,
+                (l0 * e2 + l1 * e1 + l2 * e0 + c4 * r2 + c5 * s2 + c6 * t2 - y12) % p,
+                (l0 * e3 + l1 * e2 + l2 * e1 + l3 * e0 + c4 * r3 + c5 * s3 + c6 * t3 - y13) % p,
+            ),
         )
 
     def _sort_key(self, a):

@@ -1,13 +1,17 @@
-"""The F_p and F_{p^2} group-law kernels, and membership, against tests/oracles.py.
+"""The F_p and F_{p^k} (k = 2, 3, 4) group-law kernels, and membership, against tests/oracles.py.
 
 EllipticCurve._add_raw hands two affine points to its field's _chord_tangent:
-PrimeField and ExtField at k = 2 run it on plain ints, every other field
-runs the generic law through the field's own operations.  Each kernel is
-checked against the affine formula in the oracles' plain-int F_p[x]/(f)
-arithmetic (fq_point_add) and against the boxed formula (boxed_add), on
-random pairs and on every special case: doubling, P + (-P), a point with
-y = 0, and O on either side.  Moduli with c1 = 0 (every default one here)
-and with c1 != 0 are both covered, and so are curve coefficients outside F_p.
+PrimeField and ExtField at k = 2, 3 and 4 run it on plain ints, every other
+field (Q, F_{p^k} for k = 1 and k >= 5) runs the generic law through the
+field's own operations.  Each kernel is checked against the affine formula
+in the oracles' plain-int F_p[x]/(f) arithmetic (fq_point_add), which
+inverts by the extended Euclidean algorithm rather than by the norm, and
+against the boxed formula (boxed_add), on random pairs and on every special
+case: doubling, P + (-P), a point with y = 0, and O on either side.  Each
+extension is taken with its default modulus and with the first irreducible
+x^2 + x + c0 (k = 2) or x^k + x^2 + x + c0 (k = 3, 4), so that the reduction
+rows have nonzero x and x^2 terms; curve coefficients outside F_p are
+covered too.
 """
 
 import random
@@ -21,13 +25,19 @@ from ectower.fields import QQ, ExtField, Field, PrimeField, Rational, is_irreduc
 from oracles import boxed_add, fq_mul, fq_point_add, o_add, on_curve
 
 
-def _ext(p, modulus=None):
-    return ExtField(PrimeField(p), 2, modulus)
+def _ext(p, modulus=None, k=2):
+    return ExtField(PrimeField(p), k, modulus)
 
 
-def _first_modulus_with_c1(p):
-    """The first irreducible x^2 + x + c0 over F_p: a modulus with c1 != 0."""
-    return next((c0, 1, 1) for c0 in range(p) if is_irreducible((c0, 1, 1), p))
+def _first_modulus_with_low_terms(p, k=2):
+    """The first irreducible x^2 + x + c0, or x^k + x^2 + x + c0 for k >= 3, over F_p."""
+    tail = (1,) * min(k - 1, 2) + (0,) * (k - 3) + (1,)
+    return next((c0,) + tail for c0 in range(p) if is_irreducible((c0,) + tail, p))
+
+
+def _ext_pair(p, k):
+    """F_{p^k} with its default modulus and with one with nonzero x and x^2 terms."""
+    return [_ext(p, None, k), _ext(p, _first_modulus_with_low_terms(p, k), k)]
 
 
 FIELDS = [PrimeField(p) for p in (5, 7, 239, 719)] + [
@@ -36,8 +46,8 @@ FIELDS = [PrimeField(p) for p in (5, 7, 239, 719)] + [
     _ext(7),
     _ext(239),
     _ext(719),
-    _ext(719, _first_modulus_with_c1(719)),
-]
+    _ext(719, _first_modulus_with_low_terms(719)),
+] + [K for p, k in ((5, 3), (7, 3), (11, 3), (5, 4), (7, 4)) for K in _ext_pair(p, k)]
 
 
 def _oracle_value(value):
@@ -118,14 +128,21 @@ def test_kernels_agree_with_the_fq_oracle_and_the_boxed_formula(K):
             assert curve._box(got) == boxed_add(curve, curve._box(P), curve._box(Q))
 
 
-@pytest.mark.parametrize("K", [PrimeField(7), _ext(5, (2, 1, 1)), _ext(719)], ids=repr)
-def test_f_p_and_f_p2_additions_make_no_field_method_call(K, monkeypatch):
+KERNEL_FIELDS = [PrimeField(7), _ext(5, (2, 1, 1)), _ext(719)] + [
+    _ext(p, _first_modulus_with_low_terms(p, k), k) for p, k in ((5, 3), (7, 4))
+]
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS, ids=repr)
+def test_kernel_additions_make_no_field_method_call(K, monkeypatch):
     rng = random.Random(1)
     curve = _curves(K, rng)[2][0]
     P, Q = _random_points(curve, rng, 2)
     calls = []
-    for name in ("_add", "_sub", "_mul", "_inv", "_neg", "_coerce"):
-        original = getattr(type(K), name)
+    for name in ("_add", "_sub", "_mul", "_inv", "_neg", "_coerce", "_pow", "_frobenius"):
+        original = getattr(type(K), name, None)
+        if original is None:  # PrimeField has no _frobenius
+            continue
 
         def counted(*args, original=original):
             calls.append(original)
@@ -138,18 +155,34 @@ def test_f_p_and_f_p2_additions_make_no_field_method_call(K, monkeypatch):
     assert type(K)._chord_tangent is not Field._chord_tangent
 
 
-def test_higher_degrees_and_q_keep_the_generic_law():
-    F125 = ExtField(PrimeField(5), 3)
-    curve = EllipticCurve(F125, 0, 1)
-    P, Q = [R._raw() for R in curve.enumerate_points()[1:3]]
-    assert curve._add_raw(P, Q) == Field._chord_tangent(F125, curve.a.value, P, Q)
+def test_higher_degrees_and_q_keep_the_generic_law(monkeypatch):
+    calls = []
+    generic = Field._chord_tangent
+
+    def counted(*args):
+        calls.append(args[0])
+        return generic(*args)
+
+    monkeypatch.setattr(Field, "_chord_tangent", counted)
+    # F_{5^5}: k = 5 is past the kernels; F_{3^5} would do, but curves refuse char 3
+    K = _ext(5, None, 5)
+    rng = random.Random(5)
+    for curve, roots in _curves(K, rng):
+        a = curve.a.value
+        for P, Q in _cases(curve, roots, rng)[::6]:
+            calls.clear()
+            got = curve._add_raw(P, Q)
+            assert calls == ([K] if P is not None and Q is not None else [])
+            assert got == fq_point_add(a, P, Q, K.modulus, 5)
     # over Q, against the Fraction formula of the oracles
     E = EllipticCurve(QQ, 0, 17)
     R, S = Point(QQ.element(-2), QQ.element(3)), Point(QQ.element(-1), QQ.element(4))
+    calls.clear()
     for left, right in ((R, S), (R, R), (S, E._negate_unchecked(S))):
         got = E._add_unchecked(left, right)
         expected = o_add(Fraction(0), Fraction(17), _fraction_point(left), _fraction_point(right))
         assert _fraction_point(got) == expected
+    assert calls == [QQ] * 3
 
 
 def _fraction_point(P):

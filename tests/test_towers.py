@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ectower.fields import QQ, ExtField, FieldElement, PrimeField
 from ectower import curves, groups, towers
 from ectower.chain import match_deck
 from ectower.cli import main
-from ectower.groups import divisors, structure_rank2
+from ectower.groups import divisors, element_orders, structure_rank2
 from ectower.serialize import group_to_json
 from ectower.towers import (
     Tower,
@@ -35,7 +36,7 @@ from ectower.towers import (
     realize_variety,
 )
 
-from oracles import fp_point_count
+from oracles import fp_point_count, fq_add, fq_mul, fq_point_add
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 F5 = PrimeField(5)
@@ -476,6 +477,60 @@ def test_unbalanced_primary_part_takes_the_enumeration():
         got = group_to_json(deck_group(TwistedMulMap(m, O, E), field=K), K, 2)
         assert got == group_to_json(_kernel_structure(EK, m), K, 2)
     assert _torsion_basis(EK, 2) is not None
+
+
+def _oracle_kernel_structure(curve, m):
+    """structure_rank2 of E[m] over the curve's F_{p^k}, every addition an fq_point_add.
+
+    The points come from a table of squares in the oracles' F_p[x]/(f)
+    arithmetic, the kernel from double-and-add and the orders from walks,
+    all through the oracle's affine formula on raw values, so no step runs
+    the package's group law.  Points are boxed only to give structure_rank2
+    the same elements, and so the same sort order, as deck_group.
+    """
+    K = curve.field
+    f, p = K.modulus, K.characteristic
+    a, b = curve.a.value, curve.b.value
+    values = list(itertools.product(range(p), repeat=K.degree))
+    roots = {}
+    for y in values:
+        roots.setdefault(fq_mul(y, y, f, p), []).append(y)
+    rhs = [(x, fq_add(fq_mul(fq_add(fq_mul(x, x, f, p), a, p), x, f, p), b, p)) for x in values]
+    points = [None] + [(x, y) for x, r in rhs for y in roots.get(r, ())]
+
+    def multiple(n, P):
+        acc = None
+        while n:
+            if n & 1:
+                acc = fq_point_add(a, acc, P, f, p)
+            P, n = fq_point_add(a, P, P, f, p), n >> 1
+        return acc
+
+    def box(P):
+        return O if P is None else Point(FieldElement(K, P[0]), FieldElement(K, P[1]))
+
+    def add(P, Q):
+        return box(fq_point_add(a, P._raw(), Q._raw(), f, p))
+
+    kernel = [box(P) for P in points if multiple(m, P) is None]
+    assert len(kernel) == m * m
+    return structure_rank2(element_orders(kernel, add, O), add, O)
+
+
+@pytest.mark.parametrize("p, k, a, b, m", [
+    (5, 4, 0, 1, 24),  # E(F_{5^4}) = (Z/24)^2
+    (5, 4, 1, 0, 8),  # Z/8 x Z/80
+    (7, 3, 0, 1, 6),  # (Z/18)^2
+    (7, 3, 3, 2, 6),  # Z/6 x Z/54: no basis is found and the kernel is enumerated
+])
+def test_deck_group_matches_the_fq_oracle_kernel(p, k, a, b, m):
+    # the group-law kernels of F_{p^3} and F_{p^4} against an oracle sharing none of their code
+    E = EllipticCurve(PrimeField(p), a, b)
+    K = extension_field(PrimeField(p), k)
+    want = _oracle_kernel_structure(realize_variety(E, K), m)
+    got = deck_group(TwistedMulMap(m, O, E), field=K)
+    assert got.invariant_factors == want.invariant_factors == (m, m)
+    assert got.generators == want.generators
 
 
 def _deck_outcome(deck, f, K):
