@@ -4,79 +4,47 @@ Build truncated towers of twisted-multiplication covers over a base curve or
 product of curves, compute their deck-transformation groups over certified
 finite-field realizations, decide tower isomorphism over Q through torsion
 certificates, and model the matching factorial chain of lattice quotients.
+
+Each module loads the first time something uses it, and importing the
+package loads none of them.  ``ectower.X`` for a public name X imports X's
+home module then (PEP 562), and reads X off that module on every access.
+``import ectower.towers`` loads config, errors, fields, groups, curves and
+towers: the finite-field path of towers, fibers and deck groups.  The Q
+torsion certificates (torsion), the iso decision (iso), the lattice chain
+(chain) and JSON (serialize) load on first use: ``rational_fiber`` imports
+torsion, and each CLI command imports what it runs, serialize with torsion
+and iso at least.
 """
 
-from .config import Caps, DEFAULT_CAPS
-from .fields import QQ, ExtField, FieldElement, PrimeField, Rational, find_irreducible
-from .groups import FiniteAbelianGroup
-from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
-from .torsion import (
-    MAZUR_ORDERS,
-    NonTorsionCertificate,
-    TorsionCertificate,
-    order_ff,
-    torsion_subgroup_Q,
-    torsion_test_Q,
-)
-from .towers import (
-    CompositeMap,
-    Tower,
-    TwistedMulMap,
-    deck_group,
-    fiber,
-    full_torsion_field,
-    rational_fiber,
-)
-from .iso import (
-    NonIsoCertificate,
-    TowerIsoWitness,
-    classify_family,
-    necessity_test,
-    verify_witness,
-    witness_search,
-)
-from .chain import LatticeGroup, chain_subgroup, match_deck, quotient, refine, separates
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Caps",
-    "DEFAULT_CAPS",
-    "QQ",
-    "ExtField",
-    "FieldElement",
-    "PrimeField",
-    "Rational",
-    "find_irreducible",
-    "FiniteAbelianGroup",
-    "EllipticCurve",
-    "Point",
-    "ProductPoint",
-    "ProductVariety",
-    "MAZUR_ORDERS",
-    "NonTorsionCertificate",
-    "TorsionCertificate",
-    "order_ff",
-    "torsion_subgroup_Q",
-    "torsion_test_Q",
-    "CompositeMap",
-    "Tower",
-    "TwistedMulMap",
-    "deck_group",
-    "fiber",
-    "full_torsion_field",
-    "rational_fiber",
-    "NonIsoCertificate",
-    "TowerIsoWitness",
-    "classify_family",
-    "necessity_test",
-    "verify_witness",
-    "witness_search",
-    "LatticeGroup",
-    "chain_subgroup",
-    "match_deck",
-    "quotient",
-    "refine",
-    "separates",
-    "__version__",
-]
+# home module: the public names it gives the package
+_NAMES = {
+    "config": "Caps DEFAULT_CAPS",
+    "fields": "QQ ExtField FieldElement PrimeField Rational find_irreducible",
+    "groups": "FiniteAbelianGroup",
+    "curves": "EllipticCurve Point ProductPoint ProductVariety",
+    "torsion": "MAZUR_ORDERS NonTorsionCertificate TorsionCertificate order_ff"
+    " torsion_subgroup_Q torsion_test_Q",
+    "towers": "CompositeMap Tower TwistedMulMap deck_group fiber full_torsion_field"
+    " rational_fiber",
+    "iso": "NonIsoCertificate TowerIsoWitness classify_family necessity_test verify_witness"
+    " witness_search",
+    "chain": "LatticeGroup chain_subgroup match_deck quotient refine separates",
+}
+_HOME = {name: home for home, names in _NAMES.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + home, __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -4,6 +4,8 @@ Subcommands: tower-build, iso, corollary-demo, chain-check, torsion, verify.
 Exit codes: 0 success, 1 certified negative result, 2 input error,
 3 cap exceeded.  Identical jobs (including the seed) produce byte-identical
 reports; all sampling is driven by the mandatory seed, which defaults to 0.
+Each command imports the modules it runs when it runs, so loading this
+module loads only config and errors.
 """
 
 import argparse
@@ -13,7 +15,6 @@ import functools
 import json
 import os
 import random
-import secrets
 import sys
 
 from .config import DEFAULT_CAPS
@@ -30,12 +31,6 @@ from .errors import (
     UnsupportedField,
     ZeroVector,
 )
-from .fields import QQ
-from .chain import LatticeGroup, quotient, refine, separates, match_deck
-from .iso import classify_family
-from .torsion import TorsionCertificate, torsion_subgroup_Q, torsion_test_Q
-from .towers import Tower, deck_group, full_torsion_field
-from . import serialize
 
 INPUT_ERROR_KINDS = (
     SchemaError,
@@ -137,6 +132,7 @@ _KNOB_RANGE = {None: "an", 0: "a non-negative", 1: "a positive"}
 
 def _job_options(args, payload):
     """The job's integer knobs, command-line flags first, each read once."""
+    from . import serialize
     if args.command == "verify":
         # verify consumes arbitrary report files, not job specs
         return {"seed": args.seed if args.seed is not None else 0, "N": args.N}
@@ -164,6 +160,9 @@ def _job_options(args, payload):
 
 
 def _cmd_tower_build(payload, opts, caps):
+    from . import serialize
+    from .fields import QQ
+    from .towers import deck_group, full_torsion_field
     tower = serialize.parse_tower(payload["tower"], caps)
     if opts["N"] is not None:
         if opts["N"] > tower.N:
@@ -209,6 +208,8 @@ def _cmd_tower_build(payload, opts, caps):
 
 
 def _cmd_iso(payload, opts, caps):
+    from . import serialize
+    from .iso import classify_family
     A, B = serialize.parse_tower_pair(payload["towers"], "iso job", caps)
     if opts["N"] is not None:
         if opts["N"] > min(A.N, B.N):
@@ -237,6 +238,11 @@ def _cmd_iso(payload, opts, caps):
 
 
 def _cmd_corollary_demo(payload, opts, caps):
+    from . import serialize
+    from .fields import QQ
+    from .iso import classify_family
+    from .torsion import TorsionCertificate, torsion_test_Q
+    from .towers import Tower
     V = serialize.parse_variety(payload["curve"], caps)
     if V.field != QQ:
         raise SchemaError(
@@ -282,6 +288,8 @@ def _cmd_corollary_demo(payload, opts, caps):
 
 
 def _cmd_chain_check(payload, opts, caps):
+    from . import serialize
+    from .chain import LatticeGroup, match_deck, quotient, refine, separates
     g, max_level = opts["g"], opts["max_level"]
     bound = opts.get("bound", 20)
     lattice = LatticeGroup(2 * g)
@@ -339,6 +347,9 @@ def _cmd_chain_check(payload, opts, caps):
 
 
 def _cmd_torsion(payload, opts, caps):
+    from . import serialize
+    from .fields import QQ
+    from .torsion import TorsionCertificate, torsion_subgroup_Q, torsion_test_Q
     V = serialize.parse_variety(payload["curve"], caps)
     if V.field != QQ:
         raise SchemaError("torsion certification is defined over Q")
@@ -375,6 +386,7 @@ def _cmd_torsion(payload, opts, caps):
 
 
 def _cmd_verify(payload, opts, caps):
+    from . import serialize
     found = serialize.find_certificates(payload)
     if not found:
         raise SchemaError("no certificate objects found in the input")
@@ -505,7 +517,7 @@ def _write_atomically(path, text):
     A failed write leaves any earlier report at path untouched, and the
     rename never exposes a half-written one.
     """
-    tmp = "%s.%s.tmp" % (path, secrets.token_hex(8))
+    tmp = "%s.%s.tmp" % (path, os.urandom(8).hex())
     try:
         with open(tmp, "x", encoding="utf-8") as handle:
             _write_line(handle, text)

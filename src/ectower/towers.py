@@ -29,7 +29,6 @@ from .errors import (
 from .fields import ExtField, PrimeField, QQ
 from .groups import FiniteAbelianGroup, factorize, structure_rank2
 from .curves import EllipticCurve, Point
-from .torsion import rational_torsion_points
 
 
 def _affine(V, m, y, c):
@@ -341,9 +340,14 @@ def _torsion_basis(curve, m, memo=None):
         for q, v in primes.items():
             if len(kept[q]) == 2:
                 continue
-            # R, qR, ..., O: R has order q^t, and q^(t-v) R is killed by q^v
+            # R, qR, ..., O: R has order q^t, and q^(t-v) R is killed by q^v;
+            # t <= v_q(#E(K)) unless the group law is wrong
             chain = [mul(m_part // q ** exponents[q], T)]
             while chain[-1] is not None:
+                if len(chain) > exponents[q]:
+                    raise ArithmeticError(
+                        "%d^%d does not kill a point of %d-power order" % (q, exponents[q], q)
+                    )
                 chain.append(mul(q, chain[-1]))
             t = len(chain) - 1
             if t < v or chain[t - 1] in lines.get(q, ()):
@@ -529,6 +533,7 @@ class RationalFiber:
 
 def rational_fiber(f, through, caps=DEFAULT_CAPS):
     """The rational m-torsion translates of a known rational preimage."""
+    from .torsion import rational_torsion_points  # Q only: F_q towers never load torsion
     V = f.variety
     if V.field != QQ:
         raise UnsupportedField("rational fibers are only reported over Q")

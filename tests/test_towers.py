@@ -391,6 +391,24 @@ def test_deck_group_walks_no_product_factor(monkeypatch):
     assert walks == []
 
 
+def test_a_wrong_group_law_stops_the_q_chain(monkeypatch):
+    # multiples that never reach O: each q-chain stops after v_q(#E(K))
+    # steps (#E(F_{5^4}) = 2^6 * 3^2), long before memory runs out
+    K = full_torsion_field(E5, 24)
+    calls = []
+
+    def never_identity(self, n, P):
+        calls.append(n)
+        if len(calls) > 1000:
+            raise RuntimeError("the q-chain has no bound")
+        return P
+
+    monkeypatch.setattr(EllipticCurve, "_scalar_mul_raw", never_identity)
+    with pytest.raises(ArithmeticError, match="2\\^6 does not kill"):
+        deck_group(TwistedMulMap(24, O, E5), field=K)
+    assert len(calls) < 16
+
+
 def test_deck_group_never_over_Q():
     with pytest.raises(UnsupportedField):
         deck_group(TwistedMulMap(2, O, E_Q))
