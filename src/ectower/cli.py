@@ -176,7 +176,7 @@ def _cmd_tower_build(payload, opts, caps):
             "deck groups are computed over finite-field realizations; the base is over Q"
         )
     rank = 2 * tower.variety.dimension
-    memo = {}  # each basis of E[m], found once for all levels
+    memo = {}  # each field, basis and point count, found once for all levels
     levels = []
     for i in range(1, tower.N + 1):
         composite = tower.compose_to_base(i)
@@ -306,6 +306,7 @@ def _cmd_chain_check(payload, opts, caps):
         raise SchemaError("'field' is only meaningful together with 'tower'")
     rng = random.Random(opts["seed"])
     rows = []
+    memo = {}  # each field, basis and point count, found once for all levels
     for i in range(1, max_level + 1):
         q = quotient(lattice, i, caps)
         row = {
@@ -316,7 +317,7 @@ def _cmd_chain_check(payload, opts, caps):
             "display": q.group.describe(lattice.rank),
         }
         if tower is not None and i <= tower.N:
-            row["match_deck"] = match_deck(tower, i, field=explicit_field, caps=caps)
+            row["match_deck"] = match_deck(tower, i, explicit_field, caps, memo)
         rows.append(row)
     refine_checks = []
     pool = range(1, max(max_level, 2) + 1)

@@ -104,6 +104,28 @@ class ProductPoint:
         return "(%s)" % ", ".join(repr(c) for c in self.coords)
 
 
+def per_field(K, name, build):
+    """build(K), computed once per field object and kept in the field's own __dict__.
+
+    Field declares no __slots__, so every field instance has a __dict__; the
+    data lives and dies with the field.  An equal field built again builds
+    its own.
+    """
+    store = vars(K)
+    if name not in store:
+        store[name] = build(K)
+    return store[name]
+
+
+def _enumeration_tables(K):
+    """(each value's FieldElement in _values order, {square: its roots in that order})."""
+    elements = [FieldElement(K, z) for z in K._values()]
+    roots = {}
+    for e in elements:
+        roots.setdefault(K._mul(e.value, e.value), []).append(e)
+    return elements, roots
+
+
 class EllipticCurve:
     """y^2 = x^3 + a*x + b over an exact field, char not in {2, 3}, nonsingular."""
 
@@ -233,23 +255,25 @@ class EllipticCurve:
         return Point(P.x, -P.y)
 
     def enumerate_points(self, caps=DEFAULT_CAPS):
-        """All points over a finite field, sorted, by x-sweep with a square-root table.
+        """All points over a finite field, sorted, by x-sweep against the field's tables.
 
-        The sweep runs on raw values.  Field values come in ascending sort key,
-        so each x's roots ascend and the points come out sorted, O first.
+        _enumeration_tables, built on the field's first enumeration and kept
+        with it, box every value and list each square's roots; the sweep
+        only evaluates x^3 + a*x + b on raw values and looks it up, and each
+        Point reuses the tables' elements.  Field values come in ascending
+        sort key, so each x's roots ascend and the points come out sorted,
+        O first.
         """
         self._require_field_within(caps)
         K = self.field
         a, b = self.a.value, self.b.value
-        roots = {}
-        for z in K._values():
-            roots.setdefault(K._mul(z, z), []).append(FieldElement(K, z))
+        elements, roots = per_field(K, "enumeration_tables", _enumeration_tables)
         points = [Point.infinity()]
-        for x in K._values():
-            ys = roots.get(K._add(K._mul(K._add(K._mul(x, x), a), x), b))
+        for x in elements:
+            v = x.value
+            ys = roots.get(K._add(K._mul(K._add(K._mul(v, v), a), v), b))
             if ys:
-                boxed = FieldElement(K, x)
-                points.extend([Point(boxed, y) for y in ys])
+                points.extend([Point(x, y) for y in ys])
         return points
 
     def _require_field_within(self, caps):

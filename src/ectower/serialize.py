@@ -7,6 +7,9 @@ as integer lists, constant term first.
 
 Every certificate kind serialized here re-verifies from its own JSON alone:
 parsing rebuilds the objects and verify_certificate replays the arithmetic.
+The certificate modules, torsion and iso, are imported where a certificate
+is written, parsed or verified, so fields, curves and towers alone load
+neither.
 """
 
 import functools
@@ -17,9 +20,7 @@ from .config import DEFAULT_CAPS
 from .errors import EctowerError, SchemaError, quote
 from .fields import QQ, ExtField, PrimeField, Rational, parse_decimal
 from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
-from .torsion import NonTorsionCertificate, TorsionCertificate
 from .towers import Tower
-from .iso import NonIsoCertificate, TowerIsoWitness, verify_witness
 
 
 def _require_keys(obj, where, required, optional=()):
@@ -342,10 +343,12 @@ def certificate_to_json(cert, memo=None):
     inner certificate with the rest of that report (see _shared), and each
     Q value's text (see element_to_json).
     """
+    from .torsion import NonTorsionCertificate, TorsionCertificate
     if isinstance(cert, TorsionCertificate):
         return torsion_certificate_to_json(cert, memo)
     if isinstance(cert, NonTorsionCertificate):
         return non_torsion_certificate_to_json(cert, memo)
+    from .iso import NonIsoCertificate, TowerIsoWitness
     if isinstance(cert, NonIsoCertificate):
         return non_iso_certificate_to_json(cert, memo)
     if isinstance(cert, TowerIsoWitness):
@@ -354,6 +357,7 @@ def certificate_to_json(cert, memo=None):
 
 
 def parse_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
+    from .torsion import TorsionCertificate
     _require_keys(obj, "torsion certificate", ("certificate", "variety", "point", "order"))
     V = parse_variety(obj["variety"], caps, memo)
     P = parse_point(V, obj["point"], "point", memo)
@@ -364,6 +368,7 @@ def parse_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
 
 
 def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
+    from .torsion import NonTorsionCertificate
     _require_keys(
         obj,
         "non-torsion certificate",
@@ -389,6 +394,7 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
 
 
 def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS, memo=None):
+    from .iso import NonIsoCertificate
     _require_keys(
         obj,
         "non-iso certificate",
@@ -402,6 +408,8 @@ def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS, memo=None):
 
 
 def parse_witness(obj, caps=DEFAULT_CAPS, memo=None):
+    from .iso import TowerIsoWitness
+    from .torsion import TorsionCertificate
     _require_keys(obj, "tower-iso witness", ("certificate", "towers", "translations"))
     A, B = parse_tower_pair(obj["towers"], "tower-iso witness", caps, memo)
     if not isinstance(obj["translations"], list):
@@ -496,6 +504,7 @@ def verify_certificate(obj, caps=DEFAULT_CAPS, memo=None):
             ok = parse_non_iso_certificate(obj, caps, memo).verify(replay)
             return ok, kind, None if ok else "non-iso replay failed"
         if kind == "tower_iso":
+            from .iso import verify_witness
             witness = parse_witness(obj, caps, memo)
             report = verify_witness(witness.tower_a, witness.tower_b, witness)
             return report.ok, kind, None if report.ok else "; ".join(report.failures)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fields import ExtField, PrimeField, QQ
 from .groups import FiniteAbelianGroup, factorize, structure_rank2
-from .curves import EllipticCurve, Point
+from .curves import EllipticCurve, Point, per_field
 
 
 def _affine(V, m, y, c):
@@ -159,11 +159,21 @@ class Tower:
 # finite-field realizations
 
 
-def extension_field(prime_field, degree, caps=DEFAULT_CAPS):
-    """The canonical degree-k extension, with the deterministic modulus choice."""
+def extension_field(prime_field, degree, caps=DEFAULT_CAPS, memo=None):
+    """The canonical degree-k extension, with the deterministic modulus choice.
+
+    memo, one command's dict (see full_torsion_field), keeps one ExtField
+    per (prime field, k), so its modulus search runs once and the tables
+    kept with it (per_field) serve every later call; without memo each
+    call builds a new field.
+    """
     if degree == 1:
         return prime_field
-    return ExtField(prime_field, degree, caps=caps)
+    if memo is None:
+        return ExtField(prime_field, degree, caps=caps)
+    if (prime_field, degree) not in memo:
+        memo[prime_field, degree] = ExtField(prime_field, degree, caps=caps)
+    return memo[prime_field, degree]
 
 
 def _embed_point(V, P, K):
@@ -211,9 +221,10 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
     memo, a dict that one command passes to each of these calls and to
     deck_group, keeps each basis found, per (realized curve, n): deck_group
     then reuses the basis that confirmed its field.  It also keeps each
-    curve's point counts (_counts), which the search and every basis read.
-    Curves and fields compare by value, so a field built again still finds
-    its bases.  No entry depends on the caps.
+    curve's point counts (_counts), which the search and every basis read,
+    and each extension field built (extension_field), so every degree's
+    field is built once.  Curves and fields compare by value, so a field
+    built again still finds its bases.  No entry depends on the caps.
     """
     base = V.field
     if base == QQ:
@@ -231,7 +242,7 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
             break
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
-        K = extension_field(base, k, caps)
+        K = extension_field(base, k, caps, memo)
         if all(_has_full_torsion(realize_variety(c, K), n, caps, memo) for c in V.factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)
@@ -315,6 +326,8 @@ def _torsion_basis(curve, m, memo=None):
     counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
     m = 1, whose kernel {O} has no prime to certify and is one point.
     memo, when given, is full_torsion_field's and supplies the counts.
+    Tonelli-Shanks takes K's first non-square, found once per field object
+    (_non_square).
     """
     K = curve.field
     order = _curve_order(curve, memo)
@@ -329,7 +342,7 @@ def _torsion_basis(curve, m, memo=None):
     kept = {q: [] for q in primes}
     lines = {}  # q: the q multiples of the first kept image in E[q]
     rng = random.Random(0)
-    z = K._non_residue()
+    z = _non_square(K)
     a, b = curve.a.value, curve.b.value
     for _ in range(_BASIS_DRAWS):
         x = K._random(rng)
@@ -363,6 +376,11 @@ def _torsion_basis(curve, m, memo=None):
                 raise ArithmeticError("sampled parts do not span E[%d]" % m)
             return P, Q
     return None
+
+
+def _non_square(K):
+    """K's first non-square in _values order, scanned for once and kept with K."""
+    return per_field(K, "non_square", lambda K: K._non_residue())
 
 
 def _multiples(curve, u, q):
@@ -473,7 +491,8 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     the product of the factors' m-torsion, so the fiber is the product of
     the per-factor fibers of y_j -> m*y_j + c_j over z_j, each the solutions
     of m*y_j = w_j with w_j = z_j - c_j (_factor_fiber).  Each factor is
-    enumerated once: sum |E_j(K)| candidates, not prod |E_j(K)|.  The
+    enumerated once: sum |E_j(K)| candidates, not prod |E_j(K)|, against
+    the tables K keeps for every curve over it (curves.per_field).  The
     factor enumerations are sorted and a product point sorts by its factor
     keys in order, so the product of the per-factor fibers comes out sorted.
     Over a full-m-torsion field a nonempty fiber has exactly m^(2g) points.

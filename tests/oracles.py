@@ -382,6 +382,23 @@ def fq_point_add(a, P, Q, f, p):
     return (x3, y3)
 
 
+def fq_points(a, b, f, p):
+    """Every point of y^2 = x^3 + a*x + b over F_p[x]/(f): None, then (x, y) ascending.
+
+    a and b are coefficient tuples of length deg f; F_p itself is f = (0, 1).
+    A table of squares in fq_* arithmetic, and every x looked up in it.
+    """
+    values = sorted(itertools.product(range(p), repeat=len(f) - 1))
+    roots = {}
+    for y in values:
+        roots.setdefault(fq_mul(y, y, f, p), []).append(y)
+    points = [None]
+    for x in values:
+        rhs = fq_add(fq_mul(fq_add(fq_mul(x, x, f, p), a, p), x, f, p), b, p)
+        points.extend((x, y) for y in sorted(roots.get(rhs, ())))
+    return points
+
+
 def find_certificates(obj, path="$"):
     """Every dict holding a string "certificate", with its JSON path.
 

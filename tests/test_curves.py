@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ectower import curves
 from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from ectower.errors import MixedFields, PointNotOnCurve, UnsupportedField
 from ectower.fields import QQ, ExtField, PrimeField
 from ectower.groups import scale
 
-from oracles import boxed_add, o_add, o_mul
+from oracles import boxed_add, fq_points, o_add, o_mul
 
 F5 = PrimeField(5)
 E_Q = EllipticCurve(QQ, 0, 1)  # y^2 = x^3 + 1
@@ -309,3 +310,109 @@ def test_enumeration_comes_out_sorted(K):
         points = EllipticCurve(K, a, b).enumerate_points()
         assert points == sorted(points, key=Point.sort_key)
         assert len(set(points)) == len(points)
+
+
+# enumeration against tests/oracles.fq_points, on the tables each field keeps
+ENUMERATION_FIELDS = [
+    (5, None), (7, None), (11, None), (5, 2), (5, (2, 1, 1)), (5, 3),
+]
+ENUMERATION_CURVES = [(0, 1), (1, 1), (3, 2), (1, [1, 1])]
+
+
+def _field(p, shape):
+    """F_p, F_{p^k} with its default modulus for an int k, or with a given modulus."""
+    if shape is None:
+        return PrimeField(p)
+    if isinstance(shape, int):
+        return ExtField(PrimeField(p), shape)
+    return ExtField(PrimeField(p), len(shape) - 1, modulus=shape)
+
+
+def _coeffs(e):
+    """An element as the oracle takes it: its coefficient tuple, (v,) over F_p."""
+    return e.value if isinstance(e.value, tuple) else (e.value,)
+
+
+def _as_tuples(points):
+    """The oracle's form of enumerated points: None, or coefficient tuples."""
+    return [None if P.is_infinity else (_coeffs(P.x), _coeffs(P.y)) for P in points]
+
+
+def _oracle_points(curve):
+    K = curve.field
+    f = getattr(K, "modulus", (0, 1))
+    return fq_points(_coeffs(curve.a), _coeffs(curve.b), f, K.characteristic)
+
+
+def _count_muls(monkeypatch, K):
+    calls = []
+    mul = K._mul
+
+    def counted(u, v):
+        calls.append(1)
+        return mul(u, v)
+
+    monkeypatch.setattr(K, "_mul", counted)
+    return calls
+
+
+def _curves_over(K):
+    out = []
+    for a, b in ENUMERATION_CURVES:
+        if isinstance(b, list) and K.base is None:
+            continue
+        out.append(EllipticCurve(K, a, b))
+    return out
+
+
+@pytest.mark.parametrize("p, shape", ENUMERATION_FIELDS)
+def test_enumeration_agrees_with_the_square_table_oracle(monkeypatch, p, shape):
+    K = _field(p, shape)
+    first, second = _curves_over(K)[:2]
+    muls = _count_muls(monkeypatch, K)
+    # a fresh field: its tables are built, one squaring per value
+    points = first.enumerate_points()
+    assert len(muls) == 3 * K.size
+    assert _as_tuples(points) == _oracle_points(first)
+    assert points == sorted(points, key=Point.sort_key)
+    # the same object again: the same points, the same element objects, no squaring
+    del muls[:]
+    again = first.enumerate_points()
+    assert again == points and len(muls) == 2 * K.size
+    assert all(P.x is Q.x and P.y is Q.y for P, Q in zip(points[1:], again[1:]))
+    # every curve over the field object shares its tables
+    for curve in _curves_over(K)[1:]:
+        del muls[:]
+        got = curve.enumerate_points()
+        assert len(muls) == 2 * K.size
+        assert _as_tuples(got) == _oracle_points(curve)
+        assert got == sorted(got, key=Point.sort_key)
+    # an equal but distinct field object builds its own, with the same points
+    twin = _field(p, shape)
+    assert twin == K and twin is not K
+    twin_curve = EllipticCurve(twin, second.a.value, second.b.value)
+    twin_muls = _count_muls(monkeypatch, twin)
+    twin_points = twin_curve.enumerate_points()
+    assert len(twin_muls) == 3 * K.size
+    assert twin_points == second.enumerate_points()
+    assert all(P.x.field is twin for P in twin_points[1:])
+
+
+def test_a_product_fiber_builds_the_tables_once(monkeypatch):
+    from ectower.towers import Tower, extension_field, fiber
+
+    built = []
+    tables = curves._enumeration_tables
+
+    def counted(K):
+        built.append(K)
+        return tables(K)
+
+    monkeypatch.setattr(curves, "_enumeration_tables", counted)
+    X = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
+    O = X.identity()
+    K = extension_field(F5, 2)
+    f = Tower(X, O, [O] * 3).level_map(2)
+    assert len(fiber(f, O, field=K)) == 16
+    assert len(fiber(f, O, field=K)) == 16
+    assert built == [K] and built[0] is K

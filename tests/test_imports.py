@@ -111,3 +111,26 @@ def test_each_subcommand_runs_in_a_fresh_process(entry, tmp_path):
     done = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == entry["exit"], done.stderr[-2000:]
     assert out.read_bytes() == (GOLDEN / (entry["name"] + ".report.json")).read_bytes()
+
+
+F_Q_JOBS = [e for e in FIRST_PER_COMMAND if e["command"] in ("tower-build", "chain-check")]
+
+
+@pytest.mark.parametrize("entry", F_Q_JOBS, ids=[e["name"] for e in F_Q_JOBS])
+def test_finite_field_commands_load_no_certificate_module(entry, tmp_path):
+    # serialize imports torsion and iso only where a certificate is touched
+    out = tmp_path / "report.json"
+    argv = [entry["command"], "--input", str(GOLDEN / entry["input"]), "--output", str(out),
+            *entry["flags"]]
+    code = """
+import contextlib, io, json, sys
+from ectower.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+print(json.dumps([code, sorted(sys.modules)]))
+""" % (argv,)
+    code, loaded = _run(code)
+    assert code == entry["exit"]
+    assert out.read_bytes() == (GOLDEN / (entry["name"] + ".report.json")).read_bytes()
+    assert "ectower.serialize" in loaded
+    assert {"ectower.torsion", "ectower.iso"} & set(loaded) == set()

@@ -182,7 +182,7 @@ _REPLAYS = {
     "torsion": "ectower.torsion.TorsionCertificate.verify",
     "non_torsion": "ectower.torsion.NonTorsionCertificate.verify",
     "non_iso": "ectower.iso.NonIsoCertificate.verify",
-    "tower_iso": "ectower.serialize.verify_witness",
+    "tower_iso": "ectower.iso.verify_witness",
 }
 
 

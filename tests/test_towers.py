@@ -694,3 +694,76 @@ def test_level_one_is_enumerated_only_by_its_deck_groups(monkeypatch, tmp_path, 
         e = [{"coords": [point, {"x": "3", "y": "2"}]}] * N
     kernels = _tower_build_kernels(monkeypatch, tmp_path, base, o, e)
     assert kernels.count(1) == level1 == 2 * g
+
+
+# each F_{p^k} is built once per command, and each field scans for its non-square once
+GOLDEN_FIELD_JOBS = [
+    e for e in json.loads((GOLDEN / "manifest.json").read_text())
+    if e["command"] in ("tower-build", "chain-check") and e["name"].endswith(("deck", "tower"))
+]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_FIELD_JOBS, ids=[e["name"] for e in GOLDEN_FIELD_JOBS])
+def test_a_golden_command_builds_each_extension_field_once(monkeypatch, tmp_path, entry):
+    from ectower import fields
+
+    searched = _count_calls(monkeypatch, fields, "find_irreducible")
+    out = tmp_path / "r.json"
+    argv = [entry["command"], "--input", str(GOLDEN / entry["input"]), "--output", str(out)]
+    assert main(argv + entry["flags"]) == entry["exit"]
+    assert out.read_bytes() == (GOLDEN / (entry["name"] + ".report.json")).read_bytes()
+    degrees = [args[:2] for args in searched]
+    assert degrees and len(degrees) == len(set(degrees))
+
+
+def test_extension_field_is_one_object_per_memo():
+    F7 = PrimeField(7)
+    assert extension_field(F7, 1) is F7
+    K, L = extension_field(F7, 2), extension_field(F7, 2)
+    assert K == L and K is not L
+    memo = {}
+    K = extension_field(F7, 2, memo=memo)
+    assert extension_field(PrimeField(7), 2, memo=memo) is K
+    assert extension_field(F7, 3, memo=memo) is not K
+    assert extension_field(F7, 2, memo={}) is not K
+
+
+def _is_square(z, K):
+    """Euler's criterion in tests/oracles.py's fq_* arithmetic: None for 0."""
+    p, f = K.characteristic, getattr(K, "modulus", (0, 1))
+    z = z if isinstance(z, tuple) else (z,)
+    if not any(z):
+        return None
+    acc, n = (1,) + (0,) * (len(z) - 1), (K.size - 1) // 2
+    while n:
+        if n & 1:
+            acc = fq_mul(acc, z, f, p)
+        z, n = fq_mul(z, z, f, p), n >> 1
+    assert acc[0] in (1, p - 1) and not any(acc[1:])
+    return acc[0] == 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_kept_non_square_is_the_first_by_eulers_criterion(p, k):
+    K = extension_field(PrimeField(p), k)
+    z = towers._non_square(K)
+    for v in K._values():
+        if v == z:
+            break
+        assert _is_square(v, K) is not False
+    assert _is_square(z, K) is False
+    assert towers._non_square(K) is z
+
+
+def test_torsion_basis_scans_for_the_non_square_once_per_field(monkeypatch):
+    from ectower import fields
+
+    K = extension_field(F5, 4)
+    E = realize_variety(E5, K)
+    scans = _count_calls(monkeypatch, fields.Field, "_non_residue")
+    bases = [_torsion_basis(E, m) for m in (2, 3, 4, 6, 8, 12, 24)]
+    assert all(basis is not None for basis in bases)
+    assert len(scans) == 1
+    _torsion_basis(realize_variety(E5, extension_field(F5, 4)), 24)
+    assert len(scans) == 2
