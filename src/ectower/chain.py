@@ -134,20 +134,18 @@ def separates(vector, bound):
         i += 1
 
 
-def match_deck(tower, i, field=None, caps=DEFAULT_CAPS, memo=None):
+def match_deck(tower, i, field=None, caps=DEFAULT_CAPS):
     """Compare the deck group of the level-i composite cover with (Z/i!)^(2g).
 
     The deck group's invariant factors are computed over the given
     finite-field realization, or over an automatically found full-i!-torsion
     field, with no generators; IncompleteTorsion propagates rather than ever
-    producing a false positive.  memo is full_torsion_field's: one command
-    passes the same dict to each level, a bare call gets its own.
+    producing a false positive.  The basis that finds the field is kept
+    with it and also proves the deck group.
     """
     lattice = LatticeGroup(2 * tower.variety.dimension)
     composite = tower.compose_to_base(i)
-    if memo is None:
-        memo = {}  # the basis that finds the field also proves the deck group
     if field is None:
-        field = full_torsion_field(tower.variety, composite.m, caps, memo)
-    deck = deck_invariant_factors(composite, field, caps, memo)
+        field = full_torsion_field(tower.variety, composite.m, caps)
+    deck = deck_invariant_factors(composite, field, caps)
     return deck == quotient(lattice, i, caps).group.invariant_factors

@@ -176,7 +176,6 @@ def _cmd_tower_build(payload, opts, caps):
             "deck groups are computed over finite-field realizations; the base is over Q"
         )
     rank = 2 * tower.variety.dimension
-    memo = {}  # each field, basis and point count, found once for all levels
     levels = []
     for i in range(1, tower.N + 1):
         composite = tower.compose_to_base(i)
@@ -190,10 +189,10 @@ def _cmd_tower_build(payload, opts, caps):
             },
         }
         if want_deck:
-            step_field = full_torsion_field(tower.variety, i, caps, memo)
-            step = deck_group(tower.level_map(i), step_field, caps, memo)
-            comp_field = full_torsion_field(tower.variety, composite.m, caps, memo)
-            comp = deck_group(composite, comp_field, caps, memo)
+            step_field = full_torsion_field(tower.variety, i, caps)
+            step = deck_group(tower.level_map(i), step_field, caps)
+            comp_field = full_torsion_field(tower.variety, composite.m, caps)
+            comp = deck_group(composite, comp_field, caps)
             row["step_deck"] = serialize.group_to_json(step, step_field, rank)
             row["deck"] = serialize.group_to_json(comp, comp_field, rank)
         levels.append(row)
@@ -306,7 +305,6 @@ def _cmd_chain_check(payload, opts, caps):
         raise SchemaError("'field' is only meaningful together with 'tower'")
     rng = random.Random(opts["seed"])
     rows = []
-    memo = {}  # each field, basis and point count, found once for all levels
     for i in range(1, max_level + 1):
         q = quotient(lattice, i, caps)
         row = {
@@ -317,7 +315,7 @@ def _cmd_chain_check(payload, opts, caps):
             "display": q.group.describe(lattice.rank),
         }
         if tower is not None and i <= tower.N:
-            row["match_deck"] = match_deck(tower, i, explicit_field, caps, memo)
+            row["match_deck"] = match_deck(tower, i, explicit_field, caps)
         rows.append(row)
     refine_checks = []
     pool = range(1, max(max_level, 2) + 1)

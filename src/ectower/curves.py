@@ -104,17 +104,25 @@ class ProductPoint:
         return "(%s)" % ", ".join(repr(c) for c in self.coords)
 
 
-def per_field(K, name, build):
-    """build(K), computed once per field object and kept in the field's own __dict__.
+def per_field(K, key, build):
+    """build(), computed once per field object and key, and kept with the field.
 
-    Field declares no __slots__, so every field instance has a __dict__; the
-    data lives and dies with the field.  An equal field built again builds
-    its own.
+    Everything the deck and fiber paths derive from a field lives here:
+    - on any finite field: its enumeration tables (enumerate_points), its
+      first non-square (towers._non_square) and each E[m] basis per
+      (a, b, m) (towers._basis);
+    - on a prime field F_p also: one extension per degree
+      (towers.extension_field) and the trace a_p per (a, b)
+      (towers._point_counts).
+    The store is a dict in the field's own __dict__ (Field declares no
+    __slots__), so it lives and dies with the field object, and an equal
+    field built again builds its own.  Each command parses its own fields,
+    so nothing kept crosses commands.
     """
-    store = vars(K)
-    if name not in store:
-        store[name] = build(K)
-    return store[name]
+    store = vars(K).setdefault("_kept", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
 
 
 def _enumeration_tables(K):
@@ -267,7 +275,7 @@ class EllipticCurve:
         self._require_field_within(caps)
         K = self.field
         a, b = self.a.value, self.b.value
-        elements, roots = per_field(K, "enumeration_tables", _enumeration_tables)
+        elements, roots = per_field(K, "enumeration_tables", lambda: _enumeration_tables(K))
         points = [Point.infinity()]
         for x in elements:
             v = x.value
@@ -283,10 +291,6 @@ class EllipticCurve:
             raise UnsupportedField("point enumeration needs a finite field")
         if K.size > caps.field_size:
             raise BoundExceeded("field size %d exceeds cap" % K.size)
-
-    def enumerate_factors(self, caps=DEFAULT_CAPS):
-        """Each factor's points, enumerated once: [the curve's own points]."""
-        return [self.enumerate_points(caps)]
 
     def _point_orders(self, points):
         """The order of each point of the complete list of a finite group, in order.
@@ -401,16 +405,13 @@ class ProductVariety:
         coords[index] = point
         return ProductPoint(coords)
 
-    def enumerate_factors(self, caps=DEFAULT_CAPS):
-        """Each factor's sorted points, refused when the product has more than the cap."""
+    def enumerate_points(self, caps=DEFAULT_CAPS):
+        """Every point, sorted, refused when the product has more than the cap."""
         per_factor = [c.enumerate_points(caps) for c in self.factors]
         total = math.prod(len(pts) for pts in per_factor)
         if total > caps.field_size:
             raise BoundExceeded("product has %d points, over the cap" % total)
-        return per_factor
-
-    def enumerate_points(self, caps=DEFAULT_CAPS):
-        return [ProductPoint(t) for t in itertools.product(*self.enumerate_factors(caps))]
+        return [ProductPoint(t) for t in itertools.product(*per_factor)]
 
     def group_structure(self, caps=DEFAULT_CAPS):
         return self.group_from_parts([c.group_structure(caps) for c in self.factors])

@@ -159,21 +159,23 @@ class Tower:
 # finite-field realizations
 
 
-def extension_field(prime_field, degree, caps=DEFAULT_CAPS, memo=None):
+def extension_field(prime_field, degree, caps=DEFAULT_CAPS):
     """The canonical degree-k extension, with the deterministic modulus choice.
 
-    memo, one command's dict (see full_torsion_field), keeps one ExtField
-    per (prime field, k), so its modulus search runs once and the tables
-    kept with it (per_field) serve every later call; without memo each
-    call builds a new field.
+    One ExtField per degree is kept with the prime-field object
+    (per_field), so its modulus search runs once and what it keeps serves
+    every later call.  The cap is checked first: whether a call refuses
+    does not depend on what the field already keeps.
     """
     if degree == 1:
         return prime_field
-    if memo is None:
-        return ExtField(prime_field, degree, caps=caps)
-    if (prime_field, degree) not in memo:
-        memo[prime_field, degree] = ExtField(prime_field, degree, caps=caps)
-    return memo[prime_field, degree]
+    if degree >= caps.field_size.bit_length() or prime_field.p**degree > caps.field_size:
+        raise BoundExceeded(
+            "p^k = %d^%d exceeds cap %d" % (prime_field.p, degree, caps.field_size)
+        )
+    return per_field(
+        prime_field, ("extension", degree), lambda: ExtField(prime_field, degree, caps=caps)
+    )
 
 
 def _embed_point(V, P, K):
@@ -207,7 +209,7 @@ def _realization_field(f, field):
     return field
 
 
-def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
+def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     """Smallest-degree extension of the prime field carrying all of V[n].
 
     Searches degrees 1, 2, ... up to the configured caps.  A degree k is
@@ -218,13 +220,11 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
     none turns up, by counting the kernel of multiplication by n; E[1] = {O}
     needs neither.
 
-    memo, a dict that one command passes to each of these calls and to
-    deck_group, keeps each basis found, per (realized curve, n): deck_group
-    then reuses the basis that confirmed its field.  It also keeps each
-    curve's point counts (_counts), which the search and every basis read,
-    and each extension field built (extension_field), so every degree's
-    field is built once.  Curves and fields compare by value, so a field
-    built again still finds its bases.  No entry depends on the caps.
+    Each degree's field is kept with the prime field (extension_field), and
+    each basis found with the field it lies over (_basis): deck_group over
+    the returned field reuses the basis that confirmed it.  The point counts
+    come from a_p, kept with the prime field per curve (_point_counts).
+    Nothing kept depends on the caps.
     """
     base = V.field
     if base == QQ:
@@ -236,14 +236,14 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
         raise ValueError("n must be >= 1")
     if n % p == 0:
         raise RamifiedCharacteristic("characteristic %d divides n = %d" % (p, n))
-    counts = [_counts(curve, caps.extension_degree, memo) for curve in V.factors]
+    counts = [_point_counts(curve, caps.extension_degree) for curve in V.factors]
     for k in range(1, caps.extension_degree + 1):
         if p**k > caps.field_size:
             break
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
-        K = extension_field(base, k, caps, memo)
-        if all(_has_full_torsion(realize_variety(c, K), n, caps, memo) for c in V.factors):
+        K = extension_field(base, k, caps)
+        if all(_has_full_torsion(realize_variety(c, K), n, caps) for c in V.factors):
             return K
     raise BoundExceeded("no full %d-torsion field within the configured caps" % n)
 
@@ -251,17 +251,13 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS, memo=None):
 def _point_counts(curve, degrees):
     """[#E(F_{p^1}), ..., #E(F_{p^degrees})] for a curve over F_p.
 
-    a_p = -(sum over x in F_p of the Legendre symbol of x^3 + a*x + b), by
-    Euler's criterion on plain ints; then #E(F_{p^k}) = p^k + 1 - s_k with
-    s_0 = 2, s_1 = a_p, s_k = a_p*s_{k-1} - p*s_{k-2} (Washington,
+    a_p (_trace, kept with F_p per (a, b)) gives #E(F_{p^k}) = p^k + 1 - s_k
+    with s_0 = 2, s_1 = a_p, s_k = a_p*s_{k-1} - p*s_{k-2} (Washington,
     Elliptic Curves, Thm 4.12).
     """
-    p, a, b = curve.field.p, curve.a.value, curve.b.value
-    half = (p - 1) // 2
-    a_p = 0
-    for x in range(p):
-        symbol = pow((x * x * x + a * x + b) % p, half, p)
-        a_p -= 1 if symbol == 1 else -1 if symbol == p - 1 else 0
+    F, a, b = curve.field, curve.a.value, curve.b.value
+    p = F.p
+    a_p = per_field(F, ("a_p", a, b), lambda: _trace(p, a, b))
     s_prev, s = 2, a_p
     counts = []
     for k in range(1, degrees + 1):
@@ -270,49 +266,46 @@ def _point_counts(curve, degrees):
     return counts
 
 
-def _counts(curve, degrees, memo):
-    """_point_counts(curve, degrees), counted once per curve in memo.
+def _trace(p, a, b):
+    """a_p = -(sum over x in F_p of the Legendre symbol of x^3 + a*x + b).
 
-    The entry keeps the longest list counted; a shorter one is its prefix.
+    Euler's criterion on plain ints.
     """
-    if memo is None:
-        return _point_counts(curve, degrees)
-    counts = memo.get((curve, "counts"))
-    if counts is None or len(counts) < degrees:
-        counts = memo[curve, "counts"] = _point_counts(curve, degrees)
-    return counts[:degrees]
+    half = (p - 1) // 2
+    a_p = 0
+    for x in range(p):
+        symbol = pow((x * x * x + a * x + b) % p, half, p)
+        a_p -= 1 if symbol == 1 else -1 if symbol == p - 1 else 0
+    return a_p
 
 
 # x-coordinates _torsion_basis draws before it leaves the field to _kernel
 _BASIS_DRAWS = 64
 
 
-def _has_full_torsion(curve, n, caps, memo):
+def _has_full_torsion(curve, n, caps):
     """E[n] lies in E(K): always for n = 1, else proved by a basis or by the kernel's count."""
-    return n == 1 or _basis(curve, n, memo) is not None or len(_kernel(curve, n, caps)) == n * n
+    return n == 1 or _basis(curve, n) is not None or len(_kernel(curve, n, caps)) == n * n
 
 
-def _basis(curve, m, memo):
-    """_torsion_basis(curve, m), found once per (curve, m) in memo, None included."""
-    if memo is None:
-        return _torsion_basis(curve, m)
-    if (curve, m) not in memo:
-        memo[curve, m] = _torsion_basis(curve, m, memo)
-    return memo[curve, m]
+def _basis(curve, m):
+    """_torsion_basis(curve, m), kept with the curve's field per (a, b, m), None included."""
+    key = ("basis", curve.a.value, curve.b.value, m)
+    return per_field(curve.field, key, lambda: _torsion_basis(curve, m))
 
 
-def _curve_order(curve, memo=None):
+def _curve_order(curve):
     """#E(K) for a curve over K = F_{p^k} with coefficients in F_p; None otherwise."""
     K = curve.field
     if K.base is None:
-        return _counts(curve, 1, memo)[0]
+        return _point_counts(curve, 1)[0]
     a, b = curve.a.value, curve.b.value
     if any(a[1:]) or any(b[1:]):
         return None
-    return _counts(EllipticCurve(K.base, a[0], b[0]), K.degree, memo)[-1]
+    return _point_counts(EllipticCurve(K.base, a[0], b[0]), K.degree)[-1]
 
 
-def _torsion_basis(curve, m, memo=None):
+def _torsion_basis(curve, m):
     """Raw points (P, Q) spanning E[m] over the curve's own field K, or None.
 
     Enumerates nothing.  With #E(K) known, m^2 | #E(K) and m | #K - 1, it
@@ -325,12 +318,11 @@ def _torsion_basis(curve, m, memo=None):
     3.2).  Gives None, for _kernel to decide, when #E(K) is unknown, the
     counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
     m = 1, whose kernel {O} has no prime to certify and is one point.
-    memo, when given, is full_torsion_field's and supplies the counts.
     Tonelli-Shanks takes K's first non-square, found once per field object
     (_non_square).
     """
     K = curve.field
-    order = _curve_order(curve, memo)
+    order = _curve_order(curve)
     if m == 1 or order is None or order % (m * m) or (K.size - 1) % m:
         return None
     primes = factorize(m)
@@ -380,7 +372,7 @@ def _torsion_basis(curve, m, memo=None):
 
 def _non_square(K):
     """K's first non-square in _values order, scanned for once and kept with K."""
-    return per_field(K, "non_square", lambda K: K._non_residue())
+    return per_field(K, "non_square", K._non_residue)
 
 
 def _multiples(curve, u, q):
@@ -492,10 +484,12 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     the per-factor fibers of y_j -> m*y_j + c_j over z_j, each the solutions
     of m*y_j = w_j with w_j = z_j - c_j (_factor_fiber).  Each factor is
     enumerated once: sum |E_j(K)| candidates, not prod |E_j(K)|, against
-    the tables K keeps for every curve over it (curves.per_field).  The
-    factor enumerations are sorted and a product point sorts by its factor
-    keys in order, so the product of the per-factor fibers comes out sorted.
-    Over a full-m-torsion field a nonempty fiber has exactly m^(2g) points.
+    the tables K keeps for every curve over it (curves.per_field).  Each
+    enumeration refuses a field over the cap, and the fiber is refused when
+    it would have more points than the cap.  The factor enumerations are
+    sorted and a product point sorts by its factor keys in order, so the
+    product of the per-factor fibers comes out sorted.  Over a
+    full-m-torsion field a nonempty fiber has exactly m^(2g) points.
     """
     m = f.multiplier
     K = _realization_field(f, field)
@@ -507,12 +501,13 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     V = realized.variety
     z = _embed_point(f.variety, z, K)
     V.require_on_curve(z)
-    hits = [
-        _factor_fiber(curve, points, m, curve._add_raw(zj._raw(), curve._neg_raw(cj._raw())))
-        for curve, points, cj, zj in zip(
-            V.factors, V.enumerate_factors(caps), V.split(realized.c), V.split(z)
-        )
-    ]
+    hits = []
+    for curve, cj, zj in zip(V.factors, V.split(realized.c), V.split(z)):
+        w = curve._add_raw(zj._raw(), curve._neg_raw(cj._raw()))
+        hits.append(_factor_fiber(curve, curve.enumerate_points(caps), m, w))
+    total = math.prod(len(h) for h in hits)
+    if total > caps.field_size:
+        raise BoundExceeded("product has %d points, over the cap" % total)
     return [V.assemble(t) for t in itertools.product(*hits)]
 
 
@@ -566,7 +561,7 @@ def rational_fiber(f, through, caps=DEFAULT_CAPS):
     return RationalFiber(tuple(pts), False, f.multiplier)
 
 
-def deck_group(f, field=None, caps=DEFAULT_CAPS, memo=None):
+def deck_group(f, field=None, caps=DEFAULT_CAPS):
     """Translations t with f(y + t) = f(y) for all y: the full m-torsion.
 
     Returns the invariant factors (m, ..., m), 2g of them, with the
@@ -574,10 +569,10 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS, memo=None):
     kernel.  Each curve factor's are read off the grid of a basis of E[m]
     (_torsion_generators); a factor with no basis is enumerated instead.
     Raises IncompleteTorsion when the field does not carry all of V[m],
-    reporting the defect per curve factor.  memo is full_torsion_field's.
+    reporting the defect per curve factor.
     """
     m = f.multiplier
-    V, found = _full_torsion(f, field, caps, memo)
+    V, found = _full_torsion(f, field, caps)
     parts = []
     for curve, basis, kernel in found:
         if basis is None:
@@ -587,18 +582,18 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS, memo=None):
     return V.group_from_parts(parts)
 
 
-def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS, memo=None):
+def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS):
     """deck_group(f, field, caps).invariant_factors, with no generators.
 
     Once every factor's E[m] is shown to lie in E(K), by a basis or by its
     kernel, the deck group is (Z/m)^(2g), so no grid is walked.  Refuses
-    exactly as deck_group does.  memo is full_torsion_field's.
+    exactly as deck_group does.
     """
-    V, _ = _full_torsion(f, field, caps, memo)
+    V, _ = _full_torsion(f, field, caps)
     return FiniteAbelianGroup([f.multiplier] * (2 * V.dimension)).invariant_factors
 
 
-def _full_torsion(f, field, caps, memo):
+def _full_torsion(f, field, caps):
     """f's variety over the realization field K, and (curve, basis, kernel) per factor.
 
     basis is _torsion_basis's pair, or None when the factor was enumerated
@@ -616,7 +611,7 @@ def _full_torsion(f, field, caps, memo):
     found = []
     for j, curve in enumerate(V.factors):
         curve._require_field_within(caps)
-        basis = _basis(curve, m, memo)
+        basis = _basis(curve, m)
         kernel = None
         if basis is None:
             kernel = _kernel(curve, m, caps)

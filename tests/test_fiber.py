@@ -146,13 +146,15 @@ def test_fiber_matches_scan_for_m_1_to_6(V, K):
 
 def test_product_over_the_cap_is_refused_with_the_same_message():
     caps = Caps(field_size=30)
-    f = TwistedMulMap(2, X.identity(), X)
-    with pytest.raises(BoundExceeded, match="^product has 36 points, over the cap$"):
-        fiber(f, X.identity(), caps=caps)
     with pytest.raises(BoundExceeded, match="^product has 36 points, over the cap$"):
         X.enumerate_points(caps)
-    # a single curve is bounded by its field size alone, as before
-    assert fiber(TwistedMulMap(2, Point.infinity(), E5), Point.infinity(), caps=caps)
+    # fiber bounds what it returns: E[3] x E[3] has 81 points over F_25
+    f = TwistedMulMap(3, X.identity(), X)
+    with pytest.raises(BoundExceeded, match="^product has 81 points, over the cap$"):
+        fiber(f, X.identity(), field=extension_field(F5, 2), caps=caps)
+    # E[2] x E[2] over F_5 has 4 points, though X has 36
+    assert len(fiber(TwistedMulMap(2, X.identity(), X), X.identity(), caps=caps)) == 4
+    assert len(fiber(TwistedMulMap(2, Point.infinity(), E5), Point.infinity(), caps=caps)) == 2
 
 
 def test_fiber_is_sorted_product_of_factor_fibers():

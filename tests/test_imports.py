@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,20 @@ print(json.dumps([code, sorted(sys.modules)]))
     assert out.read_bytes() == (GOLDEN / (entry["name"] + ".report.json")).read_bytes()
     assert "ectower.serialize" in loaded
     assert {"ectower.torsion", "ectower.iso"} & set(loaded) == set()
+
+
+# CPython's parser keeps a module's tokens in an array that doubles when full;
+# past these counts it doubles to 16,384 and 8,192 slots, which every process
+# compiling the module pays for in peak memory
+TOKEN_LIMITS = {"fields.py": 8192, "serialize.py": 4096}
+
+
+@pytest.mark.parametrize("name, limit", sorted(TOKEN_LIMITS.items()))
+def test_module_stays_under_the_parser_token_doubling(name, limit):
+    with open(SRC / "ectower" / name, "rb") as fh:
+        count = sum(
+            1
+            for t in tokenize.tokenize(fh.readline)
+            if t.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+        )
+    assert count < limit, "%s has %d parser tokens, %d at most" % (name, count, limit - 1)

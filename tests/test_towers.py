@@ -393,8 +393,9 @@ def test_deck_group_walks_no_product_factor(monkeypatch):
 
 def test_a_wrong_group_law_stops_the_q_chain(monkeypatch):
     # multiples that never reach O: each q-chain stops after v_q(#E(K))
-    # steps (#E(F_{5^4}) = 2^6 * 3^2), long before memory runs out
-    K = full_torsion_field(E5, 24)
+    # steps (#E(F_{5^4}) = 2^6 * 3^2), long before memory runs out; a field
+    # of its own, so no basis kept from an earlier call stands in
+    K = extension_field(PrimeField(5), 4)
     calls = []
 
     def never_identity(self, n, P):
@@ -596,9 +597,9 @@ def _count_bases(monkeypatch):
     calls = []
     find = towers._torsion_basis
 
-    def counted(curve, m, *memo):
+    def counted(curve, m):
         calls.append((curve, m))
-        return find(curve, m, *memo)
+        return find(curve, m)
 
     monkeypatch.setattr(towers, "_torsion_basis", counted)
     return calls
@@ -624,7 +625,7 @@ def test_no_basis_outlives_its_command(monkeypatch, tmp_path):
     bases = _count_bases(monkeypatch)
     first = _build_level5(tmp_path)
     once = list(bases)
-    assert _build_level5(tmp_path) == first
+    assert once and _build_level5(tmp_path) == first
     assert bases == once + once
 
 
@@ -641,28 +642,32 @@ LEVEL6_DECK_F719 = {
 
 def test_tower_build_counts_points_once_per_curve(monkeypatch, tmp_path):
     # every level's degree search and every basis read the counts of
-    # y^2 = x^3 + 1 over F_719
-    calls = []
-    count = towers._point_counts
+    # y^2 = x^3 + 1 over F_719, all rebuilt from one a_p sum, and each
+    # command's fields, with what they keep, die with that command
+    from ectower import fields
 
-    def counted(curve, degrees):
-        calls.append(curve)
-        return count(curve, degrees)
-
-    monkeypatch.setattr(towers, "_point_counts", counted)
+    searched = _count_calls(monkeypatch, fields, "find_irreducible")
+    sums = _count_calls(monkeypatch, towers, "_trace")
     job = tmp_path / "level6.job.json"
     job.write_text(json.dumps(LEVEL6_DECK_F719))
     assert main(["tower-build", "--input", str(job), "--output", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 1
+    assert sums == [(719, 0, 1)] and [args[:2] for args in searched] == [(719, 2)]
     assert main(["tower-build", "--input", str(job)]) == 0
-    assert calls == calls[:1] * 2  # no count outlives its command
+    assert sums == sums[:1] * 2 and [args[:2] for args in searched] == [(719, 2)] * 2
 
 
 def test_match_deck_finds_its_basis_once(monkeypatch):
-    tower = Tower(E5, O, [O] * 5)
+    # a fresh curve: bases kept with the module's F5 by earlier tests would hide the search
+    E = EllipticCurve(PrimeField(5), 0, 1)
+    tower = Tower(E, O, [O] * 5)
     bases = _count_bases(monkeypatch)
     assert match_deck(tower, 4)
     assert bases and len(bases) == len(set(bases))
+    # a second bare call reads the basis kept with the field; an equal field finds its own
+    found = list(bases)
+    assert match_deck(tower, 4) and bases == found
+    assert match_deck(Tower(EllipticCurve(PrimeField(5), 0, 1), O, [O] * 5), 4)
+    assert bases == found * 2
 
 
 def _tower_build_kernels(monkeypatch, tmp_path, base, o, e):
@@ -716,16 +721,25 @@ def test_a_golden_command_builds_each_extension_field_once(monkeypatch, tmp_path
     assert degrees and len(degrees) == len(set(degrees))
 
 
-def test_extension_field_is_one_object_per_memo():
+def test_extension_field_is_one_object_per_prime_field():
     F7 = PrimeField(7)
     assert extension_field(F7, 1) is F7
-    K, L = extension_field(F7, 2), extension_field(F7, 2)
-    assert K == L and K is not L
-    memo = {}
-    K = extension_field(F7, 2, memo=memo)
-    assert extension_field(PrimeField(7), 2, memo=memo) is K
-    assert extension_field(F7, 3, memo=memo) is not K
-    assert extension_field(F7, 2, memo={}) is not K
+    K = extension_field(F7, 2)
+    assert extension_field(F7, 2) is K
+    assert extension_field(F7, 3) is not K
+    L = extension_field(PrimeField(7), 2)
+    assert L == K and L is not K
+
+
+def test_extension_field_checks_the_cap_before_what_the_field_keeps():
+    F7 = PrimeField(7)
+    K = extension_field(F7, 3)
+    small = Caps(field_size=100)
+    with pytest.raises(BoundExceeded, match="^p\\^k = 7\\^3 exceeds cap 100$"):
+        extension_field(F7, 3, caps=small)
+    with pytest.raises(BoundExceeded, match="^p\\^k = 7\\^3 exceeds cap 100$"):
+        extension_field(PrimeField(7), 3, caps=small)
+    assert extension_field(F7, 3) is K
 
 
 def _is_square(z, K):
@@ -759,11 +773,11 @@ def test_the_kept_non_square_is_the_first_by_eulers_criterion(p, k):
 def test_torsion_basis_scans_for_the_non_square_once_per_field(monkeypatch):
     from ectower import fields
 
-    K = extension_field(F5, 4)
+    K = extension_field(PrimeField(5), 4)
     E = realize_variety(E5, K)
     scans = _count_calls(monkeypatch, fields.Field, "_non_residue")
     bases = [_torsion_basis(E, m) for m in (2, 3, 4, 6, 8, 12, 24)]
     assert all(basis is not None for basis in bases)
     assert len(scans) == 1
-    _torsion_basis(realize_variety(E5, extension_field(F5, 4)), 24)
+    _torsion_basis(realize_variety(E5, extension_field(PrimeField(5), 4)), 24)
     assert len(scans) == 2
