@@ -482,14 +482,16 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     A nonempty fiber of y -> m*y + c is a coset of the m-torsion, which is
     the product of the factors' m-torsion, so the fiber is the product of
     the per-factor fibers of y_j -> m*y_j + c_j over z_j, each the solutions
-    of m*y_j = w_j with w_j = z_j - c_j (_factor_fiber).  Each factor is
-    enumerated once: sum |E_j(K)| candidates, not prod |E_j(K)|, against
-    the tables K keeps for every curve over it (curves.per_field).  Each
-    enumeration refuses a field over the cap, and the fiber is refused when
-    it would have more points than the cap.  The factor enumerations are
-    sorted and a product point sorts by its factor keys in order, so the
-    product of the per-factor fibers comes out sorted.  Over a
-    full-m-torsion field a nonempty fiber has exactly m^(2g) points.
+    of m*y_j = w_j with w_j = z_j - c_j.  Each factor's sorted points come
+    from enumerate_points, kept with K per curve, and are walked by
+    _factor_fiber: sum |E_j(K)| candidates at most, not prod |E_j(K)|.
+    Where the factor's E[m] lies in E(K), certified by a basis (_basis), the
+    walk stops at the first preimage y and the factor's fiber is y + E[m]
+    (_coset), m^2 points; elsewhere the walk runs to the end and keeps every
+    hit.  Each enumeration refuses a field over the cap, and the fiber is
+    refused, before any coset is built, when it would have more points than
+    the cap.  Each factor's fiber is sorted and a product point sorts by its
+    factor keys in order, so the product comes out sorted.
     """
     m = f.multiplier
     K = _realization_field(f, field)
@@ -501,25 +503,31 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     V = realized.variety
     z = _embed_point(f.variety, z, K)
     V.require_on_curve(z)
-    hits = []
+    parts = []
     for curve, cj, zj in zip(V.factors, V.split(realized.c), V.split(z)):
         w = curve._add_raw(zj._raw(), curve._neg_raw(cj._raw()))
-        hits.append(_factor_fiber(curve, curve.enumerate_points(caps), m, w))
-    total = math.prod(len(h) for h in hits)
+        walk = _factor_fiber(curve, curve.enumerate_points(caps), m, w)
+        coset = _basis(curve, m) is not None
+        parts.append((curve, coset, list(itertools.islice(walk, 1 if coset else None))))
+    total = math.prod(len(hits) * (m * m if coset else 1) for _, coset, hits in parts)
     if total > caps.field_size:
         raise BoundExceeded("product has %d points, over the cap" % total)
-    return [V.assemble(t) for t in itertools.product(*hits)]
+    fibers = [_coset(curve, m, hits[0]) if coset and hits else hits for curve, coset, hits in parts]
+    return [V.assemble(t) for t in itertools.product(*fibers)]
 
 
 def _factor_fiber(curve, points, m, w):
-    """The points y of a curve's sorted enumeration with m*y = w, w raw.
+    """The points y of a curve's sorted enumeration with m*y = w, w raw, as they are found.
 
-    m*O = O, so O is in it exactly when w = O.  The enumeration lists the
-    points of one x together, and a second root is the negation of the
-    first, with the negated image: one scalar multiple per x-coordinate.
-    Enumerated points lie on the curve by construction; none is checked.
+    A generator, so a caller that needs only the first preimage stops the
+    walk there.  m*O = O, so O is in it exactly when w = O.  The enumeration
+    lists the points of one x together, and a second root is the negation
+    of the first, with the negated image: one scalar multiple per
+    x-coordinate.  Enumerated points lie on the curve by construction; none
+    is checked.
     """
-    hits = [points[0]] if w is None else []
+    if w is None:
+        yield points[0]
     mul, neg = curve._scalar_mul_raw, curve._neg_raw
     x = image = None
     for y in points[1:]:
@@ -527,8 +535,33 @@ def _factor_fiber(curve, points, m, w):
         image = neg(image) if raw[0] == x else mul(m, raw)
         x = raw[0]
         if image == w:
-            hits.append(y)
-    return hits
+            yield y
+
+
+def _torsion(curve, m):
+    """E[m] as raw points, kept with the field per (a, b, m).
+
+    The basis (P, Q) has P, Q of order m with <P> and <Q> meeting in O, so
+    the m^2 sums of a multiple of P and one of Q are E[m], each once.
+    """
+
+    def span():
+        P, Q = _basis(curve, m)
+        column = _multiples(curve, Q, m)
+        return [curve._add_raw(R, S) for R in _multiples(curve, P, m) for S in column]
+
+    return per_field(curve.field, ("torsion", curve.a.value, curve.b.value, m), span)
+
+
+def _coset(curve, m, y):
+    """y + E[m] for a Point y, boxed and sorted by Point.sort_key.
+
+    Raw pairs compare as sort_key orders affine points; O, present when y
+    lies in E[m], sorts first.
+    """
+    add, raw = curve._add_raw, y._raw()
+    points = sorted((add(raw, t) for t in _torsion(curve, m)), key=lambda P: (P is not None, P))
+    return [curve._box(P) for P in points]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Fibers factor by factor, cross-checked against a whole-variety scan.
 
-towers.fiber enumerates each curve factor once and takes the product of the
-per-factor fibers; oracles.exhaustive_fiber scans every point of the
-realized variety.  Both must return the same points in the same order, on
-complete fibers (over the full-torsion field) and incomplete ones (over F_5).
+towers.fiber walks each curve factor's points once, to the first preimage
+plus E[m] where a basis of E[m] is kept and to the end elsewhere, and takes
+the product of the per-factor fibers; oracles.exhaustive_fiber scans every
+point of the realized variety.  Both must return the same points in the same
+order, on complete fibers (over the full-torsion field) and incomplete ones
+(over F_5).
 """
 
 import itertools
@@ -14,6 +16,7 @@ from ectower.config import Caps
 from ectower.curves import EllipticCurve, Point, ProductVariety
 from ectower.errors import BoundExceeded, UnsupportedField
 from ectower.fields import QQ, PrimeField
+from ectower import towers
 from ectower.towers import (
     CompositeMap,
     Tower,
@@ -144,14 +147,22 @@ def test_fiber_matches_scan_for_m_1_to_6(V, K):
     assert empty and nonempty
 
 
-def test_product_over_the_cap_is_refused_with_the_same_message():
+def test_product_over_the_cap_is_refused_with_the_same_message(monkeypatch):
     caps = Caps(field_size=30)
     with pytest.raises(BoundExceeded, match="^product has 36 points, over the cap$"):
         X.enumerate_points(caps)
-    # fiber bounds what it returns: E[3] x E[3] has 81 points over F_25
+    # fiber bounds what it returns: E[3] x E[3] has 81 points over F_25,
+    # known from the walks before any coset is built
+    cosets = []
+    built = towers._coset
+    monkeypatch.setattr(towers, "_coset", lambda *args: cosets.append(args) or built(*args))
     f = TwistedMulMap(3, X.identity(), X)
+    K = extension_field(F5, 2)
     with pytest.raises(BoundExceeded, match="^product has 81 points, over the cap$"):
-        fiber(f, X.identity(), field=extension_field(F5, 2), caps=caps)
+        fiber(f, X.identity(), field=K, caps=caps)
+    assert not cosets
+    assert len(fiber(f, X.identity(), field=K, caps=Caps(field_size=81))) == 81
+    assert len(cosets) == 2
     # E[2] x E[2] over F_5 has 4 points, though X has 36
     assert len(fiber(TwistedMulMap(2, X.identity(), X), X.identity(), caps=caps)) == 4
     assert len(fiber(TwistedMulMap(2, Point.infinity(), E5), Point.infinity(), caps=caps)) == 2
@@ -196,3 +207,85 @@ def test_realized_map_is_the_twist_by_the_realized_centre(n):
         twist = TwistedMulMap(n, point, VK)
         assert realized.variety == VK
         assert all(realized(y) == twist(y) for y in VK.enumerate_points())
+
+
+K625 = extension_field(F5, 4)
+E625 = EllipticCurve(K625, 0, 1)  # y^2 = x^3 + 1: E(F_625) = (Z/24)^2
+
+
+def _walk_targets(V, f, K, count):
+    """z = c + w for w = O and a spread of w, then f(y) for a spread of y.
+
+    A w outside m*V(K) gives an empty fiber; each f(y) a nonempty one.
+    """
+    VK = realize_variety(V, K)
+    realized = realize_map(f, K)
+    points = VK.enumerate_points()
+    spread = points[:: len(points) // count]
+    return [VK._add_unchecked(realized.c, w) for w in spread] + [
+        realized(y) for y in spread[1:]
+    ]
+
+
+def _count_scalar_muls(monkeypatch):
+    calls = []
+    original = EllipticCurve._scalar_mul_raw
+
+    def counted(self, n, P):
+        calls.append(n)
+        return original(self, n, P)
+
+    monkeypatch.setattr(EllipticCurve, "_scalar_mul_raw", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "V, K, ms",
+    [(E11, extension_field(F11, 2), [5]), (E11, F11, range(1, 7)),
+     (ProductVariety([E11, E11B]), F11, [2, 3])],
+    ids=["m5-F121", "F11", "g2-F11"],
+)
+def test_fiber_walks_every_x_where_no_basis_is_kept(monkeypatch, V, K, ms):
+    calls = _count_scalar_muls(monkeypatch)
+    cosets = []
+    monkeypatch.setattr(towers, "_coset", lambda *args: cosets.append(args))
+    xs = sum(
+        len({P.x for P in c.enumerate_points() if not P.is_infinity})
+        for c in realize_variety(V, K).factors
+    )
+    for m in ms:
+        assert all(towers._basis(c, m) is None for c in realize_variety(V, K).factors)
+        f = TwistedMulMap(m, V.enumerate_points()[2], V)
+        for z in _walk_targets(V, f, K, 3):
+            del calls[:]
+            got = fiber(f, z, field=K)
+            # one multiple per distinct x of every factor: the walk ran to the end
+            assert calls == [m] * xs
+            assert got == exhaustive_fiber(f, z, K)
+    assert not cosets
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12])
+def test_coset_fiber_matches_scan_and_stops_at_the_first_preimage(monkeypatch, m):
+    points = E625.enumerate_points()
+    assert len(points) == 24 * 24
+    assert towers._basis(E625, m) is not None
+    towers._torsion(E625, m)  # the span is kept with the field before counting
+    xs = len({P.x for P in points[1:]})
+    f = TwistedMulMap(m, E5.enumerate_points()[3], E5)
+    calls = _count_scalar_muls(monkeypatch)
+    sizes = []
+    for z in _walk_targets(E5, f, K625, 7):
+        del calls[:]
+        got = fiber(f, z, field=K625)
+        if got:
+            # y + E[m] holds every preimage, and the walk reaches the first
+            # one after at most one multiple per point before it
+            first = min(points.index(P) for P in got)
+            assert len(calls) <= first and set(calls) <= {m}
+        else:
+            assert calls == [m] * xs
+        assert got == exhaustive_fiber(f, z, K625)
+        sizes.append(len(got))
+    # the first target has w = O, so its fiber is E[m] itself
+    assert sizes[0] == m * m and set(sizes) == {0, m * m}
