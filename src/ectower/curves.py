@@ -108,10 +108,9 @@ def per_field(K, key, build):
     """build(), computed once per field object and key, and kept with the field.
 
     Everything the deck and fiber paths derive from a field lives here:
-    - on any finite field: its enumeration tables and each curve's sorted
-      points per (a, b) (enumerate_points), its first non-square
-      (towers._non_square), each E[m] basis per (a, b, m) (towers._basis)
-      and each E[m] that basis spans (towers._torsion);
+    - on any finite field: its enumeration tables (enumerate_points), its
+      first non-square (towers._non_square), each E[m] basis per
+      (a, b, m) (towers._basis) and the E[m] it spans (towers._torsion);
     - on a prime field F_p also: one extension per degree
       (towers.extension_field) and the trace a_p per (a, b)
       (towers._point_counts).
@@ -264,32 +263,26 @@ class EllipticCurve:
         return Point(P.x, -P.y)
 
     def enumerate_points(self, caps=DEFAULT_CAPS):
-        """All points over a finite field, sorted: a fresh list of the points K keeps.
+        """All points over a finite field, sorted, by x-sweep against the field's tables.
 
-        The first call per field object and (a, b) sweeps x against the
-        field's _enumeration_tables, built on the field's first enumeration:
-        it evaluates x^3 + a*x + b on raw values, looks it up among the
-        squares, and each Point reuses the tables' elements.  Field values
-        come in ascending sort key, so each x's roots ascend and the points
-        come out sorted, O first.  The sorted list is kept with the field
-        (per_field); later calls copy it, so a caller may change what it
-        gets.  The cap is checked before the lookup.
+        _enumeration_tables, built on the field's first enumeration and kept
+        with it, box every value and list each square's roots; the sweep
+        only evaluates x^3 + a*x + b on raw values and looks it up, and each
+        Point reuses the tables' elements.  Field values come in ascending
+        sort key, so each x's roots ascend and the points come out sorted,
+        O first.
         """
         self._require_field_within(caps)
         K = self.field
         a, b = self.a.value, self.b.value
-
-        def sweep():
-            elements, roots = per_field(K, "enumeration_tables", lambda: _enumeration_tables(K))
-            points = [Point.infinity()]
-            for x in elements:
-                v = x.value
-                ys = roots.get(K._add(K._mul(K._add(K._mul(v, v), a), v), b))
-                if ys:
-                    points.extend([Point(x, y) for y in ys])
-            return points
-
-        return list(per_field(K, ("points", a, b), sweep))
+        elements, roots = per_field(K, "enumeration_tables", lambda: _enumeration_tables(K))
+        points = [Point.infinity()]
+        for x in elements:
+            v = x.value
+            ys = roots.get(K._add(K._mul(K._add(K._mul(v, v), a), v), b))
+            if ys:
+                points.extend([Point(x, y) for y in ys])
+        return points
 
     def _require_field_within(self, caps):
         """Refuse an infinite field, or a finite one above the field-size cap."""

@@ -318,12 +318,15 @@ def _torsion_basis(curve, m):
     3.2).  Gives None, for _kernel to decide, when #E(K) is unknown, the
     counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
     m = 1, whose kernel {O} has no prime to certify and is one point.
+    m | #K - 1 is checked first, as it needs no point count.
     Tonelli-Shanks takes K's first non-square, found once per field object
     (_non_square).
     """
     K = curve.field
+    if m == 1 or (K.size - 1) % m:
+        return None
     order = _curve_order(curve)
-    if m == 1 or order is None or order % (m * m) or (K.size - 1) % m:
+    if order is None or order % (m * m):
         return None
     primes = factorize(m)
     mul = curve._scalar_mul_raw
@@ -482,16 +485,16 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     A nonempty fiber of y -> m*y + c is a coset of the m-torsion, which is
     the product of the factors' m-torsion, so the fiber is the product of
     the per-factor fibers of y_j -> m*y_j + c_j over z_j, each the solutions
-    of m*y_j = w_j with w_j = z_j - c_j.  Each factor's sorted points come
-    from enumerate_points, kept with K per curve, and are walked by
-    _factor_fiber: sum |E_j(K)| candidates at most, not prod |E_j(K)|.
-    Where the factor's E[m] lies in E(K), certified by a basis (_basis), the
-    walk stops at the first preimage y and the factor's fiber is y + E[m]
-    (_coset), m^2 points; elsewhere the walk runs to the end and keeps every
-    hit.  Each enumeration refuses a field over the cap, and the fiber is
-    refused, before any coset is built, when it would have more points than
-    the cap.  Each factor's fiber is sorted and a product point sorts by its
-    factor keys in order, so the product comes out sorted.
+    of m*y_j = w_j with w_j = z_j - c_j.  Each factor is enumerated once,
+    against the tables K keeps for every curve over it (curves.per_field),
+    and walked by _factor_fiber: sum |E_j(K)| candidates at most, not
+    prod |E_j(K)|.  Where the factor's E[m] lies in E(K), certified by a
+    basis (_basis), the walk stops at the first preimage y and the factor's
+    fiber is y + E[m] (_coset), m^2 points; elsewhere the walk runs to the
+    end and keeps every hit.  Each enumeration refuses a field over the cap,
+    and the fiber is refused, before any coset is built, when it would have
+    more points than the cap.  Each factor's fiber is sorted and a product
+    point sorts by its factor keys in order, so the product comes out sorted.
     """
     m = f.multiplier
     K = _realization_field(f, field)

@@ -375,12 +375,11 @@ def test_enumeration_agrees_with_the_square_table_oracle(monkeypatch, p, shape):
     assert len(muls) == 3 * K.size
     assert _as_tuples(points) == _oracle_points(first)
     assert points == sorted(points, key=Point.sort_key)
-    # the same object again: the field keeps the list, so no arithmetic and
-    # the very same Point objects, in a fresh list
+    # the same object again: the same points, the same element objects, no squaring
     del muls[:]
     again = first.enumerate_points()
-    assert again == points and again is not points and not muls
-    assert all(P is Q for P, Q in zip(points, again))
+    assert again == points and len(muls) == 2 * K.size
+    assert all(P.x is Q.x and P.y is Q.y for P, Q in zip(points[1:], again[1:]))
     # every curve over the field object shares its tables
     for curve in _curves_over(K)[1:]:
         del muls[:]
@@ -397,42 +396,6 @@ def test_enumeration_agrees_with_the_square_table_oracle(monkeypatch, p, shape):
     assert len(twin_muls) == 3 * K.size
     assert twin_points == second.enumerate_points()
     assert all(P.x.field is twin for P in twin_points[1:])
-
-
-def test_a_changed_list_leaves_the_kept_points_intact():
-    K = PrimeField(13)
-    curve = EllipticCurve(K, 1, 1)
-    points = curve.enumerate_points()
-    expected = list(points)
-    points.reverse()
-    points.append(points[0])
-    del points[1:3]
-    assert curve.enumerate_points() == expected
-    # another curve object with the same (a, b) over the field reads the same list
-    assert EllipticCurve(K, 1, 1).enumerate_points() == expected
-
-
-def test_the_cap_is_checked_before_the_kept_points():
-    from ectower.config import Caps
-    from ectower.errors import BoundExceeded
-
-    K = ExtField(PrimeField(5), 2)
-    curve = EllipticCurve(K, 0, 1)
-    points = curve.enumerate_points()
-    with pytest.raises(BoundExceeded, match="^field size 25 exceeds cap$"):
-        curve.enumerate_points(caps=Caps(field_size=24))
-    assert curve.enumerate_points(caps=Caps(field_size=25)) == points
-
-
-def test_each_curve_over_a_field_keeps_its_own_points():
-    K = PrimeField(11)
-    first, second = EllipticCurve(K, 0, 1), EllipticCurve(K, 0, 2)
-    a, b = first.enumerate_points(), second.enumerate_points()
-    assert a != b
-    assert _as_tuples(a) == _oracle_points(first) and _as_tuples(b) == _oracle_points(second)
-    assert first.enumerate_points() == a and second.enumerate_points() == b
-    kept = vars(K)["_kept"]
-    assert kept[("points", 0, 1)] == a and kept[("points", 0, 2)] == b
 
 
 def test_a_product_fiber_builds_the_tables_once(monkeypatch):
