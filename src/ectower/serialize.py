@@ -13,7 +13,7 @@ neither.
 """
 
 import functools
-import json
+import marshal
 from operator import methodcaller
 
 from .config import DEFAULT_CAPS
@@ -434,13 +434,16 @@ class VerifyMemo:
     certificate that the report also lists on its own.  Through one memo a
     distinct subtree is parsed once, and a distinct certificate is replayed
     once.  A subtree is looked up by identity first, then by exact content:
-    the parser, the caps and its canonical JSON, never its position.  The
-    inner non_torsion of a non_iso is the very object find_certificates
-    lists on its own, so its canonical text is built once.  A certificate is
-    looked up by identity alone: parses through the memo hand out one object
-    per content, so its multi-KB rationals are never hashed.  Below the
-    subtrees, rational(text) parses each distinct Q coordinate string once.
-    A parse or replay that raises keeps nothing.
+    the parser, the caps and its marshal bytes, never its position.  Equal
+    bytes load back to equal content with the same types.  Format 2 writes
+    no back-references, so the bytes do not depend on which strings happen
+    to be shared elsewhere; a subtree that differs only in key order
+    misses, at the cost of one parse.  The inner non_torsion of a non_iso
+    is the very object find_certificates lists on its own, so it is keyed
+    once.  A certificate is looked up by identity alone: parses through the
+    memo hand out one object per content, so its multi-KB rationals are
+    never hashed.  Below the subtrees, rational(text) parses each distinct
+    Q coordinate string once.  A parse or replay that raises keeps nothing.
     """
 
     def __init__(self):
@@ -455,9 +458,9 @@ class VerifyMemo:
         if hit is not None:
             return hit[1]
         try:
-            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError, RecursionError):
-            # not JSON, past int-to-str's digit limit or past the stack: no key
+            text = marshal.dumps(obj, 2)
+        except ValueError:
+            # not plain data, or nested past marshal's depth: no key
             return parse(obj, caps, self)
         key = (parse, caps, text)
         if key not in self._parsed:

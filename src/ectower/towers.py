@@ -469,6 +469,55 @@ def _torsion_generators(curve, m, P, Q):
     return curve._box(g1), curve._box(g2)
 
 
+def _scanned_generators(curve, m):
+    """_torsion_generators' (g1, g2) for a curve whose E[m] lies in E(K), with no grid.
+
+    g2 is the largest point of order m and g1 the smallest whose line mod
+    every q | m differs from g2's: (m/q)g1 outside <(m/q)g2>, since (m/q)
+    maps aP + bQ to the point of E[q] on the line (a : b) mod q.  So a walk
+    of E(K) in sort order from the top finds g2, one from the bottom g1,
+    and where E[m] is most of E(K) each stops after a few points.  x runs
+    through K's values, each y by Tonelli-Shanks.  -R has R's order and
+    lines, so each x offers only its root that comes first in the walk.
+    Where E[m] is all of E(K), almost every point has mR = O, so the images
+    (m/q)R are read off S = (m/r)R, r the product of the q, with few
+    additions past the mR = rS that every point needs.
+    """
+    K, a, b = curve.field, curve.a.value, curve.b.value
+    p, ext = K.characteristic, K.base is not None
+    k = K.degree if ext else 1
+    z, mul, primes = _non_square(K), curve._scalar_mul_raw, sorted(factorize(m))
+    r = math.prod(primes)
+
+    def walk(top):
+        digits = range(p)[:: -1 if top else 1]
+        for x in itertools.product(digits, repeat=k) if ext else digits:
+            rhs = n = u = K._add(K._mul(K._add(K._mul(x, x), a), x), b)
+            # rhs is a square iff its norm rhs * rhs^p * ... * rhs^(p^(k-1)) is one in F_p
+            for _ in range(k - 1):
+                u = K._frobenius(u)
+                n = K._mul(n, u)
+            if pow(n[0] if ext else n, p // 2, p) != p - 1:
+                y = K._sqrt(rhs, z)
+                yield x, (max if top else min)(y, K._neg(y))
+
+    def order_m(R):
+        # R's images (m/q)R = (r/q)S in E[q] when R has order m, else None
+        S = mul(m // r, R)
+        if mul(r, S) is None:
+            images = [mul(r // q, S) for q in primes]
+            if None not in images:
+                return images
+
+    g2 = next(R for R in walk(True) if order_m(R))
+    lines = [_multiples(curve, u, q) for u, q in zip(order_m(g2), primes)]
+    g1 = next(
+        R for R in walk(False)
+        if (images := order_m(R)) and all(u not in w for u, w in zip(images, lines))
+    )
+    return curve._box(g1), curve._box(g2)
+
+
 def _kernel(curve, n, caps):
     """E[n] over the curve's own field as {point: order}, in enumeration order.
 
@@ -603,9 +652,12 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     Returns the invariant factors (m, ..., m), 2g of them, with the
     generator witnesses structure_rank2 would pick from the enumerated
     kernel.  Each curve factor's are read off the grid of a basis of E[m]
-    (_torsion_generators); a factor with no basis is enumerated instead.
-    Raises IncompleteTorsion when the field does not carry all of V[m],
-    reporting the defect per curve factor.
+    (_torsion_generators, about m^2/2 additions), or, once m^4 > 128 #E(K),
+    found by the sorted scan of E(K) (_scanned_generators), whose walks grow
+    with the index #E(K)/m^2; measured, the scan wins from about there on.
+    A factor with no basis is enumerated instead.  Raises IncompleteTorsion
+    when the field does not carry all of V[m], reporting the defect per
+    curve factor.
     """
     m = f.multiplier
     V, found = _full_torsion(f, field, caps)
@@ -613,6 +665,8 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     for curve, basis, kernel in found:
         if basis is None:
             parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
+        elif m**4 > 128 * _curve_order(curve):
+            parts.append(FiniteAbelianGroup((m, m), _scanned_generators(curve, m)))
         else:
             parts.append(FiniteAbelianGroup((m, m), _torsion_generators(curve, m, *basis)))
     return V.group_from_parts(parts)

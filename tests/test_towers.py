@@ -352,8 +352,8 @@ def _count_order_walks(monkeypatch):
 
 
 def test_deck_group_at_24_enumerates_nothing(monkeypatch):
-    # a basis of E[24] and half the 576-point grid, the other half read off
-    # by negation: no enumeration, no order walk
+    # a basis of E[24], then a scan of a few points from each end of the
+    # 576 points of E(F_{5^4}): no enumeration, no order walk
     K = full_torsion_field(E5, 24)
     walks = _count_order_walks(monkeypatch)
     enumerated = _count_calls(monkeypatch, EllipticCurve, "enumerate_points")
@@ -362,6 +362,45 @@ def test_deck_group_at_24_enumerates_nothing(monkeypatch):
     assert g.invariant_factors == (24, 24)
     assert walks == [] and enumerated == []
     assert len(added) <= 13 * 24 + 100
+
+
+def test_deck_group_scans_only_where_e_m_is_most_of_e_k(monkeypatch):
+    # E(F_{5^4}) = (Z/24)^2.  At m = 24, m^4 > 128 * 576: the scan meets g1
+    # and g2 a few points from each end, well under the grid's 13 * 24
+    # additions.  At m = 4, E[4] is 16 of the 576 points and the grid stays
+    K = full_torsion_field(E5, 24)
+    for m in (24, 4):
+        deck_invariant_factors(TwistedMulMap(m, O, E5), field=K)  # the basis, kept with K
+    grids = _count_calls(monkeypatch, towers, "_torsion_generators")
+    scans = _count_calls(monkeypatch, towers, "_scanned_generators")
+    added = _count_calls(monkeypatch, EllipticCurve, "_add_raw")
+    assert deck_group(TwistedMulMap(24, O, E5), field=K).invariant_factors == (24, 24)
+    assert grids == [] and len(scans) == 1
+    assert len(added) < 13 * 24 // 2
+    assert deck_group(TwistedMulMap(4, O, E5), field=K).invariant_factors == (4, 4)
+    assert len(grids) == 1 and len(scans) == 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_scanned_generators_match_the_grid(p):
+    # every curve over F_p, over every F_{p^k} with p^k <= 3000, and every
+    # m <= 24 with a basis of E[m]: the scan finds the grid's generators, on
+    # both sides of deck_group's choice between them
+    sides = set()
+    for k in range(1, 5):
+        if p**k > 3000:
+            break
+        K = extension_field(PrimeField(p), k)
+        for E in _curves(p):
+            EK = realize_variety(E, K)
+            for m in range(2, 25):
+                basis = towers._basis(EK, m)
+                if basis is None:
+                    continue
+                want = towers._torsion_generators(EK, m, *basis)
+                assert towers._scanned_generators(EK, m) == want, (E, K, m)
+                sides.add(m**4 > 128 * towers._curve_order(EK))
+    assert sides == {False, True}
 
 
 def test_deck_group_boxes_few_field_elements(monkeypatch):

@@ -91,6 +91,24 @@ def test_a_subtree_with_no_canonical_json_is_parsed_afresh():
     assert verify_certificate(cert, DEFAULT_CAPS, memo) == (True, "non_iso", None)
 
 
+def test_equal_subtrees_share_a_parse_whatever_else_holds_their_strings():
+    # marshal's formats 3 and later flag a string held elsewhere (as the
+    # rational cache holds parsed coordinates) for a back-reference, so equal
+    # content would give unequal keys; the memo's format 2 writes none
+    text = json.dumps(DEMO_4["pairs"][0]["certificate"]["towers"][0])
+    first, second = json.loads(text), json.loads(text)
+    held = q_texts(first)
+    parsed = []
+
+    def parse(obj, caps, memo):
+        parsed.append(obj)
+        return object()
+
+    memo = VerifyMemo()
+    assert held and memo.parse(parse, first, DEFAULT_CAPS) is memo.parse(parse, second, DEFAULT_CAPS)
+    assert parsed == [first]
+
+
 def test_verify_replays_each_distinct_certificate_once(tmp_path, monkeypatch):
     # count 6 over y^2 = x^3 + 17: 15 non_iso pairs at level 1 whose
     # differences are the 5 multiples (m' - m)*P, and the base point P
@@ -134,13 +152,13 @@ def test_each_subtree_object_is_keyed_once(tmp_path, monkeypatch):
     source = tmp_path / "demo.json"
     main(["corollary-demo", "--input", str(tmp_path / "job.json"), "--output", str(source)])
     keyed = []
-    dumps = json.dumps
+    dumps = serialize.marshal.dumps
 
-    def counted(obj, **kwargs):
+    def counted(obj, version):
         keyed.append(id(obj))
-        return dumps(obj, **kwargs)
+        return dumps(obj, version)
 
-    monkeypatch.setattr(serialize.json, "dumps", counted)
+    monkeypatch.setattr(serialize.marshal, "dumps", counted)
     out = tmp_path / "verified.json"
     assert main(["verify", "--input", str(source), "--output", str(out)]) == 0
     monkeypatch.undo()
