@@ -7,8 +7,6 @@ from dataclasses import dataclass
 class Caps:
     # largest finite field size p**k that may be constructed or enumerated
     field_size: int = 10_000_000
-    # largest extension degree tried when searching for a full-torsion field
-    extension_degree: int = 12
     # largest |coefficient| accepted after clearing denominators of a curve over Q
     integral_model: int = 10**40
     # largest chain level i for which (Z/i!)^2g quotients are materialized

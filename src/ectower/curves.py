@@ -16,7 +16,7 @@ import math
 
 from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, MixedFields, PointNotOnCurve, UnsupportedField
-from .fields import FieldElement
+from .fields import FieldElement, per_field
 from .groups import (
     FiniteAbelianGroup,
     combine_structures,
@@ -102,27 +102,6 @@ class ProductPoint:
 
     def __repr__(self):
         return "(%s)" % ", ".join(repr(c) for c in self.coords)
-
-
-def per_field(K, key, build):
-    """build(), computed once per field object and key, and kept with the field.
-
-    Everything the deck and fiber paths derive from a field lives here:
-    - on any finite field: its enumeration tables (enumerate_points), its
-      first non-square (towers._non_square), each E[m] basis per
-      (a, b, m) (towers._basis) and the E[m] it spans (towers._torsion);
-    - on a prime field F_p also: one extension per degree
-      (towers.extension_field) and the trace a_p per (a, b)
-      (towers._point_counts).
-    The store is a dict in the field's own __dict__ (Field declares no
-    __slots__), so it lives and dies with the field object, and an equal
-    field built again builds its own.  Each command parses its own fields,
-    so nothing kept crosses commands.
-    """
-    store = vars(K).setdefault("_kept", {})
-    if key not in store:
-        store[key] = build()
-    return store[key]
 
 
 def _enumeration_tables(K):

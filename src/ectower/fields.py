@@ -222,13 +222,9 @@ def find_irreducible(p, k, caps=DEFAULT_CAPS):
         raise ValueError("degree must be >= 1")
     if p**k > caps.field_size:
         raise BoundExceeded("p^k = %d exceeds cap %d" % (p**k, caps.field_size))
-    for m in range(p**k):
-        tail = []
-        v = m
-        for _ in range(k):
-            tail.append(v % p)
-            v //= p
-        f = tuple(tail) + (1,)
+    # product varies its last entry fastest, so the reversed tails run in counter order
+    for tail in itertools.product(range(p), repeat=k):
+        f = tail[::-1] + (1,)
         if is_irreducible(f, p):
             return f
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -236,6 +232,22 @@ def find_irreducible(p, k, caps=DEFAULT_CAPS):
 
 # ---------------------------------------------------------------------------
 # fields
+
+
+def per_field(K, key, build):
+    """build(), computed once per field object and key, and kept with the field.
+
+    Any finite field keeps its Tonelli-Shanks constants (Field._sqrt), its
+    enumeration tables (curves), each E[m] basis per (a, b, m) and the E[m]
+    it spans (towers); F_p also keeps one extension per degree and a_p per
+    (a, b) (towers).  The store is a dict in the field's own __dict__ (Field
+    declares no __slots__): it dies with the field object, an equal field
+    built again builds its own, and nothing kept crosses commands.
+    """
+    store = vars(K).setdefault("_kept", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
 
 
 class Field:
@@ -310,30 +322,35 @@ class Field:
 
     def _non_residue(self):
         """The first non-square value of a finite field of odd order, in _values order."""
-        minus_one, half = self._coerce(-1), (self.size - 1) // 2
         for z in self._values():
-            if self._pow(z, half) == minus_one:  # Euler's criterion
+            if not self._is_square(z):
                 return z
         raise ArithmeticError("a field of odd order has non-squares")
 
-    def _sqrt(self, a, z):
+    def _tonelli_shanks(self):
+        """(s, t, z^t) with q - 1 = 2^s * t, t odd, and z the first non-square."""
+        s, t = 0, self.size - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        return s, t, self._pow(self._non_residue(), t)
+
+    def _sqrt(self, a):
         """A square root of a raw value a, or None when a is not a square.
 
         Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
         Theory, 1.5.1) in a finite field of odd order q = 2^s * t + 1, t odd,
         with z a non-square: x = a^((t+1)/2) is a root up to the 2-power
         part b = a^t, which each step clears with a power of z^t.  a is a
-        non-square exactly when b has order 2^s.
+        non-square exactly when b has order 2^s.  (s, t, z^t) are kept with
+        the field; x = w*a and b = x*w from one power w = a^((t-1)/2).
         """
         one = self._coerce(1)
         if a == self._coerce(0):
             return a
-        s, t = 0, self.size - 1
-        while t % 2 == 0:
-            s, t = s + 1, t // 2
-        c = self._pow(z, t)
-        x = self._pow(a, (t + 1) // 2)
-        b = self._pow(a, t)
+        s, t, c = per_field(self, "tonelli_shanks", self._tonelli_shanks)
+        w = self._pow(a, t // 2)
+        x = self._mul(w, a)
+        b = self._mul(x, w)
         while b != one:
             i, d = 0, b
             while d != one:
@@ -460,6 +477,10 @@ class PrimeField(Field):
         x3 = (lam * lam - x1 - x2) % p
         return (x3, (lam * (x1 - x3) - y1) % p)
 
+    def _is_square(self, a):
+        """Whether a is 0 or a square, by Euler's criterion: a^((p-1)/2) is 0 or 1."""
+        return pow(a, self.p // 2, self.p) < 2
+
     def _sort_key(self, a):
         return a
 
@@ -485,7 +506,8 @@ class ExtField(Field):
 
     Elements are coefficient tuples of exact length k, constant term first.
     Products fold degrees j >= k back through the rows x^j mod f; inverses
-    use the norm, by Itoh-Tsujii through the Frobenius matrix for k >= 3.
+    use the norm, by Itoh-Tsujii through the Frobenius matrix, and the
+    square test the norm's Legendre symbol.
     """
 
     __slots__ = ("base", "degree", "modulus", "_rows", "_frobenius_rows", "_hash")
@@ -550,7 +572,7 @@ class ExtField(Field):
         return tuple([c % p for c in value] + [0] * (self.degree - len(value)))
 
     def _add(self, a, b):
-        """a + b; unrolled for k = 2, as are _sub and _neg."""
+        """a + b; unrolled for k = 2, as is _neg."""
         p = self.base.p
         if self.degree == 2:
             (a0, a1), (b0, b1) = a, b
@@ -559,9 +581,6 @@ class ExtField(Field):
 
     def _sub(self, a, b):
         p = self.base.p
-        if self.degree == 2:
-            (a0, a1), (b0, b1) = a, b
-            return ((a0 - b0) % p, (a1 - b1) % p)
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _mul(self, a, b):
@@ -610,6 +629,17 @@ class ExtField(Field):
         p = self.base.p
         return tuple([sum(map(operator.mul, a, row)) % p for row in self._frobenius_rows])
 
+    def _is_square(self, a):
+        """Whether a is 0 or a square: whether its norm a * a^p * ... * a^(p^(k-1)) is one in F_p.
+
+        The norm maps g^e, g a generator of F_{p^k}^*, to h^e, h a generator of F_p^*.
+        """
+        n = u = a
+        for _ in range(self.degree - 1):
+            u = self._frobenius(u)
+            n = self._mul(n, u)
+        return self.base._is_square(n[0])
+
     def _neg(self, a):
         p = self.base.p
         if self.degree == 2:
@@ -621,14 +651,6 @@ class ExtField(Field):
         p = self.base.p
         if not any(a):
             raise DivisionByZero("inverse of zero in %r" % self)
-        if self.degree == 2:
-            # f = x^2 + c1 x + c0: the conjugate of a0 + a1 x is (a0 - c1 a1) - a1 x,
-            # and their product is the norm a0 (a0 - c1 a1) + c0 a1^2 in F_p
-            a0, a1 = a
-            c0, c1, _ = self.modulus
-            b0 = a0 - c1 * a1
-            n = pow((a0 * b0 + c0 * a1 * a1) % p, p - 2, p)
-            return (b0 * n % p, -a1 * n % p)
         # u = a^(p + p^2 + ... + p^(k-1)), so a*u = a^((p^k - 1)/(p - 1)) is the norm,
         # which lies in F_p: only its constant term is formed, through x^j mod f.
         # For k = 1, u = a^p = a and a*u = a^2, whose inverse times u is 1/a as well
@@ -649,8 +671,9 @@ class ExtField(Field):
         folded back through x^j mod f, the rows of _rows: for k = 2 it is
         (u0 v0 + h r0) + (u0 v1 + u1 v0 + h r1) x with h = u1 v1.  The
         slope's one inversion goes through the norm N of the denominator d,
-        which lies in F_p, as in _inv: for k = 2 by the conjugate, and for
-        k = 3, 4 by Itoh-Tsujii, u = d^(p + ... + p^(k-1)) from the Frobenius
+        which lies in F_p: for k = 2 by the conjugate (a0 - c1 a1) - a1 x of
+        a0 + a1 x, f = x^2 + c1 x + c0, and for k = 3, 4 as in _inv, by
+        Itoh-Tsujii, u = d^(p + ... + p^(k-1)) from the Frobenius
         rows (1^p = 1, so their first column is (1, 0, ..., 0)), N the
         constant term of u d, and 1/d = u / N with one pow(N, p - 2, p).
         k = 2 runs here.  Other degrees go to _chord_tangent_3_4, which keeps

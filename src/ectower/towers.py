@@ -26,9 +26,9 @@ from .errors import (
     RamifiedCharacteristic,
     UnsupportedField,
 )
-from .fields import ExtField, PrimeField, QQ
+from .fields import ExtField, PrimeField, QQ, per_field
 from .groups import FiniteAbelianGroup, factorize, structure_rank2
-from .curves import EllipticCurve, Point, per_field
+from .curves import EllipticCurve, Point
 
 
 def _affine(V, m, y, c):
@@ -212,7 +212,7 @@ def _realization_field(f, field):
 def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     """Smallest-degree extension of the prime field carrying all of V[n].
 
-    Searches degrees 1, 2, ... up to the configured caps.  A degree k is
+    Searches degrees 1, 2, ... while p^k is within the field-size cap.  A degree k is
     skipped unless n | p^k - 1 and n^2 | #E(F_{p^k}) on every curve factor,
     two necessary conditions (Weil pairing; Silverman, AEC III.8) read off
     the point counts without building the field.  A degree that passes is
@@ -236,10 +236,11 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
         raise ValueError("n must be >= 1")
     if n % p == 0:
         raise RamifiedCharacteristic("characteristic %d divides n = %d" % (p, n))
-    counts = [_point_counts(curve, caps.extension_degree) for curve in V.factors]
-    for k in range(1, caps.extension_degree + 1):
-        if p**k > caps.field_size:
-            break
+    degrees = 0
+    while p ** (degrees + 1) <= caps.field_size:
+        degrees += 1
+    counts = [_point_counts(curve, degrees) for curve in V.factors]
+    for k in range(1, degrees + 1):
         if (p**k - 1) % n or any(c[k - 1] % (n * n) for c in counts):
             continue
         K = extension_field(base, k, caps)
@@ -318,9 +319,10 @@ def _torsion_basis(curve, m):
     3.2).  Gives None, for _kernel to decide, when #E(K) is unknown, the
     counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
     m = 1, whose kernel {O} has no prime to certify and is one point.
-    m | #K - 1 is checked first, as it needs no point count.
-    Tonelli-Shanks takes K's first non-square, found once per field object
-    (_non_square).
+    m | #K - 1 is checked first, as it needs no point count.  A draw whose
+    q-primary part has order q^t, t > v_q(#E(K)) - v, ends the search with
+    None: the Sylow q-subgroup Z/q^a x Z/q^b then has a >= t, so b < v and
+    E[q^v] is not in E(K).
     """
     K = curve.field
     if m == 1 or (K.size - 1) % m:
@@ -337,11 +339,10 @@ def _torsion_basis(curve, m):
     kept = {q: [] for q in primes}
     lines = {}  # q: the q multiples of the first kept image in E[q]
     rng = random.Random(0)
-    z = _non_square(K)
     a, b = curve.a.value, curve.b.value
     for _ in range(_BASIS_DRAWS):
         x = K._random(rng)
-        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b), z)
+        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b))
         if y is None:
             continue
         T = mul(prime_to_m, (x, y))
@@ -358,6 +359,8 @@ def _torsion_basis(curve, m):
                     )
                 chain.append(mul(q, chain[-1]))
             t = len(chain) - 1
+            if t > exponents[q] - v:
+                return None
             if t < v or chain[t - 1] in lines.get(q, ()):
                 continue
             if not kept[q]:
@@ -371,11 +374,6 @@ def _torsion_basis(curve, m):
                 raise ArithmeticError("sampled parts do not span E[%d]" % m)
             return P, Q
     return None
-
-
-def _non_square(K):
-    """K's first non-square in _values order, scanned for once and kept with K."""
-    return per_field(K, "non_square", K._non_residue)
 
 
 def _multiples(curve, u, q):
@@ -477,8 +475,9 @@ def _scanned_generators(curve, m):
     maps aP + bQ to the point of E[q] on the line (a : b) mod q.  So a walk
     of E(K) in sort order from the top finds g2, one from the bottom g1,
     and where E[m] is most of E(K) each stops after a few points.  x runs
-    through K's values, each y by Tonelli-Shanks.  -R has R's order and
-    lines, so each x offers only its root that comes first in the walk.
+    through K's values, each y by Tonelli-Shanks where K's square test
+    passes.  -R has R's order and lines, so each x offers only its root
+    that comes first in the walk.
     Where E[m] is all of E(K), almost every point has mR = O, so the images
     (m/q)R are read off S = (m/r)R, r the product of the q, with few
     additions past the mR = rS that every point needs.
@@ -486,19 +485,15 @@ def _scanned_generators(curve, m):
     K, a, b = curve.field, curve.a.value, curve.b.value
     p, ext = K.characteristic, K.base is not None
     k = K.degree if ext else 1
-    z, mul, primes = _non_square(K), curve._scalar_mul_raw, sorted(factorize(m))
+    mul, primes = curve._scalar_mul_raw, sorted(factorize(m))
     r = math.prod(primes)
 
     def walk(top):
         digits = range(p)[:: -1 if top else 1]
         for x in itertools.product(digits, repeat=k) if ext else digits:
-            rhs = n = u = K._add(K._mul(K._add(K._mul(x, x), a), x), b)
-            # rhs is a square iff its norm rhs * rhs^p * ... * rhs^(p^(k-1)) is one in F_p
-            for _ in range(k - 1):
-                u = K._frobenius(u)
-                n = K._mul(n, u)
-            if pow(n[0] if ext else n, p // 2, p) != p - 1:
-                y = K._sqrt(rhs, z)
+            rhs = K._add(K._mul(K._add(K._mul(x, x), a), x), b)
+            if K._is_square(rhs):
+                y = K._sqrt(rhs)
                 yield x, (max if top else min)(y, K._neg(y))
 
     def order_m(R):

@@ -11,6 +11,7 @@ from ectower.errors import BoundExceeded, DivisionByZero, MixedFields
 from ectower.fields import (
     QQ,
     ExtField,
+    Field,
     PrimeField,
     Rational,
     find_irreducible,
@@ -340,16 +341,44 @@ def test_unrolled_frobenius_on_every_element(p, k):
 
 
 @pytest.mark.parametrize(
+    "p, k", [(p, k) for p in (5, 7, 11, 13) for k in range(1, 5) if p**k <= 3000]
+)
+def test_square_test_against_a_table_of_squares(p, k):
+    # every value of every F_{p^k}, p^k <= 3000, against the squares of all
+    # values in the oracle's fq_* arithmetic (F_p itself is f = (0, 1))
+    K = PrimeField(p) if k == 1 else ExtField(PrimeField(p), k)
+    f = getattr(K, "modulus", (0, 1))
+    vectors = {v: v if k > 1 else (v,) for v in K._values()}
+    squares = {fq_mul(x, x, f, p) for x in vectors.values()}
+    for v, x in vectors.items():
+        assert K._is_square(v) == (x in squares), v
+
+
+def test_each_square_root_takes_one_power(monkeypatch):
+    # z^t once per field object, then one power of a per root; 0 takes none
+    K = ExtField(PrimeField(7), 3)
+    powers, original = [], Field._pow
+
+    def counted(self, a, n):
+        powers.append(n)
+        return original(self, a, n)
+
+    monkeypatch.setattr(Field, "_pow", counted)
+    squares = [K._mul(x, x) for x in K._values()]
+    assert all(K._sqrt(a) is not None for a in squares)
+    assert len(powers) == 1 + sum(1 for a in squares if any(a))
+
+
+@pytest.mark.parametrize(
     "K", [F5, PrimeField(239), ExtField(F5, 4), ExtField(PrimeField(7), 3)], ids=repr
 )
 def test_tonelli_shanks_against_squaring_every_element(K):
     roots = {}
     for x in K._values():
         roots.setdefault(K._mul(x, x), set()).add(x)
-    z = K._non_residue()
-    assert z not in roots
+    assert K._non_residue() not in roots
     for a in K._values():
-        r = K._sqrt(a, z)
+        r = K._sqrt(a)
         if a in roots:
             assert r in roots[a]
         else:

@@ -87,11 +87,10 @@ def _random_points(curve, rng, count):
     K = curve.field
     f, p = _oracle_modulus(K), K.characteristic
     a, b = curve.a.value, curve.b.value
-    z = K._non_residue()
     points = []
     while len(points) < count:
         x = K._random(rng)
-        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b), z)
+        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b))
         if y is None:
             continue
         ox, oy, oa, ob = (_oracle_value(v) for v in (x, y, a, b))

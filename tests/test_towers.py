@@ -223,7 +223,7 @@ def test_full_torsion_field_cap():
     from ectower.config import Caps
 
     with pytest.raises(BoundExceeded):
-        full_torsion_field(E5, 4, caps=Caps(field_size=100, extension_degree=3))
+        full_torsion_field(E5, 4, caps=Caps(field_size=100))
 
 
 def test_fiber_full_two_torsion():
@@ -493,7 +493,7 @@ def _curves(p):
 def test_deck_group_and_field_match_the_enumerated_kernel(p, degrees):
     # every curve over F_p, every m with a full kernel over some F_{p^k}:
     # the same field, invariant factors and generators as structure_rank2
-    caps = Caps(extension_degree=degrees)
+    caps = Caps(field_size=p**degrees)
     F = PrimeField(p)
     fields = [extension_field(F, k) for k in range(1, degrees + 1)]
     for E in _curves(p):
@@ -799,14 +799,17 @@ def _is_square(z, K):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_the_kept_non_square_is_the_first_by_eulers_criterion(p, k):
+    # _non_residue by K's norm test, against Euler's criterion in fq_* arithmetic;
+    # Tonelli-Shanks keeps z^t for this z, q - 1 = 2^s * t with t odd
     K = extension_field(PrimeField(p), k)
-    z = towers._non_square(K)
+    z = K._non_residue()
     for v in K._values():
         if v == z:
             break
         assert _is_square(v, K) is not False
     assert _is_square(z, K) is False
-    assert towers._non_square(K) is z
+    s, t, c = K._tonelli_shanks()
+    assert t % 2 == 1 and 2**s * t == K.size - 1 and c == K._pow(z, t)
 
 
 def test_torsion_basis_scans_for_the_non_square_once_per_field(monkeypatch):
@@ -817,6 +820,57 @@ def test_torsion_basis_scans_for_the_non_square_once_per_field(monkeypatch):
     scans = _count_calls(monkeypatch, fields.Field, "_non_residue")
     bases = [_torsion_basis(E, m) for m in (2, 3, 4, 6, 8, 12, 24)]
     assert all(basis is not None for basis in bases)
+    # and 625 more square roots on K
+    assert None not in [K._sqrt(K._mul(x, x)) for x in K._values()]
     assert len(scans) == 1
-    _torsion_basis(realize_variety(E5, extension_field(PrimeField(5), 4)), 24)
+    L = extension_field(PrimeField(5), 4)
+    assert L == K and L is not K
+    _torsion_basis(realize_variety(E5, L), 24)
     assert len(scans) == 2
+
+
+@pytest.mark.parametrize("p, a, b, m", [(11, 0, 1, 2), (13, 1, 1, 3)])
+def test_torsion_basis_stops_where_a_sylow_part_rules_e_m_out(monkeypatch, p, a, b, m):
+    # the counts allow E[m] (m | p - 1, m^2 | #E(F_p)), but E(F_p) is cyclic,
+    # Z/12 and Z/18: a draw whose q-part has order q^t, t > v_q(#E) - v_q(m),
+    # shows E[m] is not there, long before the draws run out
+    E = EllipticCurve(PrimeField(p), a, b)
+    draws = _count_calls(monkeypatch, PrimeField, "_random")
+    assert _torsion_basis(E, m) is None
+    assert 0 < len(draws) < towers._BASIS_DRAWS
+    assert len(_kernel(E, m, DEFAULT_CAPS)) < m * m
+
+
+# (p, k, a, b, m): E[m] lies in E(F_{p^k}), yet no basis turns up in the draws,
+# so _has_full_torsion and deck_group take the enumeration.  Each has an
+# unbalanced Sylow part at some q | m: Z/6 x Z/54 over F_{7^3} (Z/3 x Z/27),
+# Z/4 x Z/32 over F_{11^2}, Z/2 x Z/96 over F_{13^2}, Z/3 x Z/702 over F_{13^3}
+_UNBALANCED_FALLBACKS = {
+    (7, 3, 3, 2, 3), (7, 3, 3, 2, 6), (7, 3, 5, 2, 3), (7, 3, 5, 2, 6),
+    (11, 2, 6, 4, 4),
+    (13, 2, 1, 2, 2), (13, 2, 2, 5, 2), (13, 2, 3, 11, 2), (13, 2, 7, 1, 2), (13, 2, 7, 12, 2),
+    (13, 3, 5, 10, 3),
+}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_basis_is_none_exactly_where_the_enumerated_kernel_is_short(p):
+    # every curve over F_p, over every F_{p^k} with p^k <= 3000, and every
+    # m <= 24 that the point counts allow (m | p^k - 1, m^2 | #E(K)): a basis
+    # of E[m] exactly when the enumerated kernel has m^2 points
+    missed = set()
+    for k in range(1, 5):
+        if p**k > 3000:
+            break
+        K = extension_field(PrimeField(p), k)
+        for E in _curves(p):
+            EK = realize_variety(E, K)
+            order = towers._curve_order(EK)
+            ms = [m for m in range(2, 25) if (K.size - 1) % m == 0 and order % (m * m) == 0]
+            full = set(_full_kernel_sizes(EK)) if ms else ()
+            for m in ms:
+                found = towers._basis(EK, m) is not None
+                assert not found or m in full, (E, K, m)
+                if m in full and not found:
+                    missed.add((p, k, E.a.value, E.b.value, m))
+    assert missed == {case for case in _UNBALANCED_FALLBACKS if case[0] == p}
