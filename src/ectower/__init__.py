@@ -9,11 +9,14 @@ Each module loads the first time something uses it, and importing the
 package loads none of them.  ``ectower.X`` for a public name X imports X's
 home module then (PEP 562), and reads X off that module on every access.
 ``import ectower.towers`` loads config, errors, fields, groups, curves and
-towers: the finite-field path of towers, fibers and deck groups.  The Q
-torsion certificates (torsion), the iso decision (iso), the lattice chain
-(chain) and JSON (serialize) load on first use: ``rational_fiber`` imports
-torsion, and each CLI command imports what it runs, serialize with torsion
-and iso at least.
+towers: the finite-field path of towers, fibers and deck groups.  Q's
+arithmetic (rationals, which fields.QQ resolves to), the Q torsion
+certificates (torsion), the iso decision (iso), the lattice chain (chain)
+and JSON (serialize) load on first use.  The CLI (cli) loads its command's
+handlers when the command runs: commands_fq for tower-build and chain-check,
+which load no Q arithmetic, and commands_q for the certificate commands.
+The value types are __slots__ records (config.Record), so no module
+imports dataclasses.
 """
 
 import importlib

@@ -9,35 +9,32 @@ type exists anywhere; every statement here is about finite quotients.
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Record
 from .errors import BoundExceeded, ZeroVector
 from .groups import FiniteAbelianGroup
 from .towers import deck_invariant_factors, full_torsion_field
 
 
-@dataclass(frozen=True)
-class LatticeGroup:
+class LatticeGroup(Record):
     """Z^(2g), the finite-quotient stand-in for the fundamental group."""
 
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 2 or self.rank % 2 != 0:
+    def __init__(self, rank):
+        if rank < 2 or rank % 2 != 0:
             raise ValueError("rank must be a positive even integer 2g")
+        object.__setattr__(self, "rank", rank)
 
     @property
     def dimension(self):
         return self.rank // 2
 
 
-@dataclass(frozen=True)
-class ChainSubgroup:
+class ChainSubgroup(Record):
     """The subgroup i! * Z^(2g), identified by its scalar."""
 
-    lattice: LatticeGroup
-    level: int
+    __slots__ = ("lattice", "level")
 
     @property
     def scalar(self):
@@ -51,13 +48,10 @@ class ChainSubgroup:
         return all(v % self.scalar == 0 for v in vector)
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(Record):
     """(Z/i!)^(2g) with reduction maps onto the lower levels."""
 
-    lattice: LatticeGroup
-    level: int
-    group: FiniteAbelianGroup
+    __slots__ = ("lattice", "level", "group")
 
     @property
     def modulus(self):

@@ -4,46 +4,32 @@ Subcommands: tower-build, iso, corollary-demo, chain-check, torsion, verify.
 Exit codes: 0 success, 1 certified negative result, 2 input error,
 3 cap exceeded.  Identical jobs (including the seed) produce byte-identical
 reports; all sampling is driven by the mandatory seed, which defaults to 0.
-Each command imports the modules it runs when it runs, so loading this
-module loads only config and errors.
+
+This module parses arguments, reads the job, dispatches and writes the
+report.  The handlers live apart: commands_fq holds the finite-field
+commands (tower-build, chain-check) and commands_q the certificate commands
+over Q (iso, corollary-demo, torsion, verify).  main imports the one module
+its command needs when it runs, and each handler imports what it runs, so
+loading this module loads only config and errors, and a process compiles
+only its own command's code.
 """
 
 import argparse
 import contextlib
-import dataclasses
 import functools
+import importlib
 import json
 import os
-import random
 import sys
 
-from .config import DEFAULT_CAPS
-from .errors import (
-    BaseMismatch,
-    BoundExceeded,
-    IncompleteTorsion,
-    MixedFields,
-    NonIntegralModel,
-    PointNotOnCurve,
-    RamifiedCharacteristic,
-    SchemaError,
-    TorsionBasePoint,
-    UnsupportedField,
-    ZeroVector,
-)
+from .config import DEFAULT_CAPS, Caps
+from .errors import (BaseMismatch, BoundExceeded, IncompleteTorsion, MixedFields, NonIntegralModel,
+                     PointNotOnCurve, RamifiedCharacteristic, SchemaError, TorsionBasePoint,
+                     UnsupportedField, ZeroVector)
 
-INPUT_ERROR_KINDS = (
-    SchemaError,
-    PointNotOnCurve,
-    BaseMismatch,
-    MixedFields,
-    NonIntegralModel,
-    UnsupportedField,
-    TorsionBasePoint,
-    RamifiedCharacteristic,
-    IncompleteTorsion,
-    ZeroVector,
-)
+INPUT_ERROR_KINDS = (SchemaError, PointNotOnCurve, BaseMismatch, MixedFields, NonIntegralModel,
+                     UnsupportedField, TorsionBasePoint, RamifiedCharacteristic, IncompleteTorsion,
+                     ZeroVector)
 
 
 def main(argv=None):
@@ -53,8 +39,8 @@ def main(argv=None):
         payload = _load_input(args)
         caps = _caps_from(args)
         opts = _job_options(args, payload)
-        handler = _HANDLERS[args.command]
-        report, code = handler(payload, opts, caps)
+        module = importlib.import_module("." + _HANDLERS[args.command], __package__)
+        report, code = getattr(module, args.command.replace("-", "_"))(payload, opts, caps)
     except BoundExceeded as exc:
         _emit({"error": str(exc), "kind": "BoundExceeded"}, args)
         return 3
@@ -111,9 +97,13 @@ def _caps_from(args):
     if args.field_cap is not None:
         if args.field_cap < 2:
             raise SchemaError("--field-cap must be at least 2")
-        return dataclasses.replace(DEFAULT_CAPS, field_size=args.field_cap)
+        return Caps(field_size=args.field_cap)
     return DEFAULT_CAPS
 
+
+# command: the module whose function of the command's name, - read as _, runs it
+_HANDLERS = {"tower-build": "commands_fq", "iso": "commands_q", "corollary-demo": "commands_q",
+             "chain-check": "commands_fq", "torsion": "commands_q", "verify": "commands_q"}
 
 # command: (required job keys, optional job keys); every job may also carry
 # "command", "seed" and "N"
@@ -154,268 +144,6 @@ def _job_options(args, payload):
             message = "%r must be %s integer" % (key, _KNOB_RANGE[minimum])
             serialize._require_int(value, message, minimum)
     return opts
-
-
-# --- tower-build ---------------------------------------------------------------
-
-
-def _cmd_tower_build(payload, opts, caps):
-    from . import serialize
-    from .fields import QQ
-    from .towers import deck_group, full_torsion_field
-    tower = serialize.parse_tower(payload["tower"], caps)
-    if opts["N"] is not None:
-        if opts["N"] > tower.N:
-            raise SchemaError("cannot truncate to N=%d, tower has N=%d" % (opts["N"], tower.N))
-        tower = tower.truncate(opts["N"])
-    want_deck = payload.get("deck", False)
-    if not isinstance(want_deck, bool):
-        raise SchemaError("'deck' must be a boolean")
-    if want_deck and tower.variety.field == QQ:
-        raise SchemaError(
-            "deck groups are computed over finite-field realizations; the base is over Q"
-        )
-    rank = 2 * tower.variety.dimension
-    levels = []
-    for i in range(1, tower.N + 1):
-        composite = tower.compose_to_base(i)
-        row = {
-            "i": i,
-            "n": i,
-            "e": serialize.point_to_json(tower.points[i]),
-            "composite": {
-                "m": composite.m,
-                "c": serialize.point_to_json(composite.c),
-            },
-        }
-        if want_deck:
-            step_field = full_torsion_field(tower.variety, i, caps)
-            step = deck_group(tower.level_map(i), step_field, caps)
-            comp_field = full_torsion_field(tower.variety, composite.m, caps)
-            comp = deck_group(composite, comp_field, caps)
-            row["step_deck"] = serialize.group_to_json(step, step_field, rank)
-            row["deck"] = serialize.group_to_json(comp, comp_field, rank)
-        levels.append(row)
-    report = {
-        "tower": serialize.tower_to_json(tower),
-        "levels": levels,
-    }
-    return report, 0
-
-
-# --- iso -------------------------------------------------------------------------
-
-
-def _cmd_iso(payload, opts, caps):
-    from . import serialize
-    from .iso import classify_family
-    A, B = serialize.parse_tower_pair(payload["towers"], "iso job", caps)
-    if opts["N"] is not None:
-        if opts["N"] > min(A.N, B.N):
-            raise SchemaError("cannot truncate to N=%d" % opts["N"])
-        A, B = A.truncate(opts["N"]), B.truncate(opts["N"])
-    # the certificate holds A and B themselves: one subtree each, and one
-    # text per distinct Q value
-    memo = {}
-    report = {
-        "towers": [
-            serialize._shared(serialize.tower_to_json, A, memo),
-            serialize._shared(serialize.tower_to_json, B, memo),
-        ]
-    }
-    verdict = classify_family([A, B], caps).verdicts[(0, 1)]
-    report["status"] = verdict.status
-    report["certificate"] = (
-        None
-        if verdict.certificate is None
-        else serialize.certificate_to_json(verdict.certificate, memo)
-    )
-    return report, 1 if verdict.status == "non_iso" else 0
-
-
-# --- corollary-demo -----------------------------------------------------------------
-
-
-def _cmd_corollary_demo(payload, opts, caps):
-    from . import serialize
-    from .fields import QQ
-    from .iso import classify_family
-    from .torsion import TorsionCertificate, torsion_test_Q
-    from .towers import Tower
-    V = serialize.parse_variety(payload["curve"], caps)
-    if V.field != QQ:
-        raise SchemaError(
-            "the non-torsion hypothesis is unsatisfiable over a finite field; use Q"
-        )
-    P = serialize.parse_point(V, payload["point"])
-    count = opts["count"]
-    N = opts["N"] if opts["N"] is not None else 6
-    base_cert = torsion_test_Q(V, P)
-    if isinstance(base_cert, TorsionCertificate):
-        raise TorsionBasePoint(
-            "the base point has finite order %d; the family needs a non-torsion point"
-            % base_cert.order
-        )
-    towers = []
-    for m in range(1, count + 1):
-        e_m = V.scalar_mul(m, P)
-        towers.append(Tower(V, V.identity(), [V.identity()] + [e_m] * N))
-    result = classify_family(towers, caps)
-    pairs = []
-    # one subtree per tower and per distinct difference's certificate, and
-    # one text per distinct Q value
-    memo = {}
-    for (i, j), verdict in sorted(result.verdicts.items()):
-        entry = {"a": i + 1, "b": j + 1, "status": verdict.status}
-        if verdict.certificate is not None:
-            entry["certificate"] = serialize.certificate_to_json(verdict.certificate, memo)
-        pairs.append(entry)
-    report = {
-        "curve": serialize.variety_to_json(V, memo),
-        "point": serialize.point_to_json(P, memo),
-        "count": count,
-        "N": N,
-        "base_point_certificate": serialize.certificate_to_json(base_cert, memo),
-        "pairs": pairs,
-        "classes": [list(c) for c in result.classes],
-        "all_non_isomorphic": result.all_non_isomorphic,
-    }
-    return report, 0 if result.all_non_isomorphic else 1
-
-
-# --- chain-check --------------------------------------------------------------------
-
-
-def _cmd_chain_check(payload, opts, caps):
-    from . import serialize
-    from .chain import LatticeGroup, match_deck, quotient, refine, separates
-    g, max_level = opts["g"], opts["max_level"]
-    bound = opts.get("bound", 20)
-    lattice = LatticeGroup(2 * g)
-    tower = None
-    explicit_field = None
-    if "tower" in payload:
-        tower = serialize.parse_tower(payload["tower"], caps)
-        if tower.variety.dimension != g:
-            raise SchemaError("the tower base has dimension %d, job says g=%d"
-                              % (tower.variety.dimension, g))
-        if "field" in payload:
-            explicit_field = serialize.parse_field(payload["field"], caps)
-    elif "field" in payload:
-        raise SchemaError("'field' is only meaningful together with 'tower'")
-    rng = random.Random(opts["seed"])
-    rows = []
-    for i in range(1, max_level + 1):
-        q = quotient(lattice, i, caps)
-        row = {
-            "i": i,
-            "factorial": q.modulus,
-            "invariant_factors": list(q.group.invariant_factors),
-            "order": q.order,
-            "display": q.group.describe(lattice.rank),
-        }
-        if tower is not None and i <= tower.N:
-            row["match_deck"] = match_deck(tower, i, explicit_field, caps)
-        rows.append(row)
-    refine_checks = []
-    pool = range(1, max(max_level, 2) + 1)
-    for _ in range(5):
-        k = rng.randint(1, min(3, len(pool)))
-        levels = sorted(rng.sample(pool, k))
-        refine_checks.append({"levels": levels, "refined": refine(levels)})
-    separation_checks = []
-    for _ in range(5):
-        vec = [rng.randint(-bound, bound) for _ in range(lattice.rank)]
-        if all(v == 0 for v in vec):
-            vec[0] = 1
-        separation_checks.append({"gamma": vec, "level": separates(vec, bound)})
-    report = {
-        "g": g,
-        "max_level": max_level,
-        "levels": rows,
-        "refine_checks": refine_checks,
-        "separation_checks": separation_checks,
-        "bound": bound,
-    }
-    if tower is not None:
-        report["tower"] = serialize.tower_to_json(tower)
-    return report, 0
-
-
-# --- torsion --------------------------------------------------------------------------
-
-
-def _cmd_torsion(payload, opts, caps):
-    from . import serialize
-    from .fields import QQ
-    from .torsion import TorsionCertificate, torsion_subgroup_Q, torsion_test_Q
-    V = serialize.parse_variety(payload["curve"], caps)
-    if V.field != QQ:
-        raise SchemaError("torsion certification is defined over Q")
-    if "point" in payload:
-        P = serialize.parse_point(V, payload["point"])
-        cert = torsion_test_Q(V, P)
-        report = {
-            "mode": "test",
-            "curve": serialize.variety_to_json(V),
-            "point": serialize.point_to_json(P),
-            "certificate": serialize.certificate_to_json(cert),
-        }
-        return report, 0 if isinstance(cert, TorsionCertificate) else 1
-    if V.factors != (V,):  # a product, even of one curve
-        raise SchemaError("subgroup enumeration expects a single curve")
-    sub = torsion_subgroup_Q(V, caps)
-    report = {
-        "mode": "subgroup",
-        "curve": serialize.variety_to_json(V),
-        "points": [
-            {
-                "point": serialize.point_to_json(P),
-                "certificate": serialize.certificate_to_json(cert),
-            }
-            for P, cert in zip(sub.points, sub.certificates)
-        ],
-        "invariant_factors": list(sub.group.invariant_factors),
-        "group": sub.group.describe(),
-    }
-    return report, 0
-
-
-# --- verify ---------------------------------------------------------------------------
-
-
-def _cmd_verify(payload, opts, caps):
-    from . import serialize
-    found = serialize.find_certificates(payload)
-    if not found:
-        raise SchemaError("no certificate objects found in the input")
-    results = []
-    failures = 0
-    memo = serialize.VerifyMemo()
-    for path, obj in found:
-        ok, kind, reason = serialize.verify_certificate(obj, caps, memo)
-        entry = {"path": path, "kind": kind, "ok": ok}
-        if not ok:
-            entry["reason"] = reason
-            failures += 1
-        results.append(entry)
-    report = {
-        "certificates": len(found),
-        "verified": len(found) - failures,
-        "results": results,
-        "ok": failures == 0,
-    }
-    return report, 0 if failures == 0 else 1
-
-
-_HANDLERS = {
-    "tower-build": _cmd_tower_build,
-    "iso": _cmd_iso,
-    "corollary-demo": _cmd_corollary_demo,
-    "chain-check": _cmd_chain_check,
-    "torsion": _cmd_torsion,
-    "verify": _cmd_verify,
-}
 
 
 # --- output ------------------------------------------------------------------------------

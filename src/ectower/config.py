@@ -1,16 +1,71 @@
-"""Desk-scale caps. Everything in the package is exact; the caps only bound search spaces."""
+"""Desk-scale caps, and Record, the immutable base of the package's value types.
 
-from dataclasses import dataclass
+Everything in the package is exact; the caps only bound search spaces.
+"""
+
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Caps:
-    # largest finite field size p**k that may be constructed or enumerated
-    field_size: int = 10_000_000
-    # largest |coefficient| accepted after clearing denominators of a curve over Q
-    integral_model: int = 10**40
-    # largest chain level i for which (Z/i!)^2g quotients are materialized
-    chain_level: int = 20
+class Record:
+    """An immutable record whose fields are its class's __slots__, in order.
+
+    The constructor takes the fields by position or by keyword, and a field
+    given neither way from the class's _defaults.  Given all by position, as
+    the package builds its records, they are stored in one loop.  A record
+    that checks or derives its fields has its own __init__, which stores
+    them with object.__setattr__.  Assignment raises AttributeError.  A
+    record equals only a record of its own class with equal fields
+    _compared (all by default), and hashes as they do.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _compared = None
+
+    def __init_subclass__(cls):
+        # the compared fields as one value: a tuple, or the field itself when there is one
+        cls._key = attrgetter(*(cls._compared or cls.__slots__))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+                raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # copy and pickle hand over (None, {field: value}), the state of a __slots__ object
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+
+class Caps(Record):
+    # field_size: largest finite field size p**k that may be constructed or enumerated
+    # integral_model: largest |coefficient| of a curve over Q after clearing denominators
+    # chain_level: largest chain level i for which (Z/i!)^2g quotients are materialized
+    __slots__ = ("field_size", "integral_model", "chain_level")
+    _defaults = {"field_size": 10_000_000, "integral_model": 10**40, "chain_level": 20}
 
 
 DEFAULT_CAPS = Caps()

@@ -1,17 +1,17 @@
-"""Exact arithmetic: rationals, prime fields F_p, and extensions F_{p^k} in polynomial basis.
+"""Exact arithmetic: prime fields F_p and extensions F_{p^k} in polynomial basis.
 
 Every value is immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.  There is no floating point anywhere:
-rationals are kept in lowest terms with a positive denominator, residues are
-reduced into [0, p), and extension elements are coefficient vectors of exact
-length k over F_p.
+residues are reduced into [0, p), and extension elements are coefficient
+vectors of exact length k over F_p.  Q lives in ectower.rationals, and
+Rational, RationalField and QQ resolve from there on first use (PEP 562), so
+an F_q process never compiles Q.
 
 Primality and irreducibility are certified by brute force (trial division,
 exhaustive root and factor search) under the configured field-size cap.
 """
 
 import itertools
-import math
 import operator
 import re
 
@@ -19,77 +19,11 @@ from .config import DEFAULT_CAPS
 from .errors import BoundExceeded, DivisionByZero, MixedFields, UnsupportedField, quote
 
 
-class Rational:
-    """Q's value type: a fraction of arbitrary-precision integers, always normalized.
-
-    Invariants: gcd(|num|, den) == 1, den > 0, zero is 0/1.
-
-    The public constructor normalizes its arguments.  There are no
-    arithmetic operators: RationalField does Q's arithmetic, with the gcd
-    helpers below, and builds its already reduced results with _reduced,
-    which skips normalizing again.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        if den == 0:
-            raise DivisionByZero("rational with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _reduced(cls, num, den):
-        """The rational num/den, trusted to be in lowest terms with den > 0."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
-        return r
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rational is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, Rational):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.den == 1 and self.num == other
-        return NotImplemented
-
-    def __hash__(self):
-        # consistent with __eq__ against plain integers
-        if self.den == 1:
-            return hash(self.num)
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return self.num != 0
-
-    def __str__(self):
-        if self.den == 1:
-            return str(self.num)
-        return "%d/%d" % (self.num, self.den)
-
-    def __repr__(self):
-        return "Rational(%d, %d)" % (self.num, self.den)
-
-    @classmethod
-    def parse(cls, text):
-        """Parse 'n' or 'n/d', each part a decimal string, d nonzero."""
-        parts = text.split("/")
-        if len(parts) > 2:
-            raise ValueError("not a rational: %s" % quote(text))
-        num = parse_decimal(parts[0])
-        den = parse_decimal(parts[1]) if len(parts) == 2 else 1
-        if den == 0:
-            raise ValueError("%s has a zero denominator" % quote(text))
-        return cls(num, den)
+def __getattr__(name):
+    if name in ("Rational", "RationalField", "QQ"):
+        from . import rationals
+        return getattr(rationals, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 _DECIMAL = re.compile("-?[0-9]+")
@@ -100,39 +34,6 @@ def parse_decimal(text):
     if not _DECIMAL.fullmatch(text):
         raise ValueError("%s is not an integer" % quote(text))
     return int(text)
-
-
-def _add(na, da, nb, db):
-    """na/da + nb/db for reduced operands, reduced by gcds of the denominators.
-
-    Only gcds of operand parts are taken, never of the full-size result
-    (Knuth, TAOCP vol. 2, 4.5.1, as CPython's fractions does).
-    """
-    g = math.gcd(da, db)
-    if g == 1:
-        return Rational._reduced(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return Rational._reduced(t, s * db)
-    return Rational._reduced(t // g2, s * (db // g2))
-
-
-def _mul(na, da, nb, db):
-    """na/da * nb/db for reduced operands with positive denominators.
-
-    Only the cross pairs (na, db) and (nb, da) can share a factor.
-    """
-    g1 = math.gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = math.gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return Rational._reduced(na * nb, da * db)
 
 
 def is_prime(n):
@@ -368,57 +269,6 @@ class Field:
         return x
 
 
-class RationalField(Field):
-    """The field of exact rationals."""
-
-    characteristic = 0
-    size = None
-
-    def _coerce(self, value):
-        if isinstance(value, Rational):
-            return value
-        if isinstance(value, int):
-            return Rational._reduced(value, 1)
-        raise TypeError("cannot coerce %r into Q" % (value,))
-
-    def _add(self, a, b):
-        return _add(a.num, a.den, b.num, b.den)
-
-    def _sub(self, a, b):
-        return _add(a.num, a.den, -b.num, b.den)
-
-    def _mul(self, a, b):
-        if a is b:  # a square of a reduced fraction is reduced
-            return Rational._reduced(a.num * a.num, a.den * a.den)
-        return _mul(a.num, a.den, b.num, b.den)
-
-    def _neg(self, a):
-        return Rational._reduced(-a.num, a.den)
-
-    def _inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero in Q")
-        # the parts of a reduced fraction stay coprime when swapped: no gcd
-        if a.num < 0:
-            return Rational._reduced(-a.den, -a.num)
-        return Rational._reduced(a.den, a.num)
-
-    def _sort_key(self, a):
-        return (a.num, a.den)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
-
-QQ = RationalField()
-
-
 class PrimeField(Field):
     """F_p for a prime p certified by trial division."""
 
@@ -510,7 +360,7 @@ class ExtField(Field):
     square test the norm's Legendre symbol.
     """
 
-    __slots__ = ("base", "degree", "modulus", "_rows", "_frobenius_rows", "_hash")
+    __slots__ = ("base", "degree", "modulus", "_rows", "_frobenius_rows", "_hash", "_law")
 
     def __init__(self, base, degree, modulus=None, caps=DEFAULT_CAPS):
         if not isinstance(base, PrimeField):
@@ -552,6 +402,9 @@ class ExtField(Field):
             while len(columns) < degree:
                 columns.append(self._mul(columns[-1], xp))
         self._frobenius_rows = tuple(zip(*columns))
+        if degree != 2:
+            from .ext34 import chord_tangent_3_4
+            self._law = chord_tangent_3_4
 
     @property
     def characteristic(self):
@@ -676,12 +529,13 @@ class ExtField(Field):
         Itoh-Tsujii, u = d^(p + ... + p^(k-1)) from the Frobenius
         rows (1^p = 1, so their first column is (1, 0, ..., 0)), N the
         constant term of u d, and 1/d = u / N with one pow(N, p - 2, p).
-        k = 2 runs here.  Other degrees go to _chord_tangent_3_4, which keeps
-        the 80-odd locals of k = 3 and 4 out of this frame: a call sets up and
-        tears down its frame slot by slot, and k = 2 is the hottest degree.
+        k = 2 runs here.  Other degrees go to ext34.chord_tangent_3_4, which
+        keeps the 80-odd locals of k = 3 and 4 out of this frame (a call sets
+        up and tears down its frame slot by slot, and k = 2 is the hottest
+        degree) and compiles only in a process that builds such a field.
         """
         if self.degree != 2:
-            return self._chord_tangent_3_4(a, P, Q)
+            return self._law(self, a, P, Q)
         p = self.base.p
         c0, c1, _ = self.modulus
         ((r0, r1),) = self._rows
@@ -714,113 +568,6 @@ class ExtField(Field):
         return (
             (x30, x31),
             ((l0 * u0 + h * r0 - y10) % p, (l0 * u1 + l1 * u0 + h * r1 - y11) % p),
-        )
-
-    def _chord_tangent_3_4(self, a, P, Q):
-        """_chord_tangent for k = 3 and 4; the generic law for k = 1 and k >= 5."""
-        k = self.degree
-        p = self.base.p
-        x1, y1 = P
-        x2, y2 = Q
-        if k == 3:
-            (r0, r1, r2), (s0, s1, s2) = self._rows
-            (_, f1, f2), (_, g1, g2), (_, h1, h2) = self._frobenius_rows
-            (x10, x11, x12), (y10, y11, y12), (x20, x21, x22) = x1, y1, x2
-            if x1 == x2:
-                if y1 != y2 or not (y10 or y11 or y12):
-                    return None
-                c3, c4 = 2 * x11 * x12, x12 * x12
-                n0 = 3 * (x10 * x10 + c3 * r0 + c4 * s0) + a[0]
-                n1 = 3 * (2 * x10 * x11 + c3 * r1 + c4 * s1) + a[1]
-                n2 = 3 * (2 * x10 * x12 + x11 * x11 + c3 * r2 + c4 * s2) + a[2]
-                d0, d1, d2 = 2 * y10, 2 * y11, 2 * y12
-            else:
-                y20, y21, y22 = y2
-                n0, n1, n2 = y20 - y10, y21 - y11, y22 - y12
-                d0, d1, d2 = x20 - x10, x21 - x11, x22 - x12
-            # u = w^p and w = u d, from w = d: u = d^p, then d^(p + p^2),
-            # and the last w is N, of which only the constant term w0 is formed
-            w0, w1, w2 = d0, d1, d2
-            for i in 0, 1:
-                u0, u1, u2 = w0 + f1 * w1 + f2 * w2, g1 * w1 + g2 * w2, h1 * w1 + h2 * w2
-                c3, c4 = u1 * d2 + u2 * d1, u2 * d2
-                w0 = (u0 * d0 + c3 * r0 + c4 * s0) % p
-                if not i:
-                    w1 = (u0 * d1 + u1 * d0 + c3 * r1 + c4 * s1) % p
-                    w2 = (u0 * d2 + u1 * d1 + u2 * d0 + c3 * r2 + c4 * s2) % p
-            t = pow(w0, p - 2, p)
-            # the slope n u / N
-            c3, c4 = n1 * u2 + n2 * u1, n2 * u2
-            l0 = (n0 * u0 + c3 * r0 + c4 * s0) * t % p
-            l1 = (n0 * u1 + n1 * u0 + c3 * r1 + c4 * s1) * t % p
-            l2 = (n0 * u2 + n1 * u1 + n2 * u0 + c3 * r2 + c4 * s2) * t % p
-            c3, c4 = 2 * l1 * l2, l2 * l2
-            x30 = (l0 * l0 + c3 * r0 + c4 * s0 - x10 - x20) % p
-            x31 = (2 * l0 * l1 + c3 * r1 + c4 * s1 - x11 - x21) % p
-            x32 = (2 * l0 * l2 + l1 * l1 + c3 * r2 + c4 * s2 - x12 - x22) % p
-            e0, e1, e2 = x10 - x30, x11 - x31, x12 - x32
-            c3, c4 = l1 * e2 + l2 * e1, l2 * e2
-            return (
-                (x30, x31, x32),
-                (
-                    (l0 * e0 + c3 * r0 + c4 * s0 - y10) % p,
-                    (l0 * e1 + l1 * e0 + c3 * r1 + c4 * s1 - y11) % p,
-                    (l0 * e2 + l1 * e1 + l2 * e0 + c3 * r2 + c4 * s2 - y12) % p,
-                ),
-            )
-        if k != 4:
-            return Field._chord_tangent(self, a, P, Q)
-        (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3) = self._rows
-        (_, f1, f2, f3), (_, g1, g2, g3), (_, h1, h2, h3), (_, q1, q2, q3) = self._frobenius_rows
-        (x10, x11, x12, x13), (y10, y11, y12, y13), (x20, x21, x22, x23) = x1, y1, x2
-        if x1 == x2:
-            if y1 != y2 or not (y10 or y11 or y12 or y13):
-                return None
-            c4, c5, c6 = 2 * x11 * x13 + x12 * x12, 2 * x12 * x13, x13 * x13
-            n0 = 3 * (x10 * x10 + c4 * r0 + c5 * s0 + c6 * t0) + a[0]
-            n1 = 3 * (2 * x10 * x11 + c4 * r1 + c5 * s1 + c6 * t1) + a[1]
-            n2 = 3 * (2 * x10 * x12 + x11 * x11 + c4 * r2 + c5 * s2 + c6 * t2) + a[2]
-            n3 = 3 * (2 * (x10 * x13 + x11 * x12) + c4 * r3 + c5 * s3 + c6 * t3) + a[3]
-            d0, d1, d2, d3 = 2 * y10, 2 * y11, 2 * y12, 2 * y13
-        else:
-            y20, y21, y22, y23 = y2
-            n0, n1, n2, n3 = y20 - y10, y21 - y11, y22 - y12, y23 - y13
-            d0, d1, d2, d3 = x20 - x10, x21 - x11, x22 - x12, x23 - x13
-        # u = w^p and w = u d, from w = d: u = d^p, d^(p + p^2), d^(p + p^2 + p^3),
-        # and the last w is N, of which only the constant term w0 is formed
-        w0, w1, w2, w3 = d0, d1, d2, d3
-        for i in 0, 1, 2:
-            u0 = w0 + f1 * w1 + f2 * w2 + f3 * w3
-            u1, u2 = g1 * w1 + g2 * w2 + g3 * w3, h1 * w1 + h2 * w2 + h3 * w3
-            u3 = q1 * w1 + q2 * w2 + q3 * w3
-            c4, c5, c6 = u1 * d3 + u2 * d2 + u3 * d1, u2 * d3 + u3 * d2, u3 * d3
-            w0 = (u0 * d0 + c4 * r0 + c5 * s0 + c6 * t0) % p
-            if i < 2:
-                w1 = (u0 * d1 + u1 * d0 + c4 * r1 + c5 * s1 + c6 * t1) % p
-                w2 = (u0 * d2 + u1 * d1 + u2 * d0 + c4 * r2 + c5 * s2 + c6 * t2) % p
-                w3 = (u0 * d3 + u1 * d2 + u2 * d1 + u3 * d0 + c4 * r3 + c5 * s3 + c6 * t3) % p
-        t = pow(w0, p - 2, p)
-        # the slope n u / N
-        c4, c5, c6 = n1 * u3 + n2 * u2 + n3 * u1, n2 * u3 + n3 * u2, n3 * u3
-        l0 = (n0 * u0 + c4 * r0 + c5 * s0 + c6 * t0) * t % p
-        l1 = (n0 * u1 + n1 * u0 + c4 * r1 + c5 * s1 + c6 * t1) * t % p
-        l2 = (n0 * u2 + n1 * u1 + n2 * u0 + c4 * r2 + c5 * s2 + c6 * t2) * t % p
-        l3 = (n0 * u3 + n1 * u2 + n2 * u1 + n3 * u0 + c4 * r3 + c5 * s3 + c6 * t3) * t % p
-        c4, c5, c6 = 2 * l1 * l3 + l2 * l2, 2 * l2 * l3, l3 * l3
-        x30 = (l0 * l0 + c4 * r0 + c5 * s0 + c6 * t0 - x10 - x20) % p
-        x31 = (2 * l0 * l1 + c4 * r1 + c5 * s1 + c6 * t1 - x11 - x21) % p
-        x32 = (2 * l0 * l2 + l1 * l1 + c4 * r2 + c5 * s2 + c6 * t2 - x12 - x22) % p
-        x33 = (2 * (l0 * l3 + l1 * l2) + c4 * r3 + c5 * s3 + c6 * t3 - x13 - x23) % p
-        e0, e1, e2, e3 = x10 - x30, x11 - x31, x12 - x32, x13 - x33
-        c4, c5, c6 = l1 * e3 + l2 * e2 + l3 * e1, l2 * e3 + l3 * e2, l3 * e3
-        return (
-            (x30, x31, x32, x33),
-            (
-                (l0 * e0 + c4 * r0 + c5 * s0 + c6 * t0 - y10) % p,
-                (l0 * e1 + l1 * e0 + c4 * r1 + c5 * s1 + c6 * t1 - y11) % p,
-                (l0 * e2 + l1 * e1 + l2 * e0 + c4 * r2 + c5 * s2 + c6 * t2 - y12) % p,
-                (l0 * e3 + l1 * e2 + l2 * e1 + l3 * e0 + c4 * r3 + c5 * s3 + c6 * t3 - y13) % p,
-            ),
         )
 
     def _sort_key(self, a):
@@ -922,12 +669,12 @@ class FieldElement:
         return self.value == raw
 
     def __hash__(self):
-        """Over Q, the hash of the Rational, so agreeing with == on plain ints.
+        """Over Q, which has no size, the hash of the Rational, so agreeing with == on ints.
 
         Over F_p and F_{p^k}, == with a plain int compares modulo p (F_5's 1
         equals 6), which no hash can follow; those hash with their field.
         """
-        if isinstance(self.value, Rational):
+        if self.field.size is None:
             return hash(self.value)
         return hash((self.field, self.value))
 

@@ -16,9 +16,8 @@ the necessity direction is proved, the converse is not claimed.
 """
 
 import math
-from dataclasses import dataclass
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Record
 from .errors import BaseMismatch, NotNecessaryFirst
 from .torsion import (
     NonTorsionCertificate,
@@ -28,15 +27,10 @@ from .torsion import (
 )
 
 
-@dataclass(frozen=True)
-class NonIsoCertificate:
+class NonIsoCertificate(Record):
     """A level whose difference e_i - e'_i is certified non-torsion."""
 
-    tower_a: object
-    tower_b: object
-    level: int
-    difference: object
-    non_torsion: NonTorsionCertificate
+    __slots__ = ("tower_a", "tower_b", "level", "difference", "non_torsion")
 
     def verify(self, replay=None):
         """Check the level, the difference and its variety, then replay the inner certificate.
@@ -57,8 +51,7 @@ class NonIsoCertificate:
         return self.non_torsion.verify() if replay is None else replay(self.non_torsion)
 
 
-@dataclass(frozen=True)
-class TowerIsoWitness:
+class TowerIsoWitness(Record):
     """Translations t_0 = O, t_1, ..., t_N satisfying the level recurrence.
 
     Each translation carries its torsion certificate; the witness re-verifies
@@ -66,17 +59,13 @@ class TowerIsoWitness:
     f_{i-1} o twist(i, e_i) = twist(i, e'_i) o f_i pointwise.
     """
 
-    tower_a: object
-    tower_b: object
-    translations: tuple  # points t_0..t_N
-    certificates: tuple  # parallel TorsionCertificates
+    # translations: the points t_0..t_N; certificates: their TorsionCertificates
+    __slots__ = ("tower_a", "tower_b", "translations", "certificates")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    ok: bool
-    failures: tuple = ()
-    first_failing_level: int = None
+class WitnessReport(Record):
+    __slots__ = ("ok", "failures", "first_failing_level")
+    _defaults = {"failures": (), "first_failing_level": None}
 
 
 def _require_comparable(A, B):
@@ -215,12 +204,7 @@ def _commutation_holds(V, e_a, e_b, t_prev, t_cur, i):
     Every argument is a point of V that its tower or verify_witness checked.
     """
     add, neg, mul = V._add_unchecked, V._negate_unchecked, V._scalar_mul_unchecked
-    samples = [V.identity(), e_a, e_b, t_cur, add(e_a, e_b)]
-    seen = []
-    for y in samples:
-        if y not in seen:
-            seen.append(y)
-    for y in seen:
+    for y in dict.fromkeys([V.identity(), e_a, e_b, t_cur, add(e_a, e_b)]):
         lhs = add(add(mul(i, y), neg(mul(i - 1, e_a))), t_prev)
         f_y = add(y, t_cur)
         rhs = add(mul(i, f_y), neg(mul(i - 1, e_b)))
@@ -229,16 +213,16 @@ def _commutation_holds(V, e_a, e_b, t_prev, t_cur, i):
     return True
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    status: str  # "iso" | "non_iso" | "undetermined"
-    certificate: object = None  # NonIsoCertificate or TowerIsoWitness or None
+class PairVerdict(Record):
+    # status: "iso", "non_iso" or "undetermined"; certificate: its evidence, or None
+    __slots__ = ("status", "certificate")
+    _defaults = {"certificate": None}
 
 
-@dataclass(frozen=True)
-class FamilyClassification:
-    verdicts: dict  # (i, j) with i < j -> PairVerdict
-    classes: tuple  # sorted tuples of tower indices, certified-iso edges only
+class FamilyClassification(Record):
+    # verdicts: (i, j) with i < j -> PairVerdict
+    # classes: sorted tuples of tower indices, certified-iso edges only
+    __slots__ = ("verdicts", "classes")
 
     @property
     def all_non_isomorphic(self):

@@ -8,8 +8,8 @@ as integer lists, constant term first.
 Every certificate kind serialized here re-verifies from its own JSON alone:
 parsing rebuilds the objects and verify_certificate replays the arithmetic.
 The certificate modules, torsion and iso, are imported where a certificate
-is written, parsed or verified, so fields, curves and towers alone load
-neither.
+is written, parsed or verified, and Q (rationals) where a rational field or
+value is parsed, so fields, curves and towers alone load none of them.
 """
 
 import functools
@@ -18,7 +18,7 @@ from operator import methodcaller
 
 from .config import DEFAULT_CAPS
 from .errors import EctowerError, SchemaError, quote
-from .fields import QQ, ExtField, PrimeField, Rational, parse_decimal
+from .fields import ExtField, PrimeField, parse_decimal
 from .curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from .towers import Tower
 
@@ -64,7 +64,7 @@ def _int_list(obj, message):
 
 
 def field_to_json(field):
-    if field == QQ:
+    if not field.is_finite:
         return {"field": "Q"}
     if isinstance(field, PrimeField):
         return {"field": "Fp", "p": str(field.p)}
@@ -83,6 +83,7 @@ def parse_field(obj, caps=DEFAULT_CAPS):
         raise SchemaError("field descriptor must be an object with a 'field' tag")
     tag = obj["field"]
     if tag == "Q":
+        from .rationals import QQ
         _require_keys(obj, "field", ("field",))
         return QQ
     if tag == "Fp":
@@ -125,11 +126,9 @@ def element_to_json(x, memo=None):
 
 def parse_element(field, obj, where="element", memo=None):
     try:
-        if field == QQ:
+        if not field.is_finite:
             if isinstance(obj, str):
-                if memo is None:
-                    return field.element(Rational.parse(obj))
-                return memo.rational(obj)
+                return field.parse(obj) if memo is None else memo.rational(obj)
             return field.element(
                 _require_int(obj, "%s: rationals are strings like '2/3'" % where)
             )
@@ -390,7 +389,7 @@ def parse_non_torsion_certificate(obj, caps=DEFAULT_CAPS, memo=None):
         _require_keys(entry, "evidence entry", ("m", "multiple"))
         m = _require_int(entry["m"], "evidence entry: m must be an integer")
         evidence.append((m, parse_point(tracked, entry["multiple"], "point", memo)))
-    return NonTorsionCertificate(V, P, tuple(evidence), factor=factor)
+    return NonTorsionCertificate(V, P, tuple(evidence), factor)
 
 
 def parse_non_iso_certificate(obj, caps=DEFAULT_CAPS, memo=None):
@@ -447,10 +446,11 @@ class VerifyMemo:
     """
 
     def __init__(self):
+        from .rationals import QQ
         self._by_id = {}
         self._parsed = {}
         self._verdicts = {}
-        self.rational = functools.cache(lambda text: QQ.element(Rational.parse(text)))
+        self.rational = functools.cache(QQ.parse)
 
     def parse(self, parse, obj, caps):
         ident = (parse, caps, id(obj))

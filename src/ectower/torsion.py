@@ -15,24 +15,20 @@ re-verified from their own data, never trusted.
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Record
 from .errors import BoundExceeded, NonIntegralModel, UnsupportedField
-from .fields import QQ, Rational
-from .groups import FiniteAbelianGroup, divisors, factorize, structure_rank2
+from .rationals import QQ, Rational
+from .groups import divisors, factorize, structure_rank2
 from .curves import Point
 
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(Record):
     """A point together with its exact finite order."""
 
-    variety: object
-    point: object
-    order: int
+    __slots__ = ("variety", "point", "order")
 
     def verify(self):
         """Over Q the walk in _admissible fixes the exact order; over F_q it is replayed."""
@@ -76,8 +72,7 @@ def _hasse_bound(q):
     return q + 1 + math.isqrt(4 * q)
 
 
-@dataclass(frozen=True)
-class NonTorsionCertificate:
+class NonTorsionCertificate(Record):
     """Evidence that no Mazur-admissible multiple of the point vanishes.
 
     The evidence tracks a single non-torsion coordinate, recorded by factor
@@ -86,10 +81,9 @@ class NonTorsionCertificate:
     point.
     """
 
-    variety: object
-    point: object
-    evidence: tuple  # ((m, m*P) for m in MAZUR_ORDERS), on the tracked factor
-    factor: int = None
+    # evidence: ((m, m*P) for m in MAZUR_ORDERS), on the tracked factor
+    __slots__ = ("variety", "point", "evidence", "factor")
+    _defaults = {"factor": None}
 
     def _tracked(self):
         if self.factor is None:
@@ -131,7 +125,7 @@ def torsion_test_Q(V, P):
     for j, (curve, coord) in enumerate(zip(V.factors, V.split(P))):
         order, evidence = _mazur_walk(curve, coord)
         if order is None:
-            return NonTorsionCertificate(V, P, tuple(evidence), factor=j)
+            return NonTorsionCertificate(V, P, tuple(evidence), j)
         orders.append(order)
     return TorsionCertificate(V, P, math.lcm(*orders))
 
@@ -254,14 +248,11 @@ def order_ff(curve, P):
     raise BoundExceeded("no multiple vanished within the group-size bound")
 
 
-@dataclass(frozen=True)
-class TorsionSubgroup:
+class TorsionSubgroup(Record):
     """The full rational torsion subgroup with per-point certificates."""
 
-    curve: object
-    points: tuple  # sorted Points
-    certificates: tuple  # parallel TorsionCertificates
-    group: FiniteAbelianGroup
+    # points: sorted Points; certificates: their TorsionCertificates; group: FiniteAbelianGroup
+    __slots__ = ("curve", "points", "certificates", "group")
 
 
 def torsion_subgroup_Q(curve, caps=DEFAULT_CAPS):

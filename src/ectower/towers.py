@@ -12,13 +12,11 @@ realization containing the full m-torsion, never over Q.  Fibers over Q can
 only be sampled through a known rational preimage and are flagged as such.
 """
 
-import dataclasses
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Record
 from .errors import (
     BoundExceeded,
     IncompleteTorsion,
@@ -26,7 +24,7 @@ from .errors import (
     RamifiedCharacteristic,
     UnsupportedField,
 )
-from .fields import ExtField, PrimeField, QQ, per_field
+from .fields import ExtField, PrimeField, per_field
 from .groups import FiniteAbelianGroup, factorize, structure_rank2
 from .curves import EllipticCurve, Point
 
@@ -36,25 +34,24 @@ def _affine(V, m, y, c):
     return V._add_unchecked(V._scalar_mul_unchecked(m, y), c)
 
 
-@dataclass(frozen=True)
-class TwistedMulMap:
+class TwistedMulMap(Record):
     """The cover y -> n*y - (n-1)*e of a variety by itself, n >= 1.
 
-    The constant c = -(n-1)*e is computed once, so the map is y -> n*y + c.
+    The constant c = -(n-1)*e is computed once, so the map is y -> n*y + c;
+    two maps compare by n, center and variety.
     """
 
-    n: int
-    center: object
-    variety: object
-    c: object = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "center", "variety", "c")
+    _compared = ("n", "center", "variety")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, center, variety):
+        if n < 1:
             raise ValueError("multiplier must be >= 1")
-        self.variety.require_on_curve(self.center)
-        object.__setattr__(
-            self, "c", self.variety._scalar_mul_unchecked(1 - self.n, self.center)
-        )
+        variety.require_on_curve(center)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "c", variety._scalar_mul_unchecked(1 - n, center))
 
     @property
     def multiplier(self):
@@ -68,16 +65,16 @@ class TwistedMulMap:
         return "[%d]_%r" % (self.n, self.center)
 
 
-@dataclass(frozen=True)
-class CompositeMap:
+class CompositeMap(Record):
     """y -> m*y + c, the symbolic composition of twisted multiplications."""
 
-    m: int
-    c: object
-    variety: object
+    __slots__ = ("m", "c", "variety")
 
-    def __post_init__(self):
-        self.variety.require_on_curve(self.c)
+    def __init__(self, m, c, variety):
+        variety.require_on_curve(c)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "variety", variety)
 
     @property
     def multiplier(self):
@@ -88,20 +85,19 @@ class CompositeMap:
         return _affine(self.variety, self.m, y, self.c)
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Record):
     """A base variety with points e_0 = o, ..., e_N and level maps twist(i, e_i)."""
 
-    variety: object
-    o: object
-    points: tuple
+    __slots__ = ("variety", "o", "points")
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        if not points or points[0] != self.o:
+    def __init__(self, variety, o, points):
+        points = tuple(points)
+        if not points or points[0] != o:
             raise ValueError("the point sequence must begin with the base point o")
         for P in dict.fromkeys(points):  # each distinct point once: e_i often repeat
-            self.variety.require_on_curve(P)
+            variety.require_on_curve(P)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "o", o)
         object.__setattr__(self, "points", points)
 
     @property
@@ -131,20 +127,13 @@ class Tower:
             c = V._add_unchecked(V._scalar_mul_unchecked(m, f.c), c)
             m *= f.n
         composite = CompositeMap(m, c, V)
-        for sample in self._sample_points(i):
+        for sample in dict.fromkeys((self.o, *self.points[1 : i + 1])):
             stepwise = sample
             for f in reversed(steps):
                 stepwise = _affine(V, f.n, stepwise, f.c)
             if _affine(V, m, sample, c) != stepwise:
                 raise ArithmeticError("composite map disagrees with stepwise evaluation")
         return composite
-
-    def _sample_points(self, i):
-        seen = []
-        for P in (self.o, *self.points[1 : i + 1]):
-            if P not in seen:
-                seen.append(P)
-        return seen
 
     def truncate(self, n):
         if not 0 <= n <= self.N:
@@ -200,7 +189,7 @@ def realize_map(f, K):
 def _realization_field(f, field):
     """field, or f's own when None; refuses Q and fields that do not extend f's own."""
     own = f.variety.field
-    if own == QQ:
+    if not own.is_finite:
         raise UnsupportedField("finite-field realization required, not Q")
     if field is None:
         return own
@@ -216,9 +205,10 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     skipped unless n | p^k - 1 and n^2 | #E(F_{p^k}) on every curve factor,
     two necessary conditions (Weil pairing; Silverman, AEC III.8) read off
     the point counts without building the field.  A degree that passes is
-    confirmed on every curve factor by a basis of E[n] over it, or, when
-    none turns up, by counting the kernel of multiplication by n; E[1] = {O}
-    needs neither.
+    decided on every curve factor by the basis search (_basis), which finds
+    a basis of E[n] or proves E[n] is not in E(K), or, when it does
+    neither, by counting the kernel of multiplication by n; E[1] = {O}
+    needs none of these.
 
     Each degree's field is kept with the prime field (extension_field), and
     each basis found with the field it lies over (_basis): deck_group over
@@ -227,7 +217,7 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     Nothing kept depends on the caps.
     """
     base = V.field
-    if base == QQ:
+    if not base.is_finite:
         raise UnsupportedField("finite-field realization required, not Q")
     if not isinstance(base, PrimeField):
         raise UnsupportedField("torsion-field search starts from a prime-field model")
@@ -285,12 +275,13 @@ _BASIS_DRAWS = 64
 
 
 def _has_full_torsion(curve, n, caps):
-    """E[n] lies in E(K): always for n = 1, else proved by a basis or by the kernel's count."""
-    return n == 1 or _basis(curve, n) is not None or len(_kernel(curve, n, caps)) == n * n
+    """E[n] lies in E(K): always for n = 1, else as _basis decides, or by the kernel's count."""
+    basis = n == 1 or _basis(curve, n)
+    return bool(basis) if basis is not None else len(_kernel(curve, n, caps)) == n * n
 
 
 def _basis(curve, m):
-    """_torsion_basis(curve, m), kept with the curve's field per (a, b, m), None included."""
+    """_torsion_basis(curve, m), kept with the curve's field per (a, b, m), None and False too."""
     key = ("basis", curve.a.value, curve.b.value, m)
     return per_field(curve.field, key, lambda: _torsion_basis(curve, m))
 
@@ -307,7 +298,7 @@ def _curve_order(curve):
 
 
 def _torsion_basis(curve, m):
-    """Raw points (P, Q) spanning E[m] over the curve's own field K, or None.
+    """Raw points (P, Q) spanning E[m] over the curve's own field K; False or None without.
 
     Enumerates nothing.  With #E(K) known, m^2 | #E(K) and m | #K - 1, it
     draws points with a fixed seed: x at random, y by Tonelli-Shanks.  For
@@ -321,8 +312,10 @@ def _torsion_basis(curve, m):
     m = 1, whose kernel {O} has no prime to certify and is one point.
     m | #K - 1 is checked first, as it needs no point count.  A draw whose
     q-primary part has order q^t, t > v_q(#E(K)) - v, ends the search with
-    None: the Sylow q-subgroup Z/q^a x Z/q^b then has a >= t, so b < v and
-    E[q^v] is not in E(K).
+    False, the proof that E[m] is not in E(K): the Sylow q-subgroup
+    Z/q^a x Z/q^b then has a >= t, so b < v and E[q^v] is not in E(K).
+    False is falsy like None and unpacks to no pair, so no caller takes it
+    for a basis.
     """
     K = curve.field
     if m == 1 or (K.size - 1) % m:
@@ -360,7 +353,7 @@ def _torsion_basis(curve, m):
                 chain.append(mul(q, chain[-1]))
             t = len(chain) - 1
             if t > exponents[q] - v:
-                return None
+                return False
             if t < v or chain[t - 1] in lines.get(q, ()):
                 continue
             if not kept[q]:
@@ -554,7 +547,7 @@ def fiber(f, z, field=None, caps=DEFAULT_CAPS):
     for curve, cj, zj in zip(V.factors, V.split(realized.c), V.split(z)):
         w = curve._add_raw(zj._raw(), curve._neg_raw(cj._raw()))
         walk = _factor_fiber(curve, curve.enumerate_points(caps), m, w)
-        coset = _basis(curve, m) is not None
+        coset = bool(_basis(curve, m))
         parts.append((curve, coset, list(itertools.islice(walk, 1 if coset else None))))
     total = math.prod(len(hits) * (m * m if coset else 1) for _, coset, hits in parts)
     if total > caps.field_size:
@@ -611,8 +604,7 @@ def _coset(curve, m, y):
     return [curve._box(P) for P in points]
 
 
-@dataclass(frozen=True)
-class RationalFiber:
+class RationalFiber(Record):
     """Rational preimages through one known preimage; incomplete by nature.
 
     Over Q only the k-rational part of a fiber is visible: the full fiber
@@ -620,16 +612,14 @@ class RationalFiber:
     rational part happens to be everything.
     """
 
-    points: tuple
-    complete: bool
-    multiplier: int
+    __slots__ = ("points", "complete", "multiplier")
 
 
 def rational_fiber(f, through, caps=DEFAULT_CAPS):
     """The rational m-torsion translates of a known rational preimage."""
     from .torsion import rational_torsion_points  # Q only: F_q towers never load torsion
     V = f.variety
-    if V.field != QQ:
+    if V.field.is_finite:
         raise UnsupportedField("rational fibers are only reported over Q")
     V.require_on_curve(through)
     pts = [
@@ -658,7 +648,7 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     V, found = _full_torsion(f, field, caps)
     parts = []
     for curve, basis, kernel in found:
-        if basis is None:
+        if not basis:
             parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
         elif m**4 > 128 * _curve_order(curve):
             parts.append(FiniteAbelianGroup((m, m), _scanned_generators(curve, m)))
@@ -681,9 +671,10 @@ def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS):
 def _full_torsion(f, field, caps):
     """f's variety over the realization field K, and (curve, basis, kernel) per factor.
 
-    basis is _torsion_basis's pair, or None when the factor was enumerated
-    and kernel is its {point: order} table.  Raises IncompleteTorsion when
-    K's characteristic divides m or a factor's E[m] is not all in E(K).
+    basis is _torsion_basis's pair, or None or False when the factor was
+    enumerated (False too, for the count the refusal reports) and kernel is
+    its {point: order} table.  Raises IncompleteTorsion when K's
+    characteristic divides m or a factor's E[m] is not all in E(K).
     """
     m = f.multiplier
     K = _realization_field(f, field)
@@ -698,7 +689,7 @@ def _full_torsion(f, field, caps):
         curve._require_field_within(caps)
         basis = _basis(curve, m)
         kernel = None
-        if basis is None:
+        if not basis:
             kernel = _kernel(curve, m, caps)
             if len(kernel) != m * m:
                 raise IncompleteTorsion(

@@ -55,6 +55,18 @@ def test_importing_the_package_loads_no_module_of_it():
     assert {m for m in _loaded_after("import ectower") if m.startswith("ectower.")} == set()
 
 
+def test_cli_loads_no_handler_and_towers_no_q():
+    # main imports a command's handler module when the command runs, and
+    # fields resolves Q's names from ectower.rationals on first use
+    loaded = _loaded_after("import ectower.cli")
+    assert "ectower.cli" in loaded
+    assert {"ectower.commands_fq", "ectower.commands_q", "ectower.rationals"} & loaded == set()
+    loaded = _loaded_after("import ectower.towers")
+    assert "ectower.towers" in loaded and "ectower.rationals" not in loaded
+    # ectower.fields.QQ still resolves, and compiles Q then
+    assert "ectower.rationals" in _loaded_after("import ectower.fields\nectower.fields.QQ")
+
+
 def test_towers_and_cli_load_no_certificate_module():
     loaded = _loaded_after("import ectower.towers, ectower.cli")
     assert {"ectower.towers", "ectower.cli", "ectower.curves"} <= loaded
@@ -135,12 +147,39 @@ print(json.dumps([code, sorted(sys.modules)]))
     assert out.read_bytes() == (GOLDEN / (entry["name"] + ".report.json")).read_bytes()
     assert "ectower.serialize" in loaded
     assert {"ectower.torsion", "ectower.iso"} & set(loaded) == set()
+    # nor Q's arithmetic
+    assert "ectower.rationals" not in loaded
+
+
+# the module whose handlers run each subcommand
+HANDLER_MODULE = {"tower-build": "commands_fq", "chain-check": "commands_fq"}
+
+
+@pytest.mark.parametrize("entry", FIRST_PER_COMMAND, ids=[e["name"] for e in FIRST_PER_COMMAND])
+def test_a_subcommand_compiles_its_own_handlers_and_no_dataclasses(entry, tmp_path):
+    # the records are __slots__ classes, so no process generates dataclass code
+    out = tmp_path / "report.json"
+    argv = [entry["command"], "--input", str(GOLDEN / entry["input"]), "--output", str(out),
+            *entry["flags"]]
+    code = """
+import contextlib, io, json, sys
+from ectower.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+print(json.dumps([code, sorted(sys.modules)]))
+""" % (argv,)
+    code, loaded = _run(code)
+    assert code == entry["exit"]
+    assert out.read_bytes() == (GOLDEN / (entry["name"] + ".report.json")).read_bytes()
+    assert "dataclasses" not in loaded
+    handlers = {m for m in loaded if m.startswith("ectower.commands_")}
+    assert handlers == {"ectower." + HANDLER_MODULE.get(entry["command"], "commands_q")}
 
 
 # CPython's parser keeps a module's tokens in an array that doubles when full;
 # past these counts it doubles to 16,384 and 8,192 slots, which every process
 # compiling the module pays for in peak memory
-TOKEN_LIMITS = {"fields.py": 8192, "serialize.py": 4096}
+TOKEN_LIMITS = {"fields.py": 8192, "serialize.py": 4096, "cli.py": 4096}
 
 
 @pytest.mark.parametrize("name, limit", sorted(TOKEN_LIMITS.items()))

@@ -395,7 +395,7 @@ def test_scanned_generators_match_the_grid(p):
             EK = realize_variety(E, K)
             for m in range(2, 25):
                 basis = towers._basis(EK, m)
-                if basis is None:
+                if not basis:
                     continue
                 want = towers._torsion_generators(EK, m, *basis)
                 assert towers._scanned_generators(EK, m) == want, (E, K, m)
@@ -534,7 +534,7 @@ def test_unbalanced_primary_part_takes_the_enumeration():
         assert _torsion_basis(EK, m) is None
         got = group_to_json(deck_group(TwistedMulMap(m, O, E), field=K), K, 2)
         assert got == group_to_json(_kernel_structure(EK, m), K, 2)
-    assert _torsion_basis(EK, 2) is not None
+    assert _torsion_basis(EK, 2)
 
 
 def _oracle_kernel_structure(curve, m):
@@ -819,7 +819,7 @@ def test_torsion_basis_scans_for_the_non_square_once_per_field(monkeypatch):
     E = realize_variety(E5, K)
     scans = _count_calls(monkeypatch, fields.Field, "_non_residue")
     bases = [_torsion_basis(E, m) for m in (2, 3, 4, 6, 8, 12, 24)]
-    assert all(basis is not None for basis in bases)
+    assert all(bases)
     # and 625 more square roots on K
     assert None not in [K._sqrt(K._mul(x, x)) for x in K._values()]
     assert len(scans) == 1
@@ -836,9 +836,41 @@ def test_torsion_basis_stops_where_a_sylow_part_rules_e_m_out(monkeypatch, p, a,
     # shows E[m] is not there, long before the draws run out
     E = EllipticCurve(PrimeField(p), a, b)
     draws = _count_calls(monkeypatch, PrimeField, "_random")
-    assert _torsion_basis(E, m) is None
+    assert _torsion_basis(E, m) is False
     assert 0 < len(draws) < towers._BASIS_DRAWS
     assert len(_kernel(E, m, DEFAULT_CAPS)) < m * m
+
+
+@pytest.mark.parametrize("p, degrees", [(7, 2), (11, 2), (13, 2)])
+def test_full_torsion_field_enumerates_no_kernel_where_absence_is_proved(monkeypatch, p, degrees):
+    # every curve over F_p and every m with E[m] inside some E(F_{p^k}), k <= degrees:
+    # the enumeration's least field, found with _kernel called only where the
+    # basis search left the question open (None), never where it proved E[m]
+    # is not in E(K) (False)
+    caps = Caps(field_size=p**degrees)
+    want = [_full_kernel_degrees(E, degrees) for E in _curves(p)]
+    kernels = _count_calls(monkeypatch, towers, "_kernel")
+    proved = 0
+    for E, least in zip(_curves(p), want):  # fresh fields: nothing kept from the oracle
+        for m, k in least.items():
+            del kernels[:]
+            assert full_torsion_field(E, m, caps) == extension_field(E.field, k), (E, m)
+            assert all(towers._basis(curve, n) is None for curve, n, _ in kernels), (E, m)
+            for j in range(1, k):
+                proved += towers._basis(realize_variety(E, extension_field(E.field, j)), m) is False
+    assert proved
+
+
+def test_level_2_over_f719_enumerates_nothing(monkeypatch):
+    # y^2 = x^3 + 1 over F_719 has one point of order 2, so E[2] is not in
+    # E(F_719) although 4 | #E(F_719) = 720: a draw proves it, and
+    # E(F_{719^2}) = (Z/720)^2 holds a basis
+    E = EllipticCurve(PrimeField(719), 0, 1)
+    kernels = _count_calls(monkeypatch, towers, "_kernel")
+    K = full_torsion_field(E, 2)
+    assert deck_invariant_factors(TwistedMulMap(2, E.identity(), E), field=K) == (2, 2)
+    assert K == extension_field(E.field, 2) and kernels == []
+    assert towers._basis(E, 2) is False
 
 
 # (p, k, a, b, m): E[m] lies in E(F_{p^k}), yet no basis turns up in the draws,
@@ -857,8 +889,9 @@ _UNBALANCED_FALLBACKS = {
 def test_basis_is_none_exactly_where_the_enumerated_kernel_is_short(p):
     # every curve over F_p, over every F_{p^k} with p^k <= 3000, and every
     # m <= 24 that the point counts allow (m | p^k - 1, m^2 | #E(K)): a basis
-    # of E[m] exactly when the enumerated kernel has m^2 points
-    missed = set()
+    # of E[m] exactly when the enumerated kernel has m^2 points, and the proof
+    # of absence (False) only where it has fewer
+    missed, proved = set(), set()
     for k in range(1, 5):
         if p**k > 3000:
             break
@@ -869,8 +902,12 @@ def test_basis_is_none_exactly_where_the_enumerated_kernel_is_short(p):
             ms = [m for m in range(2, 25) if (K.size - 1) % m == 0 and order % (m * m) == 0]
             full = set(_full_kernel_sizes(EK)) if ms else ()
             for m in ms:
-                found = towers._basis(EK, m) is not None
-                assert not found or m in full, (E, K, m)
-                if m in full and not found:
+                basis = towers._basis(EK, m)
+                assert not basis or m in full, (E, K, m)
+                if basis is False:
+                    assert m not in full, (E, K, m)
+                    proved.add((k, m))
+                if m in full and not basis:
                     missed.add((p, k, E.a.value, E.b.value, m))
     assert missed == {case for case in _UNBALANCED_FALLBACKS if case[0] == p}
+    assert proved  # the sweep meets the proof of absence at every p

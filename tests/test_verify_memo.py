@@ -1,6 +1,6 @@
 """One verify run parses and replays each distinct certificate once.
 
-`cli._cmd_verify` shares a `VerifyMemo` among the certificates of a report.
+`commands_q.verify` shares a `VerifyMemo` among the certificates of a report.
 The slow oracle verifies each certificate on its own, with no memo; the
 memoized run must give the same (ok, kind, reason) at every path, on every
 golden file and on every single-integer mutation of a report whose
