@@ -24,7 +24,7 @@ class LatticeGroup(Record):
     def __init__(self, rank):
         if rank < 2 or rank % 2 != 0:
             raise ValueError("rank must be a positive even integer 2g")
-        object.__setattr__(self, "rank", rank)
+        Record.__init__(self, rank)
 
     @property
     def dimension(self):

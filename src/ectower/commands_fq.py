@@ -4,9 +4,11 @@ A handler takes the job, its integer options and the caps, returns (report,
 exit code), and imports what it runs: no Q arithmetic, no certificate module.
 """
 
+import math
 import random
+import sys
 
-from .errors import SchemaError
+from .errors import BoundExceeded, SchemaError
 
 
 def tower_build(payload, opts, caps):
@@ -45,6 +47,14 @@ def chain_check(payload, opts, caps):
     from . import serialize
     from .chain import LatticeGroup, match_deck, quotient, refine, separates
     g, max_level = opts["g"], opts["max_level"]
+    # the last order printed, m**e, is under 10**limit where e*(bits of m) <= 3*limit, and
+    # over it where e*(bits of m, less 1) >= 4*limit; only in between is m**e formed
+    top, limit = min(max_level, caps.chain_level), sys.get_int_max_str_digits()
+    m, e = math.factorial(top), 2 * g
+    if limit and e * m.bit_length() > 3 * limit and (
+            e * (m.bit_length() - 1) >= 4 * limit or m**e >= 10**limit):
+        raise BoundExceeded("the level-%d quotient has order (%d!)^%d, more digits than "
+                            "Python prints (%d)" % (top, top, e, limit))
     bound = opts.get("bound", 20)
     lattice = LatticeGroup(2 * g)
     tower = None

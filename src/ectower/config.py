@@ -9,13 +9,15 @@ from operator import attrgetter
 class Record:
     """An immutable record whose fields are its class's __slots__, in order.
 
+    Every value type of the package is one, points and field elements too.
     The constructor takes the fields by position or by keyword, and a field
-    given neither way from the class's _defaults.  Given all by position, as
-    the package builds its records, they are stored in one loop.  A record
-    that checks or derives its fields has its own __init__, which stores
-    them with object.__setattr__.  Assignment raises AttributeError.  A
-    record equals only a record of its own class with equal fields
-    _compared (all by default), and hashes as they do.
+    given neither way from the class's _defaults.  A record that checks its
+    input has its own __init__ ending in Record.__init__; hot constructors
+    (points, field elements) store with object.__setattr__.  Assignment and
+    deletion raise AttributeError.  A record equals only a record of its
+    own class with equal fields _compared (all by default), and hashes as
+    they do; field elements and rationals, equal to plain ints too, keep
+    their own.  copy and pickle rebuild an equal record.
     """
 
     __slots__ = ()

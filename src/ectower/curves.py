@@ -9,12 +9,13 @@ containing it all.
 A curve is the one-factor case of a product: both expose factors, split,
 assemble, from_factors and group_from_parts, so only this module tells them
 apart.  The public group law checks membership; _unchecked methods do not.
+Points, curves and products are immutable config.Records that copy and pickle.
 """
 
 import itertools
 import math
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Record
 from .errors import BoundExceeded, MixedFields, PointNotOnCurve, UnsupportedField
 from .fields import FieldElement, per_field
 from .groups import (
@@ -26,7 +27,7 @@ from .groups import (
 )
 
 
-class Point:
+class Point(Record):
     """Affine point (x, y) or the point at infinity (x is None)."""
 
     __slots__ = ("x", "y")
@@ -35,9 +36,6 @@ class Point:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
-
     @classmethod
     def infinity(cls):
         return _INFINITY
@@ -45,14 +43,6 @@ class Point:
     @property
     def is_infinity(self):
         return self.x is None
-
-    def __eq__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
 
     def sort_key(self):
         if self.is_infinity:
@@ -74,7 +64,7 @@ class Point:
 _INFINITY = Point(None, None)
 
 
-class ProductPoint:
+class ProductPoint(Record):
     """Tuple of points, one per factor of a product variety."""
 
     __slots__ = ("coords",)
@@ -82,20 +72,9 @@ class ProductPoint:
     def __init__(self, coords):
         object.__setattr__(self, "coords", tuple(coords))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductPoint is immutable")
-
     @property
     def is_infinity(self):
         return all(c.is_infinity for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProductPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
@@ -113,7 +92,7 @@ def _enumeration_tables(K):
     return elements, roots
 
 
-class EllipticCurve:
+class EllipticCurve(Record):
     """y^2 = x^3 + a*x + b over an exact field, char not in {2, 3}, nonsingular."""
 
     __slots__ = ("field", "a", "b")
@@ -128,9 +107,7 @@ class EllipticCurve:
                    K._mul(K._coerce(27), K._mul(v, v)))
         if d == K._coerce(0):
             raise ValueError("singular curve: discriminant is zero")
-        self.field = field
-        self.a = a
-        self.b = b
+        Record.__init__(self, field, a, b)
 
     @property
     def dimension(self):
@@ -285,19 +262,11 @@ class EllipticCurve:
         orders = dict(zip(points, self._point_orders(points)))
         return structure_rank2(orders, self._add_unchecked, Point.infinity())
 
-    def __eq__(self, other):
-        if not isinstance(other, EllipticCurve):
-            return NotImplemented
-        return self.field == other.field and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
-
     def __repr__(self):
         return "EllipticCurve(%r, a=%s, b=%s)" % (self.field, self.a.value, self.b.value)
 
 
-class ProductVariety:
+class ProductVariety(Record):
     """Nonempty ordered product of elliptic curves over one common field."""
 
     __slots__ = ("factors",)
@@ -309,7 +278,7 @@ class ProductVariety:
         for c in factors:
             if c.field != factors[0].field:
                 raise MixedFields("product factors must share one field")
-        self.factors = factors
+        Record.__init__(self, factors)
 
     @property
     def field(self):
@@ -402,14 +371,6 @@ class ProductVariety:
             gens = tuple(self.embed(j, g) for g in (s.generators or ()))
             embedded.append(FiniteAbelianGroup(s.invariant_factors, gens))
         return combine_structures(embedded, self._add_unchecked, self.identity())
-
-    def __eq__(self, other):
-        if not isinstance(other, ProductVariety):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     def __repr__(self):
         return "ProductVariety(%r)" % (self.factors,)

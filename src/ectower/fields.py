@@ -15,7 +15,7 @@ import itertools
 import operator
 import re
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Record
 from .errors import BoundExceeded, DivisionByZero, MixedFields, UnsupportedField, quote
 
 
@@ -110,6 +110,16 @@ def is_irreducible(coeffs, p):
     return True
 
 
+def require_within_cap(p, k, caps):
+    """Refuse p^k over the field-size cap (BoundExceeded), never forming p**k for a huge k.
+
+    p >= 2, so a degree of the cap's bit length or more exceeds the cap for
+    every p; testing that first keeps p**k small.
+    """
+    if k >= caps.field_size.bit_length() or p**k > caps.field_size:
+        raise BoundExceeded("p^k = %d^%d exceeds cap %d" % (p, k, caps.field_size))
+
+
 def find_irreducible(p, k, caps=DEFAULT_CAPS):
     """First monic irreducible of degree k over F_p in base-p counter order.
 
@@ -121,8 +131,7 @@ def find_irreducible(p, k, caps=DEFAULT_CAPS):
         raise ValueError("p must be prime")
     if k < 1:
         raise ValueError("degree must be >= 1")
-    if p**k > caps.field_size:
-        raise BoundExceeded("p^k = %d exceeds cap %d" % (p**k, caps.field_size))
+    require_within_cap(p, k, caps)
     # product varies its last entry fastest, so the reversed tails run in counter order
     for tail in itertools.product(range(p), repeat=k):
         f = tail[::-1] + (1,)
@@ -139,11 +148,12 @@ def per_field(K, key, build):
     """build(), computed once per field object and key, and kept with the field.
 
     Any finite field keeps its Tonelli-Shanks constants (Field._sqrt), its
-    enumeration tables (curves), each E[m] basis per (a, b, m) and the E[m]
-    it spans (towers); F_p also keeps one extension per degree and a_p per
-    (a, b) (towers).  The store is a dict in the field's own __dict__ (Field
-    declares no __slots__): it dies with the field object, an equal field
-    built again builds its own, and nothing kept crosses commands.
+    enumeration tables (curves), its realized curve per (a, b), each E[m]
+    basis per (a, b, m) and the E[m] it spans (towers); F_p also keeps one
+    extension per degree and a_p per (a, b) (towers).  The store is a dict
+    in the field's own __dict__ (Field declares no __slots__): it dies with
+    the field object, an equal field built again builds its own, and
+    nothing kept crosses commands.
     """
     store = vars(K).setdefault("_kept", {})
     if key not in store:
@@ -367,12 +377,7 @@ class ExtField(Field):
             raise ValueError("base must be a prime field")
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        # p >= 2, so a degree of the cap's bit length or more exceeds the cap
-        # for every p; testing that first keeps p**degree small
-        if degree >= caps.field_size.bit_length() or base.p**degree > caps.field_size:
-            raise BoundExceeded(
-                "p^k = %d^%d exceeds cap %d" % (base.p, degree, caps.field_size)
-            )
+        require_within_cap(base.p, degree, caps)
         p = base.p
         if modulus is None:
             modulus = find_irreducible(p, degree, caps)
@@ -595,17 +600,14 @@ class ExtField(Field):
         return "F_%d^%d" % (self.base.p, self.degree)
 
 
-class FieldElement:
-    """Immutable element of one of the three exact fields."""
+class FieldElement(Record):
+    """Element of one of the three exact fields; it also equals the ints it coerces from."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     def _raw(self, other):
         if isinstance(other, FieldElement):

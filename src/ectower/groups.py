@@ -6,7 +6,10 @@ groups of curves over finite fields (rank at most 2) and torsion kernels of
 covering maps (full rank handled factor by factor, then recombined).
 """
 
+import itertools
 import math
+
+from .config import Record
 
 
 def divisors(n):
@@ -41,36 +44,32 @@ def factorize(n, limit=None):
     return out
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Z/d1 x ... x Z/dr with d1 | d2 | ... | dr, all di > 1.
 
     The trivial group has an empty factor tuple.  Generators, when present,
     must be parallel to the given factors (ValueError otherwise); those of
     unit factors are dropped with them.  They are witnesses in whatever
-    ambient group the object describes (curve points, product points, ...).
+    ambient group the object describes (curve points, product points, ...),
+    and two groups compare by their invariant factors alone.
     """
 
     __slots__ = ("invariant_factors", "generators")
+    _compared = ("invariant_factors",)
 
     def __init__(self, invariant_factors, generators=None):
         raw = tuple(int(d) for d in invariant_factors)
         factors = tuple(d for d in raw if d != 1)
-        for d in factors:
-            if d < 1:
-                raise ValueError("invariant factors must be positive")
-        for a, b in zip(factors, factors[1:]):
-            if b % a != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
+        if any(d < 1 for d in factors):
+            raise ValueError("invariant factors must be positive")
+        if any(b % a for a, b in zip(factors, factors[1:])):
+            raise ValueError("invariant factors must form a divisibility chain")
         if generators is not None:
             generators = tuple(generators)
             if len(generators) != len(raw):
                 raise ValueError("generators must be parallel to the invariant factors")
             generators = tuple(g for d, g in zip(raw, generators) if d != 1)
-        object.__setattr__(self, "invariant_factors", factors)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteAbelianGroup is immutable")
+        Record.__init__(self, factors, generators)
 
     @classmethod
     def trivial(cls):
@@ -92,26 +91,10 @@ class FiniteAbelianGroup:
         if not factors:
             return "trivial"
         parts = []
-        i = 0
-        while i < len(factors):
-            j = i
-            while j < len(factors) and factors[j] == factors[i]:
-                j += 1
-            count = j - i
-            if count == 1:
-                parts.append("Z/%d" % factors[i])
-            else:
-                parts.append("(Z/%d)^%d" % (factors[i], count))
-            i = j
+        for d, run in itertools.groupby(factors):
+            count = len(list(run))
+            parts.append("Z/%d" % d if count == 1 else "(Z/%d)^%d" % (d, count))
         return " x ".join(parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteAbelianGroup):
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
 
     def __repr__(self):
         return "FiniteAbelianGroup(%r)" % (self.invariant_factors,)

@@ -6,11 +6,12 @@ fields.QQ resolve from here on first use, so an F_q process never compiles Q.
 
 import math
 
+from .config import Record
 from .errors import DivisionByZero, quote
 from .fields import Field, FieldElement, parse_decimal
 
 
-class Rational:
+class Rational(Record):
     """Q's value type: a fraction of arbitrary-precision integers, always normalized.
 
     Invariants: gcd(|num|, den) == 1, den > 0, zero is 0/1.
@@ -32,8 +33,7 @@ class Rational:
         if g > 1:
             num //= g
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        Record.__init__(self, num, den)
 
     @classmethod
     def _reduced(cls, num, den):
@@ -42,9 +42,6 @@ class Rational:
         object.__setattr__(r, "num", num)
         object.__setattr__(r, "den", den)
         return r
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rational is immutable")
 
     def __eq__(self, other):
         if isinstance(other, Rational):

@@ -24,7 +24,7 @@ from .errors import (
     RamifiedCharacteristic,
     UnsupportedField,
 )
-from .fields import ExtField, PrimeField, per_field
+from .fields import ExtField, PrimeField, per_field, require_within_cap
 from .groups import FiniteAbelianGroup, factorize, structure_rank2
 from .curves import EllipticCurve, Point
 
@@ -48,10 +48,7 @@ class TwistedMulMap(Record):
         if n < 1:
             raise ValueError("multiplier must be >= 1")
         variety.require_on_curve(center)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "c", variety._scalar_mul_unchecked(1 - n, center))
+        Record.__init__(self, n, center, variety, variety._scalar_mul_unchecked(1 - n, center))
 
     @property
     def multiplier(self):
@@ -72,9 +69,7 @@ class CompositeMap(Record):
 
     def __init__(self, m, c, variety):
         variety.require_on_curve(c)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "variety", variety)
+        Record.__init__(self, m, c, variety)
 
     @property
     def multiplier(self):
@@ -96,9 +91,7 @@ class Tower(Record):
             raise ValueError("the point sequence must begin with the base point o")
         for P in dict.fromkeys(points):  # each distinct point once: e_i often repeat
             variety.require_on_curve(P)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "points", points)
+        Record.__init__(self, variety, o, points)
 
     @property
     def N(self):
@@ -158,10 +151,7 @@ def extension_field(prime_field, degree, caps=DEFAULT_CAPS):
     """
     if degree == 1:
         return prime_field
-    if degree >= caps.field_size.bit_length() or prime_field.p**degree > caps.field_size:
-        raise BoundExceeded(
-            "p^k = %d^%d exceeds cap %d" % (prime_field.p, degree, caps.field_size)
-        )
+    require_within_cap(prime_field.p, degree, caps)
     return per_field(
         prime_field, ("extension", degree), lambda: ExtField(prime_field, degree, caps=caps)
     )
@@ -175,8 +165,11 @@ def _embed_point(V, P, K):
 
 
 def realize_variety(V, K):
-    """The same curve(s) with coefficients taken into the realization field K."""
-    return V.from_factors([EllipticCurve(K, c.a, c.b) for c in V.factors])
+    """The same curve(s) over K; K keeps one immutable curve per (a, b) (per_field)."""
+    return V.from_factors([
+        per_field(K, ("curve", c.a, c.b), lambda: EllipticCurve(K, c.a, c.b))
+        for c in V.factors
+    ])
 
 
 def realize_map(f, K):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -551,6 +552,17 @@ def test_deeply_nested_input_is_a_schema_error(tmp_path, depth):
     assert done.returncode == 2
     assert json.loads(done.stdout)["kind"] == "SchemaError"
     assert "Traceback" not in done.stderr
+
+
+def test_chain_check_refuses_an_order_past_the_printable_digits(tmp_path):
+    # (20!)^232 has 4,266 digits and (20!)^234 4,303, past Python's default
+    # int-to-str limit of 4,300; (2!)^20000 has 6,021
+    code, report = run(tmp_path, "chain-check", {"g": 116, "max_level": 20})
+    assert code == 0 and report["levels"][-1]["order"] == math.factorial(20) ** 232
+    for job, shown in (({"g": 117, "max_level": 20}, "(20!)^234"),
+                       ({"g": 10000, "max_level": 2}, "(2!)^20000")):
+        code, report = _run_refusal(tmp_path, "chain-check", job)
+        assert code == 3 and report["kind"] == "BoundExceeded" and shown in report["error"]
 
 
 def test_nagell_lutz_search_beyond_the_field_cap_exits_3(tmp_path):

@@ -119,7 +119,7 @@ def _encode(f, p):
 
 
 def test_find_irreducible_cap():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="^p\\^k = 5\\^30 exceeds cap 10000000$"):
         find_irreducible(5, 30)
 
 

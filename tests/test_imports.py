@@ -179,7 +179,8 @@ print(json.dumps([code, sorted(sys.modules)]))
 # CPython's parser keeps a module's tokens in an array that doubles when full;
 # past these counts it doubles to 16,384 and 8,192 slots, which every process
 # compiling the module pays for in peak memory
-TOKEN_LIMITS = {"fields.py": 8192, "serialize.py": 4096, "cli.py": 4096}
+TOKEN_LIMITS = {"fields.py": 8192, "serialize.py": 4096, "cli.py": 4096,
+                "curves.py": 4096, "groups.py": 4096}
 
 
 @pytest.mark.parametrize("name, limit", sorted(TOKEN_LIMITS.items()))

@@ -1,9 +1,12 @@
 """The package's value types: immutable __slots__ records on one base, config.Record.
 
-Each keeps the fields, defaults and checks it had as a frozen dataclass:
-construction by position or keyword, AttributeError on assignment, equality
-with records of its own class only, hashing that follows equality, and a
-repr that names the fields unless the class writes its own.
+The sixteen former dataclasses keep the fields, defaults and checks they
+had: construction by position or keyword, AttributeError on assignment,
+equality with records of its own class only, hashing that follows
+equality, and a repr that names the fields unless the class writes its
+own.  Points, curves, products, groups, field elements and rationals are
+Records too, with their own constructors, reprs and hashes; every record
+copies and pickles to an equal one.
 """
 
 import copy
@@ -13,9 +16,9 @@ import pytest
 
 from ectower.chain import ChainSubgroup, LatticeGroup, QuotientGroup
 from ectower.config import DEFAULT_CAPS, Caps, Record
-from ectower.curves import EllipticCurve, Point
+from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from ectower.errors import PointNotOnCurve
-from ectower.fields import PrimeField
+from ectower.fields import QQ, FieldElement, PrimeField
 from ectower.groups import FiniteAbelianGroup
 from ectower.iso import (
     FamilyClassification,
@@ -23,9 +26,11 @@ from ectower.iso import (
     PairVerdict,
     TowerIsoWitness,
     WitnessReport,
+    necessity_test,
 )
+from ectower.rationals import Rational
 from ectower.torsion import NonTorsionCertificate, TorsionCertificate, TorsionSubgroup
-from ectower.towers import CompositeMap, RationalFiber, Tower, TwistedMulMap
+from ectower.towers import CompositeMap, RationalFiber, Tower, TwistedMulMap, extension_field
 
 E5 = EllipticCurve(PrimeField(5), 0, 1)
 O = Point.infinity()
@@ -54,6 +59,22 @@ RECORDS = {
     QuotientGroup: ("lattice level group", (L2, 3, GROUP)),
 }
 IDS = [cls.__name__ for cls in RECORDS]
+
+F5 = PrimeField(5)
+E5B = EllipticCurve(F5, 1, 1)
+X = ProductVariety([E5, E5B])
+PP = ProductPoint([P, E5B.enumerate_points()[1]])
+# value type: instances, each holding what its fields can hold
+VALUES = {
+    Point: (P, O),
+    ProductPoint: (PP, X.identity()),
+    EllipticCurve: (E5, E5B),
+    ProductVariety: (X,),
+    FiniteAbelianGroup: (GROUP, E5.group_structure(), FiniteAbelianGroup.trivial()),
+    FieldElement: (F5.element(3), QQ.element(Rational(-2, 3))),
+    Rational: (Rational(-2, 3), Rational(7)),
+}
+VALUE_IDS = [cls.__name__ for cls in VALUES]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
@@ -138,5 +159,57 @@ def test_copy_and_pickle_rebuild_an_equal_record(cls):
     clone = copy.copy(record)
     assert clone is not record and [getattr(clone, n) for n in cls.__slots__] == [
         getattr(record, n) for n in cls.__slots__]
-    for plain in (Caps(30), LatticeGroup(4), PairVerdict("iso"), WitnessReport(False, ("no",), 2)):
-        assert copy.deepcopy(plain) == plain == pickle.loads(pickle.dumps(plain))
+    for rebuilt in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert rebuilt is not record and rebuilt == record
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=VALUE_IDS)
+def test_value_types_are_immutable_records(cls):
+    assert issubclass(cls, Record) and "__setattr__" not in vars(cls)
+    for value in VALUES[cls]:
+        for name in cls.__slots__ + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            if name != "unknown":
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=VALUE_IDS)
+def test_value_types_copy_and_pickle_to_an_equal_value(cls):
+    for value in VALUES[cls]:
+        for rebuilt in (copy.copy(value), copy.deepcopy(value),
+                        pickle.loads(pickle.dumps(value))):
+            assert rebuilt == value and hash(rebuilt) == hash(value)
+            assert repr(rebuilt) == repr(value)
+
+
+def test_value_equality_and_hashes_keep_their_meaning():
+    with_o, with_p = FiniteAbelianGroup((2,), (O,)), FiniteAbelianGroup((2,), (P,))
+    assert GROUP == with_o == with_p != FiniteAbelianGroup((4,), (P,))
+    assert hash(GROUP) == hash(with_p) == hash((2,))
+    assert F5.element(1) == 6 and QQ.element(Rational(2)) == 2
+    assert Rational(2) == 2 and hash(Rational(2)) == hash(2) and Rational(4, 2) == Rational(2)
+    assert Point(None, None) == O and ProductPoint([O]) != O and O != ProductPoint([O])
+    assert hash(P) == hash((P.x, P.y)) and hash(O) == hash((None, None))
+    assert hash(PP) == hash(PP.coords) and hash(X) == hash(X.factors)
+    assert hash(E5) == hash((E5.field, E5.a, E5.b))
+    assert E5 == EllipticCurve(PrimeField(5), 5, 6) != E5B and X != E5
+    assert X == ProductVariety([E5, E5B]) != ProductVariety([E5B, E5])
+
+
+def test_a_tower_and_a_certificate_over_q_copy_and_pickle():
+    K = extension_field(PrimeField(7), 3)
+    EK = EllipticCurve(K, 0, 1)
+    tower = Tower(EK, O, [O, EK.enumerate_points()[5], O])
+    E17 = EllipticCurve(QQ, 0, 17)
+    R = Point(QQ.element(-2), QQ.element(3))
+    a = Tower(E17, O, [O] * 4)
+    b = Tower(E17, O, [O] + [E17.scalar_mul(i, R) for i in range(1, 4)])
+    certificate = necessity_test(a, b)
+    assert isinstance(certificate, NonIsoCertificate)
+    for record in (tower, certificate):
+        for rebuilt in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert rebuilt == record and rebuilt is not record
+    assert pickle.loads(pickle.dumps(certificate)).verify()
+    assert copy.deepcopy(certificate).verify()

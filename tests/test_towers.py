@@ -770,6 +770,20 @@ def test_extension_field_is_one_object_per_prime_field():
     assert L == K and L is not K
 
 
+def test_realize_variety_keeps_one_curve_per_coefficients_with_the_field():
+    F7 = PrimeField(7)
+    E = EllipticCurve(F7, 0, 1)
+    K = extension_field(F7, 2)
+    EK = realize_variety(E, K)
+    assert EK == EllipticCurve(K, 0, 1) and realize_variety(E, K) is EK
+    V = ProductVariety([E, EllipticCurve(F7, 1, 1), E])
+    VK = realize_variety(V, K)
+    assert VK.factors[0] is EK and VK.factors[2] is EK
+    L = ExtField(F7, 2, K.modulus)
+    EL = realize_variety(E, L)
+    assert EL == EK and EL is not EK and realize_variety(E, L) is EL
+
+
 def test_extension_field_checks_the_cap_before_what_the_field_keeps():
     F7 = PrimeField(7)
     K = extension_field(F7, 3)
