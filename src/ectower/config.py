@@ -9,15 +9,16 @@ from operator import attrgetter
 class Record:
     """An immutable record whose fields are its class's __slots__, in order.
 
-    Every value type of the package is one, points and field elements too.
+    Every value type of the package is one, fields and their elements too.
     The constructor takes the fields by position or by keyword, and a field
     given neither way from the class's _defaults.  A record that checks its
     input has its own __init__ ending in Record.__init__; hot constructors
-    (points, field elements) store with object.__setattr__.  Assignment and
-    deletion raise AttributeError.  A record equals only a record of its
-    own class with equal fields _compared (all by default), and hashes as
-    they do; field elements and rationals, equal to plain ints too, keep
-    their own.  copy and pickle rebuild an equal record.
+    and derived fields store with object.__setattr__.  Assignment and
+    deletion raise AttributeError.  A record equals only a record of its own
+    class with equal fields _compared (all by default; Q has none), and
+    hashes as they do; field elements and rationals, equal to plain ints
+    too, keep their own.  copy and pickle rebuild an equal record from its
+    fields alone, never from a __dict__ (what a field keeps, per_field).
     """
 
     __slots__ = ()
@@ -25,8 +26,8 @@ class Record:
     _compared = None
 
     def __init_subclass__(cls):
-        # the compared fields as one value: a tuple, or the field itself when there is one
-        cls._key = attrgetter(*(cls._compared or cls.__slots__))
+        # the compared fields as one value: a tuple, the one field, or the class if none
+        cls._key = attrgetter(*(cls._compared or cls.__slots__ or ("__class__",)))
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -44,8 +45,11 @@ class Record:
 
     __delattr__ = __setattr__
 
+    def __getstate__(self):
+        # (None, {field: value}), the state of a __slots__ object, leaving out any __dict__
+        return None, {name: getattr(self, name) for name in self.__slots__}
+
     def __setstate__(self, state):
-        # copy and pickle hand over (None, {field: value}), the state of a __slots__ object
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
 

@@ -1,7 +1,7 @@
 """Exact arithmetic: prime fields F_p and extensions F_{p^k} in polynomial basis.
 
-Every value is immutable and every operation is a pure function, so the whole
-module is safe for concurrent use.  There is no floating point anywhere:
+Every value is an immutable config.Record, the fields too, and every
+operation is a pure function.  There is no floating point anywhere:
 residues are reduced into [0, p), and extension elements are coefficient
 vectors of exact length k over F_p.  Q lives in ectower.rationals, and
 Rational, RationalField and QQ resolve from there on first use (PEP 562), so
@@ -152,8 +152,8 @@ def per_field(K, key, build):
     basis per (a, b, m) and the E[m] it spans (towers); F_p also keeps one
     extension per degree and a_p per (a, b) (towers).  The store is a dict
     in the field's own __dict__ (Field declares no __slots__): it dies with
-    the field object, an equal field built again builds its own, and
-    nothing kept crosses commands.
+    the field object, an equal field built again or a copy or pickle of the
+    field builds its own, and nothing kept crosses commands.
     """
     store = vars(K).setdefault("_kept", {})
     if key not in store:
@@ -161,8 +161,8 @@ def per_field(K, key, build):
     return store[key]
 
 
-class Field:
-    """Common surface of the three exact fields."""
+class Field(Record):
+    """Common surface of the three exact fields; what per_field keeps is not compared or copied."""
 
     base = None  # the prime field under an extension
 
@@ -199,6 +199,9 @@ class Field:
     @property
     def is_finite(self):
         return self.size is not None
+
+    def _sort_key(self, a):
+        return a
 
     def _chord_tangent(self, a, P, Q):
         """P + Q on y^2 = x^3 + a*x + b for affine raw points, None for O.
@@ -291,7 +294,7 @@ class PrimeField(Field):
             raise BoundExceeded("p = %d exceeds cap %d" % (p, caps.field_size))
         if not is_prime(p):
             raise ValueError("%d is not prime" % p)
-        self.p = p
+        Record.__init__(self, p)
 
     @property
     def characteristic(self):
@@ -341,21 +344,12 @@ class PrimeField(Field):
         """Whether a is 0 or a square, by Euler's criterion: a^((p-1)/2) is 0 or 1."""
         return pow(a, self.p // 2, self.p) < 2
 
-    def _sort_key(self, a):
-        return a
-
     def _values(self):
         return range(self.p)
 
     def _random(self, rng):
         """A uniformly drawn value, from a random.Random."""
         return rng.randrange(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
     def __repr__(self):
         return "F_%d" % self.p
@@ -370,7 +364,8 @@ class ExtField(Field):
     square test the norm's Legendre symbol.
     """
 
-    __slots__ = ("base", "degree", "modulus", "_rows", "_frobenius_rows", "_hash", "_law")
+    __slots__ = ("base", "degree", "modulus", "_rows", "_law", "_frobenius_rows")
+    _compared = ("base", "degree", "modulus")
 
     def __init__(self, base, degree, modulus=None, caps=DEFAULT_CAPS):
         if not isinstance(base, PrimeField):
@@ -389,27 +384,26 @@ class ExtField(Field):
                 raise ValueError("modulus must be monic of degree %d" % degree)
             if not is_irreducible(modulus, p):
                 raise ValueError("modulus %r is reducible over F_%d" % (modulus, p))
-        self.base = base
-        self.degree = degree
-        self.modulus = modulus
-        self._hash = hash(("Fpk", p, degree, modulus))
         # x^j mod f for j = k..2k-2; x^(j+1) is x^j shifted up, its top folded by x^k
         top = tuple(-c % p for c in modulus[:-1])
         rows = [top]
         for _ in range(degree - 2):
             r = rows[-1]
             rows.append(tuple((s + r[-1] * t) % p for s, t in zip((0,) + r[:-1], top)))
-        self._rows = tuple(rows[: degree - 1])
+        law = None
+        if degree != 2:
+            from .ext34 import chord_tangent_3_4 as law
+        # _mul reads these, so they are stored before the Frobenius columns are formed
+        values = (base, degree, modulus, tuple(rows[: degree - 1]), law)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         # column i of the Frobenius matrix is (x^i)^p = (x^p)^i
         columns = [(1,) + (0,) * (degree - 1)]
         if degree > 1:
             xp = (FieldElement(self, (0, 1) + (0,) * (degree - 2)) ** p).value
             while len(columns) < degree:
                 columns.append(self._mul(columns[-1], xp))
-        self._frobenius_rows = tuple(zip(*columns))
-        if degree != 2:
-            from .ext34 import chord_tangent_3_4
-            self._law = chord_tangent_3_4
+        object.__setattr__(self, "_frobenius_rows", tuple(zip(*columns)))
 
     @property
     def characteristic(self):
@@ -575,26 +569,12 @@ class ExtField(Field):
             ((l0 * u0 + h * r0 - y10) % p, (l0 * u1 + l1 * u0 + h * r1 - y11) % p),
         )
 
-    def _sort_key(self, a):
-        return a
-
     def _values(self):
         return itertools.product(range(self.base.p), repeat=self.degree)
 
     def _random(self, rng):
         p = self.base.p
         return tuple([rng.randrange(p) for _ in range(self.degree)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.base == self.base
-            and other.degree == self.degree
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "F_%d^%d" % (self.base.p, self.degree)
@@ -675,6 +655,8 @@ class FieldElement(Record):
 
         Over F_p and F_{p^k}, == with a plain int compares modulo p (F_5's 1
         equals 6), which no hash can follow; those hash with their field.
+        It reads size rather than is_finite: this is Q's hot hash, and a
+        property costs a call.
         """
         if self.field.size is None:
             return hash(self.value)

@@ -75,7 +75,7 @@ def _require_comparable(A, B):
         raise BaseMismatch("towers have different base points")
     if A.N != B.N:
         raise BaseMismatch("towers have different truncation levels")
-    if A.variety.field.characteristic != 0:
+    if A.variety.field.is_finite:
         raise BaseMismatch("tower isomorphism testing is defined over Q")
 
 

@@ -35,7 +35,7 @@ class TorsionCertificate(Record):
         V = self.variety
         if not V.contains(self.point) or not _admissible(V, self.point, self.order):
             return False
-        if V.field == QQ:
+        if not V.field.is_finite:
             return True
         if not V.scalar_mul(self.order, self.point).is_infinity:
             return False
@@ -58,7 +58,7 @@ def _admissible(V, P, order):
     """
     if order < 1:
         return False
-    if V.field == QQ:
+    if not V.field.is_finite:
         orders = [_mazur_walk(c, q)[0] for c, q in zip(V.factors, V.split(P))]
         return None not in orders and math.lcm(*orders) == order
     hasse = _hasse_bound(V.field.size)
@@ -101,7 +101,7 @@ class NonTorsionCertificate(Record):
         """
         if not self.variety.contains(self.point):
             return False
-        if self.variety.field != QQ:
+        if self.variety.field.is_finite:
             return False
         curve, point = self._tracked()
         order, evidence = _mazur_walk(curve, point)
@@ -118,7 +118,7 @@ def torsion_test_Q(V, P):
     (_mazur_walk); the first coordinate with no vanishing Mazur multiple is
     the evidence.
     """
-    if V.field != QQ:
+    if V.field.is_finite:
         raise UnsupportedField("torsion decision by admissible orders needs Q")
     V.require_on_curve(P)
     orders = []
@@ -261,7 +261,7 @@ def torsion_subgroup_Q(curve, caps=DEFAULT_CAPS):
     Each candidate of the integral model is mapped back through
     (x, y) -> (x/u^2, y/u^3) and decided once, on the curve itself.
     """
-    if curve.field != QQ:
+    if curve.field.is_finite:
         raise UnsupportedField("Nagell-Lutz search needs Q")
     a_int, b_int, u = _integral_model(curve, caps)
     sx, sy = QQ.element(Rational(1, u**2)), QQ.element(Rational(1, u**3))

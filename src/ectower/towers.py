@@ -167,7 +167,7 @@ def _embed_point(V, P, K):
 def realize_variety(V, K):
     """The same curve(s) over K; K keeps one immutable curve per (a, b) (per_field)."""
     return V.from_factors([
-        per_field(K, ("curve", c.a, c.b), lambda: EllipticCurve(K, c.a, c.b))
+        per_field(K, ("curve", c.a.value, c.b.value), lambda: EllipticCurve(K, c.a, c.b))
         for c in V.factors
     ])
 

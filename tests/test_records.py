@@ -4,13 +4,16 @@ The sixteen former dataclasses keep the fields, defaults and checks they
 had: construction by position or keyword, AttributeError on assignment,
 equality with records of its own class only, hashing that follows
 equality, and a repr that names the fields unless the class writes its
-own.  Points, curves, products, groups, field elements and rationals are
-Records too, with their own constructors, reprs and hashes; every record
-copies and pickles to an equal one.
+own.  Points, curves, products, groups, fields, field elements and
+rationals are Records too, with their own constructors, reprs and hashes;
+every record copies and pickles to an equal one, and a field's copy leaves
+behind what the field keeps.
 """
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,8 @@ from ectower.chain import ChainSubgroup, LatticeGroup, QuotientGroup
 from ectower.config import DEFAULT_CAPS, Caps, Record
 from ectower.curves import EllipticCurve, Point, ProductPoint, ProductVariety
 from ectower.errors import PointNotOnCurve
-from ectower.fields import QQ, FieldElement, PrimeField
+import ectower
+from ectower.fields import QQ, ExtField, FieldElement, PrimeField, RationalField
 from ectower.groups import FiniteAbelianGroup
 from ectower.iso import (
     FamilyClassification,
@@ -30,7 +34,16 @@ from ectower.iso import (
 )
 from ectower.rationals import Rational
 from ectower.torsion import NonTorsionCertificate, TorsionCertificate, TorsionSubgroup
-from ectower.towers import CompositeMap, RationalFiber, Tower, TwistedMulMap, extension_field
+from ectower.towers import (
+    CompositeMap,
+    RationalFiber,
+    Tower,
+    TwistedMulMap,
+    deck_group,
+    extension_field,
+    fiber,
+    full_torsion_field,
+)
 
 E5 = EllipticCurve(PrimeField(5), 0, 1)
 O = Point.infinity()
@@ -73,6 +86,9 @@ VALUES = {
     FiniteAbelianGroup: (GROUP, E5.group_structure(), FiniteAbelianGroup.trivial()),
     FieldElement: (F5.element(3), QQ.element(Rational(-2, 3))),
     Rational: (Rational(-2, 3), Rational(7)),
+    PrimeField: (F5, PrimeField(7)),
+    ExtField: (extension_field(F5, 2), ExtField(PrimeField(7), 3)),
+    RationalField: (QQ,),
 }
 VALUE_IDS = [cls.__name__ for cls in VALUES]
 
@@ -121,7 +137,11 @@ def test_equality_is_by_class_and_fields():
     class Verdict(Record):
         __slots__ = ("status", "certificate")
 
+    class Empty(Record):
+        __slots__ = ()
+
     assert PairVerdict("iso") != Verdict("iso", None)
+    assert Empty() == Empty() != Verdict("iso", None) and hash(Empty()) == hash(Empty)
     assert PairVerdict("iso") == PairVerdict("iso", None) != PairVerdict("non_iso")
     assert len({LatticeGroup(2), LatticeGroup(2), LatticeGroup(4)}) == 2
     # a twisted map compares by n, center and variety; c follows from them
@@ -213,3 +233,64 @@ def test_a_tower_and_a_certificate_over_q_copy_and_pickle():
             assert rebuilt == record and rebuilt is not record
     assert pickle.loads(pickle.dumps(certificate)).verify()
     assert copy.deepcopy(certificate).verify()
+
+
+def test_fields_are_immutable_values():
+    F, K = PrimeField(5), ExtField(PrimeField(5), 2)
+    for field, name, value in ((F, "p", 7), (K, "degree", 3), (QQ, "size", 5)):
+        with pytest.raises(AttributeError):
+            setattr(field, name, value)
+        with pytest.raises(AttributeError):
+            delattr(field, name)
+    assert F.p == 5 and K.degree == 2 and QQ.size is None and not QQ.is_finite
+    for field, twin in ((F, PrimeField(5)), (K, extension_field(PrimeField(5), 2)),
+                        (QQ, RationalField())):
+        assert field == twin and hash(field) == hash(twin) and field is not twin
+    assert F != PrimeField(7) != QQ != F and K != ExtField(PrimeField(7), 2)
+    assert K != ExtField(PrimeField(5), 2, (3, 0, 1)) and ExtField(PrimeField(5), 1) != F
+
+
+def test_copies_and_pickles_leave_what_a_field_keeps_behind():
+    E = EllipticCurve(PrimeField(239), 0, 1)
+    tower = Tower(E, O, [O] * 3)
+    K = full_torsion_field(E, 2)
+    assert deck_group(tower.level_map(2), field=K).invariant_factors == (2, 2)
+    point = fiber(tower.level_map(2), O, field=K)[1]
+    assert "_kept" in vars(K) and "_kept" in vars(E.field)
+    for value, field_of in ((point, lambda v: v.x.field), (E, lambda v: v.field),
+                            (tower, lambda v: v.variety.field), (K, lambda v: v)):
+        data = pickle.dumps(value)
+        assert len(data) < 1024
+        for rebuilt in (copy.deepcopy(value), pickle.loads(data)):
+            assert rebuilt == value and hash(rebuilt) == hash(value)
+            assert "_kept" not in vars(field_of(rebuilt))
+    # a copy of the field builds its own store, as an equal field built again does
+    twin = copy.deepcopy(K)
+    assert fiber(tower.level_map(2), O, field=twin)[1] == point
+    assert "_kept" in vars(twin) and vars(twin)["_kept"] is not vars(K)["_kept"]
+
+
+def _class_members(path):
+    """(class name, name) for every name a class body in path defines or assigns."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name, item.name
+                elif isinstance(item, ast.Assign):  # __delattr__ = __setattr__
+                    for target in item.targets:
+                        if isinstance(target, ast.Name):
+                            yield node.name, target.id
+
+
+def test_only_config_record_gives_value_semantics():
+    # Record owns equality, hashing and immutability; FieldElement and Rational,
+    # which also equal plain ints, keep their own == and hash, and nothing else does
+    package = Path(ectower.__file__).parent
+    found = [(path.name, cls, name) for path in sorted(package.glob("*.py"))
+             if path.name != "config.py" for cls, name in _class_members(path)]
+    assert found
+    assert {(cls, name) for _, cls, name in found if name in ("__eq__", "__hash__")} == {
+        ("FieldElement", "__eq__"), ("FieldElement", "__hash__"),
+        ("Rational", "__eq__"), ("Rational", "__hash__")}
+    assert [f for f in found if f[2] in ("__setattr__", "__delattr__")] == []
