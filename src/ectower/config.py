@@ -13,12 +13,12 @@ class Record:
     The constructor takes the fields by position or by keyword, and a field
     given neither way from the class's _defaults.  A record that checks its
     input has its own __init__ ending in Record.__init__; hot constructors
-    and derived fields store with object.__setattr__.  Assignment and
-    deletion raise AttributeError.  A record equals only a record of its own
-    class with equal fields _compared (all by default; Q has none), and
-    hashes as they do; field elements and rationals, equal to plain ints
-    too, keep their own.  copy and pickle rebuild an equal record from its
-    fields alone, never from a __dict__ (what a field keeps, per_field).
+    store through _setters (each slot's __set__), derived fields with
+    object.__setattr__.  Assignment and deletion raise AttributeError.  A
+    record equals only a record of its own class with equal fields _compared
+    (all by default; Q has none), and hashes as they do; field elements and
+    rationals, equal to plain ints too, keep their own.  copy and pickle
+    rebuild an equal record from its fields alone, never from a __dict__.
     """
 
     __slots__ = ()
@@ -28,6 +28,7 @@ class Record:
     def __init_subclass__(cls):
         # the compared fields as one value: a tuple, the one field, or the class if none
         cls._key = attrgetter(*(cls._compared or cls.__slots__ or ("__class__",)))
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -37,8 +38,8 @@ class Record:
             if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
                 raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))
             args = [values[name] for name in names]
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, args):
+            store(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)

@@ -33,8 +33,8 @@ class Point(Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     @classmethod
     def infinity(cls):
@@ -61,16 +61,13 @@ class Point(Record):
         return "(%s, %s)" % (self.x.value, self.y.value)
 
 
-_INFINITY = Point(None, None)
-
-
 class ProductPoint(Record):
     """Tuple of points, one per factor of a product variety."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(coords))
+        _set_coords(self, tuple(coords))
 
     @property
     def is_infinity(self):
@@ -83,12 +80,17 @@ class ProductPoint(Record):
         return "(%s)" % ", ".join(repr(c) for c in self.coords)
 
 
+_set_x, _set_y = Point._setters
+(_set_coords,) = ProductPoint._setters
+_INFINITY = Point(None, None)
+
+
 def _enumeration_tables(K):
     """(each value's FieldElement in _values order, {square: its roots in that order})."""
     elements = [FieldElement(K, z) for z in K._values()]
     roots = {}
-    for e in elements:
-        roots.setdefault(K._mul(e.value, e.value), []).append(e)
+    for e, square in zip(elements, K._square_values()):
+        roots.setdefault(square, []).append(e)
     return elements, roots
 
 
@@ -222,20 +224,18 @@ class EllipticCurve(Record):
         """All points over a finite field, sorted, by x-sweep against the field's tables.
 
         _enumeration_tables, built on the field's first enumeration and kept
-        with it, box every value and list each square's roots; the sweep
-        only evaluates x^3 + a*x + b on raw values and looks it up, and each
-        Point reuses the tables' elements.  Field values come in ascending
-        sort key, so each x's roots ascend and the points come out sorted,
-        O first.
+        with it, box every value and list each square's roots, from the
+        field's kernel K._square_values; the sweep looks up each raw
+        x^3 + a*x + b from its kernel K._cubic_values, and each Point reuses
+        the tables' elements.  Field values come in ascending sort key, so
+        each x's roots ascend and the points come out sorted, O first.
         """
         self._require_field_within(caps)
         K = self.field
-        a, b = self.a.value, self.b.value
         elements, roots = per_field(K, "enumeration_tables", lambda: _enumeration_tables(K))
         points = [Point.infinity()]
-        for x in elements:
-            v = x.value
-            ys = roots.get(K._add(K._mul(K._add(K._mul(v, v), a), v), b))
+        rhs = K._cubic_values(self.a.value, self.b.value)
+        for x, ys in zip(elements, map(roots.get, rhs)):
             if ys:
                 points.extend([Point(x, y) for y in ys])
         return points

@@ -234,9 +234,29 @@ class Field(Record):
                 a = self._mul(a, a)
         return acc
 
+    def _square_values(self):
+        """x^2 for each raw x in _values order, streamed; F_p and F_{p^2} override both kernels."""
+        for x in self._values():
+            yield self._mul(x, x)
+
+    def _cubic_values(self, a, b):
+        """x^3 + a*x + b for every raw x, in _values order: the sweep kernel of enumeration."""
+        for x in self._values():
+            yield self._add(self._mul(self._add(self._mul(x, x), a), x), b)
+
     def _non_residue(self):
-        """The first non-square value of a finite field of odd order, in _values order."""
-        for z in self._values():
+        """The first non-square value of a finite field of odd order, in _values order.
+
+        For even k the first p values c*u, u = (0, ..., 0, 1), are in u's square class, as
+        N(c*u) = c^k N(u) and 0 is a square, so one test decides them.
+        """
+        values = self._values()
+        if getattr(self, "degree", 1) % 2 == 0:
+            u = (0,) * (self.degree - 1) + (1,)
+            if not self._is_square(u):
+                return u
+            values = itertools.islice(values, self.base.p, None)
+        for z in values:
             if not self._is_square(z):
                 return z
         raise ArithmeticError("a field of odd order has non-squares")
@@ -346,6 +366,14 @@ class PrimeField(Field):
 
     def _values(self):
         return range(self.p)
+
+    def _square_values(self):
+        p = self.p
+        return (x * x % p for x in range(p))
+
+    def _cubic_values(self, a, b):
+        p = self.p
+        return (((x * x + a) * x + b) % p for x in range(p))
 
     def _random(self, rng):
         """A uniformly drawn value, from a random.Random."""
@@ -572,6 +600,31 @@ class ExtField(Field):
     def _values(self):
         return itertools.product(range(self.base.p), repeat=self.degree)
 
+    def _square_values(self):
+        """Field._square_values; for k = 2 on plain ints, (x0 + x1 x)^2 folded through _rows."""
+        if self.degree != 2:
+            return Field._square_values(self)
+        p = self.base.p
+        ((r0, r1),) = self._rows
+        return (((x0 * x0 + x1 * x1 * r0) % p, (2 * x0 * x1 + x1 * x1 * r1) % p)
+                for x0 in range(p) for x1 in range(p))
+
+    def _cubic_values(self, a, b):
+        """Field._cubic_values; for k = 2 on plain ints, (x^2 + a) x + b folded through _rows."""
+        if self.degree != 2:
+            yield from Field._cubic_values(self, a, b)
+            return
+        p = self.base.p
+        ((r0, r1),) = self._rows
+        (a0, a1), (b0, b1) = a, b
+        for x0 in range(p):
+            s, d = x0 * x0 + a0, 2 * x0
+            for x1 in range(p):
+                h = x1 * x1
+                t0, t1 = s + h * r0, d * x1 + h * r1 + a1  # x^2 + a, unreduced
+                u = t1 * x1
+                yield ((t0 * x0 + u * r0 + b0) % p, (t0 * x1 + t1 * x0 + u * r1 + b1) % p)
+
     def _random(self, rng):
         p = self.base.p
         return tuple([rng.randrange(p) for _ in range(self.degree)])
@@ -586,8 +639,8 @@ class FieldElement(Record):
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        _set_field(self, field)
+        _set_value(self, value)
 
     def _raw(self, other):
         if isinstance(other, FieldElement):
@@ -670,3 +723,6 @@ class FieldElement(Record):
 
     def __repr__(self):
         return "%r(%s)" % (self.field, self.value)
+
+
+_set_field, _set_value = FieldElement._setters

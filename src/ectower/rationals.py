@@ -39,8 +39,8 @@ class Rational(Record):
     def _reduced(cls, num, den):
         """The rational num/den, trusted to be in lowest terms with den > 0."""
         r = object.__new__(cls)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
+        _set_num(r, num)
+        _set_den(r, den)
         return r
 
     def __eq__(self, other):
@@ -78,6 +78,9 @@ class Rational(Record):
         if den == 0:
             raise ValueError("%s has a zero denominator" % quote(text))
         return cls(num, den)
+
+
+_set_num, _set_den = Rational._setters
 
 
 def _add(na, da, nb, db):

@@ -344,17 +344,22 @@ def _oracle_points(curve):
     return fq_points(_coeffs(curve.a), _coeffs(curve.b), f, K.characteristic)
 
 
-def _count_muls(monkeypatch, K):
-    # a field is immutable, so the class is patched and only the calls on K are counted
+def _count_kernels(monkeypatch, K):
+    """The names of the sweep kernels called on K, one entry per call.
+
+    A field is immutable, so the class is patched and only the calls on K
+    are counted.
+    """
     calls = []
-    mul = type(K)._mul
+    for name in ("_square_values", "_cubic_values"):
+        kernel = getattr(type(K), name)
 
-    def counted(field, u, v):
-        if field is K:
-            calls.append(1)
-        return mul(field, u, v)
+        def counted(field, *args, name=name, kernel=kernel):
+            if field is K:
+                calls.append(name)
+            return kernel(field, *args)
 
-    monkeypatch.setattr(type(K), "_mul", counted)
+        monkeypatch.setattr(type(K), name, counted)
     return calls
 
 
@@ -371,31 +376,31 @@ def _curves_over(K):
 def test_enumeration_agrees_with_the_square_table_oracle(monkeypatch, p, shape):
     K = _field(p, shape)
     first, second = _curves_over(K)[:2]
-    muls = _count_muls(monkeypatch, K)
-    # a fresh field: its tables are built, one squaring per value
+    kernels = _count_kernels(monkeypatch, K)
+    # a fresh field: its tables are built, one square sweep, then one cubic sweep
     points = first.enumerate_points()
-    assert len(muls) == 3 * K.size
+    assert kernels == ["_square_values", "_cubic_values"]
     assert _as_tuples(points) == _oracle_points(first)
     assert points == sorted(points, key=Point.sort_key)
-    # the same object again: the same points, the same element objects, no squaring
-    del muls[:]
+    # the same object again: the same points, the same element objects, no square sweep
+    del kernels[:]
     again = first.enumerate_points()
-    assert again == points and len(muls) == 2 * K.size
+    assert again == points and kernels == ["_cubic_values"]
     assert all(P.x is Q.x and P.y is Q.y for P, Q in zip(points[1:], again[1:]))
     # every curve over the field object shares its tables
     for curve in _curves_over(K)[1:]:
-        del muls[:]
+        del kernels[:]
         got = curve.enumerate_points()
-        assert len(muls) == 2 * K.size
+        assert kernels == ["_cubic_values"]
         assert _as_tuples(got) == _oracle_points(curve)
         assert got == sorted(got, key=Point.sort_key)
     # an equal but distinct field object builds its own, with the same points
     twin = _field(p, shape)
     assert twin == K and twin is not K
     twin_curve = EllipticCurve(twin, second.a.value, second.b.value)
-    twin_muls = _count_muls(monkeypatch, twin)
+    twin_kernels = _count_kernels(monkeypatch, twin)
     twin_points = twin_curve.enumerate_points()
-    assert len(twin_muls) == 3 * K.size
+    assert twin_kernels == ["_square_values", "_cubic_values"]
     assert twin_points == second.enumerate_points()
     assert all(P.x.field is twin for P in twin_points[1:])
 

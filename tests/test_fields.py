@@ -383,3 +383,63 @@ def test_tonelli_shanks_against_squaring_every_element(K):
             assert r in roots[a]
         else:
             assert r is None
+
+
+# the sweep kernels of enumeration against x^2 and x^3 + a*x + b in the oracle's
+# fq_* arithmetic, on every value (F_p itself is f = (0, 1), with 1-tuples)
+SWEEP_FIELDS = [
+    PrimeField(5), PrimeField(7), PrimeField(11), PrimeField(13),
+    ExtField(F5, 2), ExtField(F5, 2, modulus=(2, 1, 1)), ExtField(PrimeField(7), 2),
+    ExtField(F5, 3), ExtField(F5, 4),
+]
+
+
+@pytest.mark.parametrize("K", SWEEP_FIELDS, ids=lambda K: "%r%s" % (K, getattr(K, "modulus", "")))
+def test_sweep_kernels_agree_with_the_oracle(K):
+    p = K.characteristic
+    f = getattr(K, "modulus", (0, 1))
+    k = len(f) - 1
+    vec = (lambda v: v) if k > 1 else (lambda v: (v,))
+    rng = random.Random(p * 10 + k)
+    # a and b with every extension coefficient nonzero, with none, and seeded ones
+    pairs = [((0,) * k, (0,) * k), ((1,) * k, (p - 1,) * k), ((p - 1,) * k, (1,) + (0,) * (k - 1))]
+    pairs += [tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in "ab") for _ in range(3)]
+    values = [vec(v) for v in K._values()]
+    squares = [fq_mul(x, x, f, p) for x in values]
+    for kernel in (K._square_values(), Field._square_values(K)):
+        assert iter(kernel) is kernel  # a stream, not a list
+        assert [vec(v) for v in kernel] == squares
+    for a, b in pairs:
+        raw_a, raw_b = (a, b) if k > 1 else (a[0], b[0])
+        cubics = [fq_add(fq_mul(fq_add(fq_mul(x, x, f, p), a, p), x, f, p), b, p) for x in values]
+        for kernel in (K._cubic_values(raw_a, raw_b), Field._cubic_values(K, raw_a, raw_b)):
+            assert iter(kernel) is kernel
+            assert [vec(v) for v in kernel] == cubics
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_non_residue_agrees_with_the_plain_scan(k):
+    # for even k one norm test decides the first block of p values; both of its
+    # outcomes occur among these fields
+    decided_by_u = set()
+    for p in (p for p in range(3, 48) if is_prime(p)):
+        K = ExtField(PrimeField(p), k)
+        plain = next(z for z in K._values() if not K._is_square(z))
+        assert K._non_residue() == plain, K
+        decided_by_u.add(plain == (0,) * (k - 1) + (1,))
+    assert decided_by_u == {True, False}
+
+
+def test_non_residue_over_a_large_quadratic_field_takes_a_few_square_tests(monkeypatch):
+    caps = Caps(field_size=10**11)
+    K = ExtField(PrimeField(201599, caps), 2, caps=caps)
+    tests, original = [], ExtField._is_square
+
+    def counted(self, a):
+        if self is K:
+            tests.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(ExtField, "_is_square", counted)
+    assert K._non_residue() == (1, 5)
+    assert tests == [(0, 1)] + [(1, c) for c in range(6)]

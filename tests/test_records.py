@@ -270,6 +270,48 @@ def test_copies_and_pickles_leave_what_a_field_keeps_behind():
     assert "_kept" in vars(twin) and vars(twin)["_kept"] is not vars(K)["_kept"]
 
 
+def _rebuilt(value):
+    """The same value built again through the public constructors, from plain ints."""
+    if isinstance(value, ProductPoint):
+        return ProductPoint([_rebuilt(c) for c in value.coords])
+    if isinstance(value, Point):
+        if value.is_infinity:
+            return Point(None, None)
+        return Point(*(e.field.element(e.value) for e in (value.x, value.y)))
+    if isinstance(value, FieldElement):
+        return value.field.element(value.value)
+    return Rational(3 * value.num, 3 * value.den)
+
+
+def test_values_stored_through_their_slots_keep_value_semantics():
+    F7 = PrimeField(7)
+    E = EllipticCurve(F7, 3, 2)
+    swept = E.enumerate_points()
+    R = swept[2]
+    boxed = [E._box(E._scalar_mul_raw(n, R._raw())) for n in (2, 3)]
+    Y = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
+    fibered = fiber(Tower(Y, Y.identity(), [Y.identity()] * 3).level_map(2), Y.identity(),
+                    field=extension_field(F5, 2))
+    u, v = QQ.element(Rational(-2, 3)).value, QQ.element(Rational(9, 4)).value
+    rationals = [QQ._mul(u, v), QQ._add(u, v), QQ._sub(u, u), QQ._inv(u), QQ._neg(v)]
+    values = swept[1:4] + boxed + fibered[:2] + fibered[-2:] + [R.x, R.y] + rationals
+    assert all(type(R) is Point for R in swept + boxed) and len(fibered) == 16
+    assert [str(r) for r in rationals] == ["-3/2", "19/12", "0", "-3/2", "-9/4"]
+    for value in values:
+        cls = type(value)
+        for name in cls.__slots__ + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        twin = _rebuilt(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+            assert [getattr(copied, n) for n in cls.__slots__] == [
+                getattr(value, n) for n in cls.__slots__]
+
+
 def _class_members(path):
     """(class name, name) for every name a class body in path defines or assigns."""
     for node in ast.walk(ast.parse(path.read_text())):
