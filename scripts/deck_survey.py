@@ -30,6 +30,26 @@ from ectower import (
 from ectower.errors import BoundExceeded, IncompleteTorsion
 from ectower.towers import deck_invariant_factors
 
+# level, step deck, its field, composite deck, its field, match
+COLUMNS = "%-6s %-14s %-*s %-14s %-*s %-8s"
+
+
+def field_width(p, cap):
+    """The field columns' width: 12, or the longest label F_p^k with p^k within the cap.
+
+    Every field the survey finds has such a label, so the columns line up;
+    tables whose labels fit in 12 characters keep their bytes.
+    """
+    k = 1
+    while p ** (k + 1) <= cap:
+        k += 1
+    return max(12, len("F_%d^%d" % (p, k) if k > 1 else "F_%d" % p))
+
+
+def line(width, level, step, step_field, comp, comp_field, match):
+    """One table line, the field columns width characters wide."""
+    return COLUMNS % (level, step, width, step_field, comp, width, comp_field, match)
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -49,9 +69,8 @@ def main():
     lattice = LatticeGroup(2)
 
     print("base: y^2 = x^3 + 1 over F_%d, tower N = %d" % (args.p, args.levels))
-    header = "%-6s %-14s %-12s %-14s %-12s %-8s" % (
-        "level", "step deck", "field", "composite", "field", "match",
-    )
+    width = field_width(args.p, caps.field_size)
+    header = line(width, "level", "step deck", "field", "composite", "field", "match")
     print(header)
     print("-" * len(header))
     for i in range(1, args.levels + 1):
@@ -70,18 +89,9 @@ def main():
             sys.exit(3)
         elapsed = time.perf_counter() - start
         agrees = comp.invariant_factors == expected.invariant_factors
-        print(
-            "%-6d %-14s %-12r %-14s %-12r %-8s (%.2fs)"
-            % (
-                i,
-                step.describe(2),
-                step_field,
-                comp.describe(2),
-                comp_field,
-                agrees,
-                elapsed,
-            )
-        )
+        row = line(width, i, step.describe(2), repr(step_field), comp.describe(2),
+                   repr(comp_field), agrees)
+        print("%s (%.2fs)" % (row, elapsed))
         if not agrees:
             print("level %d: deck group differs from (Z/%d!)^2" % (i, i), file=sys.stderr)
             sys.exit(1)

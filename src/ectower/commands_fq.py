@@ -27,19 +27,22 @@ def tower_build(payload, opts, caps):
             "deck groups are computed over finite-field realizations; the base is over Q"
         )
     rank = 2 * tower.variety.dimension
-    levels = []
+    levels, decks = [], []
     for i in range(1, tower.N + 1):
         composite = tower.compose_to_base(i)
-        row = {"i": i, "n": i, "e": serialize.point_to_json(tower.points[i]),
-               "composite": {"m": composite.m, "c": serialize.point_to_json(composite.c)}}
+        levels.append({"i": i, "n": i, "e": serialize.point_to_json(tower.points[i]),
+                       "composite": {"m": composite.m,
+                                     "c": serialize.point_to_json(composite.c)}})
         if want_deck:
-            step_field = full_torsion_field(tower.variety, i, caps)
-            step = deck_group(tower.level_map(i), step_field, caps)
-            comp_field = full_torsion_field(tower.variety, composite.m, caps)
-            comp = deck_group(composite, comp_field, caps)
-            row["step_deck"] = serialize.group_to_json(step, step_field, rank)
-            row["deck"] = serialize.group_to_json(comp, comp_field, rank)
-        levels.append(row)
+            # every level's fields before any deck group: a job the caps refuse
+            # stops at its first refusal, with no generator built
+            decks.append((tower.level_map(i), full_torsion_field(tower.variety, i, caps),
+                          composite, full_torsion_field(tower.variety, composite.m, caps)))
+    for row, (step_map, step_field, composite, comp_field) in zip(levels, decks):
+        row["step_deck"] = serialize.group_to_json(
+            deck_group(step_map, step_field, caps), step_field, rank)
+        row["deck"] = serialize.group_to_json(
+            deck_group(composite, comp_field, caps), comp_field, rank)
     return {"tower": serialize.tower_to_json(tower), "levels": levels}, 0
 
 

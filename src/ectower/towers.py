@@ -14,7 +14,6 @@ only be sampled through a known rational preimage and are flagged as such.
 
 import itertools
 import math
-import random
 
 from .config import DEFAULT_CAPS, Record
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import ExtField, PrimeField, per_field, require_within_cap
-from .groups import FiniteAbelianGroup, factorize, structure_rank2
+from .groups import FiniteAbelianGroup, structure_rank2
 from .curves import EllipticCurve, Point
 
 
@@ -198,14 +197,15 @@ def full_torsion_field(V, n, caps=DEFAULT_CAPS):
     skipped unless n | p^k - 1 and n^2 | #E(F_{p^k}) on every curve factor,
     two necessary conditions (Weil pairing; Silverman, AEC III.8) read off
     the point counts without building the field.  A degree that passes is
-    decided on every curve factor by the basis search (_basis), which finds
-    a basis of E[n] or proves E[n] is not in E(K), or, when it does
-    neither, by counting the kernel of multiplication by n; E[1] = {O}
-    needs none of these.
+    decided on every curve factor by E(K)'s structure, found once per field
+    and curve (_basis), which gives a basis of E[n] or proves E[n] is not
+    in E(K), or, where it is unknown, by counting the kernel of
+    multiplication by n; E[1] = {O} needs none of these.
 
     Each degree's field is kept with the prime field (extension_field), and
-    each basis found with the field it lies over (_basis): deck_group over
-    the returned field reuses the basis that confirmed it.  The point counts
+    each structure and basis with the field it lies over (_basis):
+    deck_group over the returned field reuses the basis that confirmed it,
+    and every other n the same structure.  The point counts
     come from a_p, kept with the prime field per curve (_point_counts).
     Nothing kept depends on the caps.
     """
@@ -263,20 +263,67 @@ def _trace(p, a, b):
     return a_p
 
 
-# x-coordinates _torsion_basis draws before it leaves the field to _kernel
-_BASIS_DRAWS = 64
-
-
 def _has_full_torsion(curve, n, caps):
     """E[n] lies in E(K): always for n = 1, else as _basis decides, or by the kernel's count."""
     basis = n == 1 or _basis(curve, n)
     return bool(basis) if basis is not None else len(_kernel(curve, n, caps)) == n * n
 
 
+def _structure(curve):
+    """sylow.torsion_structure's (d1, P, Q) for E(K), kept with the curve's field per (a, b).
+
+    None, for _kernel to decide, when #E(K) is unknown (_curve_order) or the
+    draws leave it undecided.
+    """
+
+    def find():
+        from . import sylow
+
+        order = _curve_order(curve)
+        return None if order is None else sylow.torsion_structure(curve, order)
+
+    return per_field(curve.field, ("structure", curve.a.value, curve.b.value), find)
+
+
 def _basis(curve, m):
-    """_torsion_basis(curve, m), kept with the curve's field per (a, b, m), None and False too."""
-    key = ("basis", curve.a.value, curve.b.value, m)
-    return per_field(curve.field, key, lambda: _torsion_basis(curve, m))
+    """Raw points (P, Q) spanning E[m] over the curve's own field K, False or None without.
+
+    Kept with the field per (a, b, m), None and False too.  Enumerates
+    nothing.  False is the proof that E[m] is not in E(K): m does not divide
+    #K - 1 (Weil pairing; Silverman, AEC III.8) or m^2 does not divide
+    #E(K), both read off the counts, or m does not divide d1 of
+    E(K) = Z/d1 x Z/d2 (_structure).  Otherwise ((d1/m)P, (d1/m)Q) for the
+    structure's basis of E[d1].  None, for _kernel to decide, at m = 1,
+    whose kernel {O} has no prime to certify and is one point, and where
+    the structure is unknown.  False is falsy like None and unpacks to no
+    pair, so no caller takes it for a basis.
+    """
+
+    def find():
+        if m == 1:
+            return None
+        order = _curve_order(curve)
+        if order is not None and ((curve.field.size - 1) % m or order % (m * m)):
+            return False
+        structure = _structure(curve)
+        if structure is None:
+            return None
+        d1, P, Q = structure
+        if d1 % m:
+            return False
+        mul = curve._scalar_mul_raw
+        return mul(d1 // m, P), mul(d1 // m, Q)
+
+    return per_field(curve.field, ("basis", curve.a.value, curve.b.value, m), find)
+
+
+def _torsion_count(curve, m):
+    """|E(K)[m]| = gcd(m, d1) gcd(m, d2) for E(K) = Z/d1 x Z/d2 (_structure); None unknown."""
+    structure = _structure(curve)
+    if structure is None:
+        return None
+    d1 = structure[0]
+    return math.gcd(m, d1) * math.gcd(m, _curve_order(curve) // d1)
 
 
 def _curve_order(curve):
@@ -288,215 +335,6 @@ def _curve_order(curve):
     if any(a[1:]) or any(b[1:]):
         return None
     return _point_counts(EllipticCurve(K.base, a[0], b[0]), K.degree)[-1]
-
-
-def _torsion_basis(curve, m):
-    """Raw points (P, Q) spanning E[m] over the curve's own field K; False or None without.
-
-    Enumerates nothing.  With #E(K) known, m^2 | #E(K) and m | #K - 1, it
-    draws points with a fixed seed: x at random, y by Tonelli-Shanks.  For
-    each prime q | m it takes the point's q-primary part and multiplies it
-    by q until q^v kills it, v = v_q(m), keeping it when its image in E[q]
-    is new: the first image nonzero, the second off the first's line.  The
-    basis is the sum of the kept parts over q.  It is accepted by
-    _spans_torsion, which proves <P, Q> = E[m] (Washington, Elliptic Curves,
-    3.2).  Gives None, for _kernel to decide, when #E(K) is unknown, the
-    counts rule E[m] out, or _BASIS_DRAWS draws find no basis; also for
-    m = 1, whose kernel {O} has no prime to certify and is one point.
-    m | #K - 1 is checked first, as it needs no point count.  A draw whose
-    q-primary part has order q^t, t > v_q(#E(K)) - v, ends the search with
-    False, the proof that E[m] is not in E(K): the Sylow q-subgroup
-    Z/q^a x Z/q^b then has a >= t, so b < v and E[q^v] is not in E(K).
-    False is falsy like None and unpacks to no pair, so no caller takes it
-    for a basis.
-    """
-    K = curve.field
-    if m == 1 or (K.size - 1) % m:
-        return None
-    order = _curve_order(curve)
-    if order is None or order % (m * m):
-        return None
-    primes = factorize(m)
-    mul = curve._scalar_mul_raw
-    # #E(K) = prime_to_m * m_part, m_part the product of the q-parts q^e, q | m
-    exponents = factorize(order)
-    m_part = math.prod(q ** exponents[q] for q in primes)
-    prime_to_m = order // m_part
-    kept = {q: [] for q in primes}
-    lines = {}  # q: the q multiples of the first kept image in E[q]
-    rng = random.Random(0)
-    a, b = curve.a.value, curve.b.value
-    for _ in range(_BASIS_DRAWS):
-        x = K._random(rng)
-        y = K._sqrt(K._add(K._mul(K._add(K._mul(x, x), a), x), b))
-        if y is None:
-            continue
-        T = mul(prime_to_m, (x, y))
-        for q, v in primes.items():
-            if len(kept[q]) == 2:
-                continue
-            # R, qR, ..., O: R has order q^t, and q^(t-v) R is killed by q^v;
-            # t <= v_q(#E(K)) unless the group law is wrong
-            chain = [mul(m_part // q ** exponents[q], T)]
-            while chain[-1] is not None:
-                if len(chain) > exponents[q]:
-                    raise ArithmeticError(
-                        "%d^%d does not kill a point of %d-power order" % (q, exponents[q], q)
-                    )
-                chain.append(mul(q, chain[-1]))
-            t = len(chain) - 1
-            if t > exponents[q] - v:
-                return False
-            if t < v or chain[t - 1] in lines.get(q, ()):
-                continue
-            if not kept[q]:
-                lines[q] = _multiples(curve, chain[t - 1], q)
-            kept[q].append(chain[t - v])
-        if all(len(pair) == 2 for pair in kept.values()):
-            P = Q = None
-            for Pq, Qq in kept.values():
-                P, Q = curve._add_raw(P, Pq), curve._add_raw(Q, Qq)
-            if not _spans_torsion(curve, m, P, Q):
-                raise ArithmeticError("sampled parts do not span E[%d]" % m)
-            return P, Q
-    return None
-
-
-def _multiples(curve, u, q):
-    """{O, u, 2u, ..., (q-1)u} on raw values."""
-    out = {None}
-    acc = None
-    for _ in range(q - 1):
-        acc = curve._add_raw(acc, u)
-        out.add(acc)
-    return out
-
-
-def _spans_torsion(curve, m, P, Q):
-    """<P, Q> = E[m] for raw points P, Q of a curve in characteristic prime to m.
-
-    mP = mQ = O puts both in E[m], which is (Z/m)^2 over the algebraic
-    closure.  For each prime q | m, multiplication by m/q maps E[m]/qE[m]
-    isomorphically onto E[q], so (m/q)P != O and (m/q)Q outside
-    <(m/q)P> say that P, Q span E[m] modulo q; by Nakayama they then span
-    its q-primary part, and over all q they span E[m].
-    """
-    mul = curve._scalar_mul_raw
-    if mul(m, P) is not None or mul(m, Q) is not None:
-        return False
-    for q in factorize(m):
-        u = mul(m // q, P)
-        if u is None or mul(m // q, Q) in _multiples(curve, u, q):
-            return False
-    return True
-
-
-def _torsion_generators(curve, m, P, Q):
-    """structure_rank2's generators (g1, g2) of E[m] = {aP + bQ}, as Points.
-
-    ord(aP + bQ) = m / gcd(a, b, m), so aP + bQ has order m exactly when
-    (a, b) is nonzero mod every prime q | m, and two such elements generate
-    E[m] exactly when their determinant is a unit mod m: when their
-    reductions lie on different lines of F_q^2 for every q.  One pass over
-    the m^2 grid keeps g2, the largest element of order m, and the smallest
-    element of order m on each tuple of lines; g1 is the smallest of those
-    whose lines all differ from g2's.  Raw pairs compare as Point.sort_key
-    orders affine points.  The pass walks rows a <= m/2 only: for 0 < a < m - a,
-    -(aP + bQ) = (m - a)P + (m - b)Q lies on the same lines, so negating a
-    row offers row m - a, and every grid element is offered exactly once.
-    """
-    primes = sorted(factorize(m))
-    r = math.prod(primes)
-    classes = list(itertools.product(*[range(q + 1) for q in primes]))
-    index = {c: i for i, c in enumerate(classes)}
-
-    def line_class(a, b):
-        # the line through (a, b) mod q is (1 : b/a), or (0 : 1) = q when a = 0
-        lines = []
-        for q in primes:
-            a_q, b_q = a % q, b % q
-            if not a_q and not b_q:
-                return None
-            lines.append(b_q * pow(a_q, -1, q) % q if a_q else q)
-        return index[tuple(lines)]
-
-    table = [[line_class(a, b) for b in range(r)] for a in range(r)]
-    add, neg = curve._add_raw, curve._neg_raw
-    smallest = [None] * len(classes)
-    g2 = g2_class = None
-    row = None  # aP
-    for a in range(m // 2 + 1):
-        row_classes = table[a % r]
-        mirrored = 0 < a < m - a
-        R = row  # aP + bQ
-        for b in range(m):
-            c = row_classes[b % r]
-            if c is not None:
-                if g2 is None or R > g2:
-                    g2, g2_class = R, c
-                if smallest[c] is None or R < smallest[c]:
-                    smallest[c] = R
-                if mirrored:
-                    S = neg(R)
-                    if S > g2:
-                        g2, g2_class = S, c
-                    if S < smallest[c]:
-                        smallest[c] = S
-            if b < m - 1:
-                R = add(R, Q)
-        row = add(row, P)
-    g1 = min(
-        s
-        for c, s in zip(classes, smallest)
-        if s is not None and all(x != y for x, y in zip(c, classes[g2_class]))
-    )
-    return curve._box(g1), curve._box(g2)
-
-
-def _scanned_generators(curve, m):
-    """_torsion_generators' (g1, g2) for a curve whose E[m] lies in E(K), with no grid.
-
-    g2 is the largest point of order m and g1 the smallest whose line mod
-    every q | m differs from g2's: (m/q)g1 outside <(m/q)g2>, since (m/q)
-    maps aP + bQ to the point of E[q] on the line (a : b) mod q.  So a walk
-    of E(K) in sort order from the top finds g2, one from the bottom g1,
-    and where E[m] is most of E(K) each stops after a few points.  x runs
-    through K's values, each y by Tonelli-Shanks where K's square test
-    passes.  -R has R's order and lines, so each x offers only its root
-    that comes first in the walk.
-    Where E[m] is all of E(K), almost every point has mR = O, so the images
-    (m/q)R are read off S = (m/r)R, r the product of the q, with few
-    additions past the mR = rS that every point needs.
-    """
-    K, a, b = curve.field, curve.a.value, curve.b.value
-    p, ext = K.characteristic, K.base is not None
-    k = K.degree if ext else 1
-    mul, primes = curve._scalar_mul_raw, sorted(factorize(m))
-    r = math.prod(primes)
-
-    def walk(top):
-        digits = range(p)[:: -1 if top else 1]
-        for x in itertools.product(digits, repeat=k) if ext else digits:
-            rhs = K._add(K._mul(K._add(K._mul(x, x), a), x), b)
-            if K._is_square(rhs):
-                y = K._sqrt(rhs)
-                yield x, (max if top else min)(y, K._neg(y))
-
-    def order_m(R):
-        # R's images (m/q)R = (r/q)S in E[q] when R has order m, else None
-        S = mul(m // r, R)
-        if mul(r, S) is None:
-            images = [mul(r // q, S) for q in primes]
-            if None not in images:
-                return images
-
-    g2 = next(R for R in walk(True) if order_m(R))
-    lines = [_multiples(curve, u, q) for u, q in zip(order_m(g2), primes)]
-    g1 = next(
-        R for R in walk(False)
-        if (images := order_m(R)) and all(u not in w for u, w in zip(images, lines))
-    )
-    return curve._box(g1), curve._box(g2)
 
 
 def _kernel(curve, n, caps):
@@ -579,9 +417,11 @@ def _torsion(curve, m):
     """
 
     def span():
+        from .sylow import multiples
+
         P, Q = _basis(curve, m)
-        column = _multiples(curve, Q, m)
-        return [curve._add_raw(R, S) for R in _multiples(curve, P, m) for S in column]
+        column = multiples(curve, Q, m)
+        return [curve._add_raw(R, S) for R in multiples(curve, P, m) for S in column]
 
     return per_field(curve.field, ("torsion", curve.a.value, curve.b.value, m), span)
 
@@ -630,10 +470,11 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     Returns the invariant factors (m, ..., m), 2g of them, with the
     generator witnesses structure_rank2 would pick from the enumerated
     kernel.  Each curve factor's are read off the grid of a basis of E[m]
-    (_torsion_generators, about m^2/2 additions), or, once m^4 > 128 #E(K),
-    found by the sorted scan of E(K) (_scanned_generators), whose walks grow
-    with the index #E(K)/m^2; measured, the scan wins from about there on.
-    A factor with no basis is enumerated instead.  Raises IncompleteTorsion
+    (sylow.torsion_generators, about m^2/2 additions), or, once
+    m^4 > 128 #E(K), found by the sorted scan of E(K)
+    (sylow.scanned_generators), whose walks grow with the index
+    #E(K)/m^2; measured, the scan wins from about there on.  A factor with
+    no basis is enumerated instead.  Raises IncompleteTorsion
     when the field does not carry all of V[m], reporting the defect per
     curve factor.
     """
@@ -643,10 +484,13 @@ def deck_group(f, field=None, caps=DEFAULT_CAPS):
     for curve, basis, kernel in found:
         if not basis:
             parts.append(structure_rank2(kernel, curve._add_unchecked, Point.infinity()))
-        elif m**4 > 128 * _curve_order(curve):
-            parts.append(FiniteAbelianGroup((m, m), _scanned_generators(curve, m)))
+            continue
+        from . import sylow
+
+        if m**4 > 128 * _curve_order(curve):
+            parts.append(FiniteAbelianGroup((m, m), sylow.scanned_generators(curve, m)))
         else:
-            parts.append(FiniteAbelianGroup((m, m), _torsion_generators(curve, m, *basis)))
+            parts.append(FiniteAbelianGroup((m, m), sylow.torsion_generators(curve, m, *basis)))
     return V.group_from_parts(parts)
 
 
@@ -664,10 +508,11 @@ def deck_invariant_factors(f, field=None, caps=DEFAULT_CAPS):
 def _full_torsion(f, field, caps):
     """f's variety over the realization field K, and (curve, basis, kernel) per factor.
 
-    basis is _torsion_basis's pair, or None or False when the factor was
-    enumerated (False too, for the count the refusal reports) and kernel is
-    its {point: order} table.  Raises IncompleteTorsion when K's
-    characteristic divides m or a factor's E[m] is not all in E(K).
+    basis is _basis's pair, or None when the factor was enumerated and
+    kernel is its {point: order} table.  Raises IncompleteTorsion when K's
+    characteristic divides m or a factor's E[m] is not all in E(K), with the
+    count of E(K)[m] read off the structure where _basis proved the absence
+    (_torsion_count), and off the enumerated kernel elsewhere.
     """
     m = f.multiplier
     K = _realization_field(f, field)
@@ -683,11 +528,13 @@ def _full_torsion(f, field, caps):
         basis = _basis(curve, m)
         kernel = None
         if not basis:
-            kernel = _kernel(curve, m, caps)
-            if len(kernel) != m * m:
+            count = _torsion_count(curve, m) if basis is False else None
+            if count is None:
+                kernel = _kernel(curve, m, caps)
+                count = len(kernel)
+            if count != m * m:
                 raise IncompleteTorsion(
-                    "factor %d has %d of %d torsion points over %r"
-                    % (j, len(kernel), m * m, K)
+                    "factor %d has %d of %d torsion points over %r" % (j, count, m * m, K)
                 )
         found.append((curve, basis, kernel))
     return V, found

@@ -415,3 +415,50 @@ def find_certificates(obj, path="$"):
         for i, item in enumerate(obj):
             found.extend(find_certificates(item, "%s[%d]" % (path, i)))
     return found
+
+
+def rank2_invariants(elements, add, identity):
+    """(d1, d2) with d2 the group's exponent and d1 = |G| / d2, from its complete element list.
+
+    A group Z/d1 x Z/d2 with d1 | d2 has exponent d2.  The walk x, 2x, ...
+    to the identity gives ord(x); its multiples have orders dividing ord(x),
+    so none is walked again.
+    """
+    seen, exponent = set(), 1
+    for x in elements:
+        if x in seen:
+            continue
+        acc, d = x, 1
+        while acc != identity:
+            if d >= len(elements):
+                raise ArithmeticError("element order does not divide the group order")
+            seen.add(acc)
+            acc, d = add(acc, x), d + 1
+        exponent = max(exponent, d)
+    if len(elements) % exponent:
+        raise ArithmeticError("exponent does not divide the group order")
+    return len(elements) // exponent, exponent
+
+
+def spans_torsion(m, P, Q, add, identity):
+    """<P, Q> = E[m], for points of an elliptic curve in characteristic prime to m.
+
+    mP = mQ = O puts both in E[m] = (Z/m)^2.  For each prime q | m, (m/q)
+    maps E[m]/qE[m] onto E[q], so (m/q)P != O and (m/q)Q outside
+    <(m/q)P> say that P, Q span E[m] modulo q; by Nakayama they span its
+    q-primary part, and over all q all of E[m].
+    """
+    if _double_and_add(m, P, add, identity) != identity:
+        return False
+    if _double_and_add(m, Q, add, identity) != identity:
+        return False
+    primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
+    for q in primes:
+        u = _double_and_add(m // q, P, add, identity)
+        line, acc = {identity}, identity
+        for _ in range(q - 1):
+            acc = add(acc, u)
+            line.add(acc)
+        if u == identity or _double_and_add(m // q, Q, add, identity) in line:
+            return False
+    return True

@@ -67,6 +67,18 @@ def test_cli_loads_no_handler_and_towers_no_q():
     assert "ectower.rationals" in _loaded_after("import ectower.fields\nectower.fields.QQ")
 
 
+def test_towers_loads_the_sylow_module_on_first_use():
+    # the draws, discrete logs and generator walks compile only where a basis is built
+    assert "ectower.sylow" not in _loaded_after("import ectower.towers")
+    first_basis = (
+        "from ectower.curves import EllipticCurve\n"
+        "from ectower.fields import PrimeField\n"
+        "from ectower.towers import _basis\n"
+        "assert _basis(EllipticCurve(PrimeField(11), 0, 1), 2) is False"
+    )
+    assert "ectower.sylow" in _loaded_after(first_basis)
+
+
 def test_towers_and_cli_load_no_certificate_module():
     loaded = _loaded_after("import ectower.towers, ectower.cli")
     assert {"ectower.towers", "ectower.cli", "ectower.curves"} <= loaded
@@ -180,7 +192,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 # past these counts it doubles to 16,384 and 8,192 slots, which every process
 # compiling the module pays for in peak memory
 TOKEN_LIMITS = {"fields.py": 8192, "serialize.py": 4096, "cli.py": 4096,
-                "curves.py": 4096, "groups.py": 4096}
+                "curves.py": 4096, "groups.py": 4096, "towers.py": 4096, "sylow.py": 4096}
 
 
 @pytest.mark.parametrize("name, limit", sorted(TOKEN_LIMITS.items()))

@@ -16,7 +16,7 @@ from ectower.errors import (
 )
 from ectower.config import DEFAULT_CAPS, Caps
 from ectower.fields import QQ, ExtField, FieldElement, PrimeField
-from ectower import curves, groups, towers
+from ectower import curves, groups, sylow, towers
 from ectower.chain import match_deck
 from ectower.cli import main
 from ectower.groups import divisors, element_orders, structure_rank2
@@ -25,7 +25,6 @@ from ectower.towers import (
     Tower,
     _kernel,
     _point_counts,
-    _torsion_basis,
     TwistedMulMap,
     deck_group,
     deck_invariant_factors,
@@ -36,7 +35,14 @@ from ectower.towers import (
     realize_variety,
 )
 
-from oracles import fp_point_count, fq_add, fq_mul, fq_point_add
+from oracles import (
+    fp_point_count,
+    fq_add,
+    fq_mul,
+    fq_point_add,
+    rank2_invariants,
+    spans_torsion,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 F5 = PrimeField(5)
@@ -371,8 +377,8 @@ def test_deck_group_scans_only_where_e_m_is_most_of_e_k(monkeypatch):
     K = full_torsion_field(E5, 24)
     for m in (24, 4):
         deck_invariant_factors(TwistedMulMap(m, O, E5), field=K)  # the basis, kept with K
-    grids = _count_calls(monkeypatch, towers, "_torsion_generators")
-    scans = _count_calls(monkeypatch, towers, "_scanned_generators")
+    grids = _count_calls(monkeypatch, sylow, "torsion_generators")
+    scans = _count_calls(monkeypatch, sylow, "scanned_generators")
     added = _count_calls(monkeypatch, EllipticCurve, "_add_raw")
     assert deck_group(TwistedMulMap(24, O, E5), field=K).invariant_factors == (24, 24)
     assert grids == [] and len(scans) == 1
@@ -397,8 +403,8 @@ def test_scanned_generators_match_the_grid(p):
                 basis = towers._basis(EK, m)
                 if not basis:
                     continue
-                want = towers._torsion_generators(EK, m, *basis)
-                assert towers._scanned_generators(EK, m) == want, (E, K, m)
+                want = sylow.torsion_generators(EK, m, *basis)
+                assert sylow.scanned_generators(EK, m) == want, (E, K, m)
                 sides.add(m**4 > 128 * towers._curve_order(EK))
     assert sides == {False, True}
 
@@ -522,19 +528,23 @@ def test_product_deck_group_matches_the_enumerated_kernels():
             assert got.generators == want.generators
 
 
-def test_unbalanced_primary_part_takes_the_enumeration():
-    # y^2 = x^3 + 3x + 2 over F_{7^3} is Z/6 x Z/54: its 3-part Z/3 x Z/27 puts
-    # every sampled 3-part, multiplied into E[3], on one line, so no basis of
-    # E[3] turns up and the kernel is enumerated, with the same report bytes
+def test_unbalanced_primary_part_is_decided_without_the_enumeration(monkeypatch):
+    # y^2 = x^3 + 3x + 2 over F_{7^3} is Z/6 x Z/54: its 3-part Z/3 x Z/27
+    # puts every point of order 27, multiplied into E[3], on one line.  A
+    # draw on that line is reduced against such a point by a discrete log,
+    # which leaves the Z/3 that E[3] needs: a basis, and the report bytes of
+    # the enumerated kernel, with no enumeration
     E = EllipticCurve(PrimeField(7), 3, 2)
     K = extension_field(PrimeField(7), 3)
     EK = realize_variety(E, K)
     assert EK.group_structure().invariant_factors == (6, 54)
+    want = {m: group_to_json(_kernel_structure(EK, m), K, 2) for m in (3, 6)}
+    kernels = _count_calls(monkeypatch, towers, "_kernel")
     for m in (3, 6):
-        assert _torsion_basis(EK, m) is None
-        got = group_to_json(deck_group(TwistedMulMap(m, O, E), field=K), K, 2)
-        assert got == group_to_json(_kernel_structure(EK, m), K, 2)
-    assert _torsion_basis(EK, 2)
+        assert towers._basis(EK, m)
+        assert group_to_json(deck_group(TwistedMulMap(m, O, E), field=K), K, 2) == want[m]
+    assert towers._basis(EK, 2) and towers._basis(EK, 9) is False
+    assert towers._structure(EK)[0] == 6 and kernels == []
 
 
 def _oracle_kernel_structure(curve, m):
@@ -579,7 +589,7 @@ def _oracle_kernel_structure(curve, m):
     (5, 4, 0, 1, 24),  # E(F_{5^4}) = (Z/24)^2
     (5, 4, 1, 0, 8),  # Z/8 x Z/80
     (7, 3, 0, 1, 6),  # (Z/18)^2
-    (7, 3, 3, 2, 6),  # Z/6 x Z/54: no basis is found and the kernel is enumerated
+    (7, 3, 3, 2, 6),  # Z/6 x Z/54: the 3-part Z/3 x Z/27 is reduced by discrete logs
 ])
 def test_deck_group_matches_the_fq_oracle_kernel(p, k, a, b, m):
     # the group-law kernels of F_{p^3} and F_{p^4} against an oracle sharing none of their code
@@ -604,7 +614,7 @@ def test_deck_invariant_factors_agree_with_deck_group(monkeypatch, p, degrees):
     # every curve over F_p and every m <= 8 over every F_{p^k}: the same
     # invariant factors, or the same refusal, and no generator grid
     fields = [extension_field(PrimeField(p), k) for k in range(1, degrees + 1)]
-    grids = _count_calls(monkeypatch, towers, "_torsion_generators")
+    grids = _count_calls(monkeypatch, sylow, "torsion_generators")
     want = {}
     for E in _curves(p):
         for m in range(1, 9):
@@ -621,7 +631,7 @@ def test_deck_invariant_factors_agree_with_deck_group(monkeypatch, p, degrees):
 
 def test_match_deck_walks_no_generator_grid(monkeypatch):
     X = ProductVariety([E5, EllipticCurve(F5, 0, 2)])
-    grids = _count_calls(monkeypatch, towers, "_torsion_generators")
+    grids = _count_calls(monkeypatch, sylow, "torsion_generators")
     for V in (E5, X):
         tower = Tower(V, V.identity(), [V.identity()] * 5)
         assert [match_deck(tower, i) for i in (1, 2, 3)] == [True] * 3
@@ -631,17 +641,9 @@ def test_match_deck_walks_no_generator_grid(monkeypatch):
         match_deck(tower, 2, field=F5)
 
 
-def _count_bases(monkeypatch):
-    """The (curve, m) of each _torsion_basis call, in order."""
-    calls = []
-    find = towers._torsion_basis
-
-    def counted(curve, m):
-        calls.append((curve, m))
-        return find(curve, m)
-
-    monkeypatch.setattr(towers, "_torsion_basis", counted)
-    return calls
+def _count_structures(monkeypatch):
+    """The (curve, #E(K)) of each run of the Sylow draws, in order."""
+    return _count_calls(monkeypatch, sylow, "torsion_structure")
 
 
 def _build_level5(tmp_path):
@@ -651,17 +653,19 @@ def _build_level5(tmp_path):
 
 
 def test_tower_build_finds_each_basis_once(monkeypatch, tmp_path):
-    # levels 1..5 over F_239: the basis that confirms each step and composite
-    # field is the one its deck group's generators are read off
-    bases = _count_bases(monkeypatch)
+    # levels 1..5 over F_239: one structure per (field, curve) confirms every
+    # step and composite field, and gives the basis each deck group's
+    # generators are read off.  E[3] and E[5] need no draws over F_239, as
+    # 3 and 5 do not divide 238, nor does E[1] = {O}
+    structures = _count_structures(monkeypatch)
     report = _build_level5(tmp_path)
-    assert len(bases) == len(set(bases))
-    assert {m for _, m in bases} == {1, 2, 3, 4, 5, 6, 24, 120}
+    assert [(repr(curve.field), order) for curve, order in structures] == [
+        ("F_239", 240), ("F_239^2", 240**2)]
     assert report == (GOLDEN / "tower-build-level5-deck.report.json").read_bytes()
 
 
 def test_no_basis_outlives_its_command(monkeypatch, tmp_path):
-    bases = _count_bases(monkeypatch)
+    bases = _count_structures(monkeypatch)
     first = _build_level5(tmp_path)
     once = list(bases)
     assert once and _build_level5(tmp_path) == first
@@ -699,7 +703,7 @@ def test_match_deck_finds_its_basis_once(monkeypatch):
     # a fresh curve: bases kept with the module's F5 by earlier tests would hide the search
     E = EllipticCurve(PrimeField(5), 0, 1)
     tower = Tower(E, O, [O] * 5)
-    bases = _count_bases(monkeypatch)
+    bases = _count_structures(monkeypatch)
     assert match_deck(tower, 4)
     assert bases and len(bases) == len(set(bases))
     # a second bare call reads the basis kept with the field; an equal field finds its own
@@ -738,6 +742,39 @@ def test_level_one_is_enumerated_only_by_its_deck_groups(monkeypatch, tmp_path, 
         e = [{"coords": [point, {"x": "3", "y": "2"}]}] * N
     kernels = _tower_build_kernels(monkeypatch, tmp_path, base, o, e)
     assert kernels.count(1) == level1 == 2 * g
+
+
+def test_a_refused_tower_build_builds_no_deck_group(monkeypatch, tmp_path):
+    # the deck benchmark's refusal: over F_7 the level-4 composite needs E[24],
+    # which no field of at most 3000 elements holds.  Every level's fields are
+    # found before any deck group, so the job stops with the same bytes, and
+    # with no generator built for levels 1..3
+    decks = _count_calls(monkeypatch, towers, "deck_group")
+    out = tmp_path / "r.json"
+    job = str(GOLDEN / "tower-build-field-cap.job.json")
+    assert main(["tower-build", "--input", job, "--output", str(out), "--field-cap", "3000"]) == 3
+    assert out.read_bytes() == (GOLDEN / "tower-build-field-cap.report.json").read_bytes()
+    assert decks == []
+
+
+@pytest.mark.parametrize("cap, code, kind, error", [
+    (125, 3, "BoundExceeded", "no full 4-torsion field within the configured caps"),
+    (625, 2, "RamifiedCharacteristic", "characteristic 5 divides n = 5"),
+])
+def test_a_step_field_refusal_keeps_its_message(monkeypatch, tmp_path, cap, code, kind, error):
+    # y^2 = x^3 + 1 over F_5: the level-3 composite's E[6] lies in F_25, the
+    # level-4 step's E[4] only in F_625, and level 5's step is ramified.  The
+    # first refusal is a step field's, before its level's composite, with the
+    # message it had when each level's deck groups came before the next level
+    decks = _count_calls(monkeypatch, towers, "deck_group")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"deck": True, "tower": {"base": E5_JSON, "o": INF, "e": [INF] * 6,
+                                                       "N": 5}}))
+    out = tmp_path / "r.json"
+    argv = ["tower-build", "--input", str(job), "--output", str(out), "--field-cap", str(cap)]
+    assert main(argv) == code
+    assert json.loads(out.read_text()) == {"error": error, "kind": kind}
+    assert decks == []
 
 
 # each F_{p^k} is built once per command, and each field scans for its non-square once
@@ -832,26 +869,27 @@ def test_torsion_basis_scans_for_the_non_square_once_per_field(monkeypatch):
     K = extension_field(PrimeField(5), 4)
     E = realize_variety(E5, K)
     scans = _count_calls(monkeypatch, fields.Field, "_non_residue")
-    bases = [_torsion_basis(E, m) for m in (2, 3, 4, 6, 8, 12, 24)]
+    bases = [towers._basis(E, m) for m in (2, 3, 4, 6, 8, 12, 24)]
     assert all(bases)
     # and 625 more square roots on K
     assert None not in [K._sqrt(K._mul(x, x)) for x in K._values()]
     assert len(scans) == 1
     L = extension_field(PrimeField(5), 4)
     assert L == K and L is not K
-    _torsion_basis(realize_variety(E5, L), 24)
+    towers._basis(realize_variety(E5, L), 24)
     assert len(scans) == 2
 
 
 @pytest.mark.parametrize("p, a, b, m", [(11, 0, 1, 2), (13, 1, 1, 3)])
 def test_torsion_basis_stops_where_a_sylow_part_rules_e_m_out(monkeypatch, p, a, b, m):
     # the counts allow E[m] (m | p - 1, m^2 | #E(F_p)), but E(F_p) is cyclic,
-    # Z/12 and Z/18: a draw whose q-part has order q^t, t > v_q(#E) - v_q(m),
-    # shows E[m] is not there, long before the draws run out
+    # Z/12 and Z/18: a draw whose q-part has order q^v, v = v_q(#E), certifies
+    # the cyclic Sylow part, so d1 = 1 and E[m] is not there, long before
+    # the draws run out
     E = EllipticCurve(PrimeField(p), a, b)
     draws = _count_calls(monkeypatch, PrimeField, "_random")
-    assert _torsion_basis(E, m) is False
-    assert 0 < len(draws) < towers._BASIS_DRAWS
+    assert towers._basis(E, m) is False
+    assert 0 < len(draws) < sylow.BASIS_DRAWS
     assert len(_kernel(E, m, DEFAULT_CAPS)) < m * m
 
 
@@ -887,41 +925,49 @@ def test_level_2_over_f719_enumerates_nothing(monkeypatch):
     assert towers._basis(E, 2) is False
 
 
-# (p, k, a, b, m): E[m] lies in E(F_{p^k}), yet no basis turns up in the draws,
-# so _has_full_torsion and deck_group take the enumeration.  Each has an
-# unbalanced Sylow part at some q | m: Z/6 x Z/54 over F_{7^3} (Z/3 x Z/27),
-# Z/4 x Z/32 over F_{11^2}, Z/2 x Z/96 over F_{13^2}, Z/3 x Z/702 over F_{13^3}
-_UNBALANCED_FALLBACKS = {
-    (7, 3, 3, 2, 3), (7, 3, 3, 2, 6), (7, 3, 5, 2, 3), (7, 3, 5, 2, 6),
-    (11, 2, 6, 4, 4),
-    (13, 2, 1, 2, 2), (13, 2, 2, 5, 2), (13, 2, 3, 11, 2), (13, 2, 7, 1, 2), (13, 2, 7, 12, 2),
-    (13, 3, 5, 10, 3),
-}
+def _isomorphism_classes(p):
+    """Every curve over F_p, grouped by F_p-isomorphism: (a, b) ~ (u^4 a, u^6 b), u != 0.
+
+    Isomorphic curves stay isomorphic over every F_{p^k}, so one
+    enumeration serves the whole class.
+    """
+    classes = {}
+    for E in _curves(p):
+        a, b = E.a.value, E.b.value
+        key = min((u**4 * a % p, u**6 * b % p) for u in range(1, p))
+        classes.setdefault(key, []).append(E)
+    return list(classes.values())
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_basis_is_none_exactly_where_the_enumerated_kernel_is_short(p):
-    # every curve over F_p, over every F_{p^k} with p^k <= 3000, and every
-    # m <= 24 that the point counts allow (m | p^k - 1, m^2 | #E(K)): a basis
-    # of E[m] exactly when the enumerated kernel has m^2 points, and the proof
-    # of absence (False) only where it has fewer
-    missed, proved = set(), set()
+def test_basis_is_none_exactly_where_the_enumerated_kernel_is_short(monkeypatch, p):
+    # every curve over F_p, over every F_{p^k} with p^k <= 3000: the draws'
+    # E(K) = Z/d1 x Z/d2 and basis of E[d1] against the structure of the
+    # enumerated group, one enumeration per isomorphism class; then for
+    # every m <= 24 a basis of E[m] exactly when m | d1, and the proof of
+    # absence (False) otherwise.  Nothing is left to the enumeration (None),
+    # unbalanced Sylow parts such as Z/3 x Z/27 over F_{7^3} included
+    kernels = _count_calls(monkeypatch, towers, "_kernel")
+    proved = set()
     for k in range(1, 5):
         if p**k > 3000:
             break
         K = extension_field(PrimeField(p), k)
-        for E in _curves(p):
-            EK = realize_variety(E, K)
-            order = towers._curve_order(EK)
-            ms = [m for m in range(2, 25) if (K.size - 1) % m == 0 and order % (m * m) == 0]
-            full = set(_full_kernel_sizes(EK)) if ms else ()
-            for m in ms:
-                basis = towers._basis(EK, m)
-                assert not basis or m in full, (E, K, m)
-                if basis is False:
-                    assert m not in full, (E, K, m)
-                    proved.add((k, m))
-                if m in full and not basis:
-                    missed.add((p, k, E.a.value, E.b.value, m))
-    assert missed == {case for case in _UNBALANCED_FALLBACKS if case[0] == p}
+        for curves in _isomorphism_classes(p):
+            first = realize_variety(curves[0], K)
+            points = [P._raw() for P in first.enumerate_points()]
+            d1, d2 = rank2_invariants(points, first._add_raw, None)
+            for E in curves:
+                EK = realize_variety(E, K)
+                structure = towers._structure(EK)
+                assert structure[0] == d1 and towers._curve_order(EK) == d1 * d2, (E, K)
+                assert spans_torsion(d1, structure[1], structure[2], EK._add_raw, None), (E, K)
+                for m in range(2, 25):
+                    basis = towers._basis(EK, m)
+                    if d1 % m:
+                        assert basis is False, (E, K, m)
+                        proved.add((k, m))
+                    else:
+                        assert spans_torsion(m, *basis, EK._add_raw, None), (E, K, m)
+    assert kernels == []
     assert proved  # the sweep meets the proof of absence at every p
